@@ -17,7 +17,6 @@ from arl import (
     comparison_check,
     ladic_iff_torsionfree,
     limit,
-    rank_ql,
     tensor_zl,
     to_tower,
     upsilon,
@@ -42,7 +41,7 @@ print("limit detected from the bare prefix:", limit(truncated).describe())
 # Torsion dies over Q_l.
 print()
 print("rank over Q_l of", ZlModule(l, (5,), 2).describe(), "is",
-      rank_ql(ZlModule(l, (5,), 2)))
+      ZlModule(l, (5,), 2).free_rank)
 
 # A cohomology tower with a unit Frobenius: both module readings agree,
 # including the operator.

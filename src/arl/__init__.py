@@ -20,7 +20,6 @@ from .errors import (
     NotLAdic,
     PreconditionViolated,
     PrimeMismatch,
-    TailUnderivable,
     TowerFileError,
     TruncatedTower,
 )
@@ -83,13 +82,12 @@ from .arcat import (
     canonical_l_adic,
     certify_ar_l_adic,
     factorization_radius,
-    is_ar_zero_object,
     kernel_bound_check,
     reshift,
     stable_image_bound,
     stable_image_tower,
 )
-from .hypernat import HyperNat, hn_add, hn_compare, hn_sub
+from .hypernat import HyperNat
 from .upsilon import (
     StarLevel,
     UpsilonHom,
@@ -110,7 +108,6 @@ from .limits import (
     comparison_check,
     ladic_iff_torsionfree,
     limit,
-    rank_ql,
     tensor_zl,
     to_tower,
 )

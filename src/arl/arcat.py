@@ -33,10 +33,9 @@ from .towers import (
     Truncated,
     Verdict,
     ZeroCertificate,
-    _compose_hom_tails,
-    _induce_sub_transitions,
     classify_tail,
     identity_tower_hom,
+    induced_subtower,
     is_l_adic,
     is_zero_system,
     ladic_truncation,
@@ -108,7 +107,7 @@ def ar_compose(g: ARMor, f: ARMor) -> ARMor:
         for n in range(k + 1)
     )
     rep = TowerHom(src, g.target, levels,
-                   tail=_compose_hom_tails(g.rep.tail, f.rep.tail, rg))
+                   tail=g.rep.tail.compose(f.rep.tail, rg))
     return ARMor(f.source, g.target, rf + rg, rep)
 
 
@@ -160,11 +159,6 @@ def ar_equal(f: ARMor, g: ARMor, bound: Optional[int] = None) -> Verdict:
         if _delta_zero_at(f_levels, g_levels, f.source, sigma, e, top):
             return Verdict.yes({"common_shift": sigma + e})
     return Verdict.unknown(note=f"representatives still differ after {bound} extra shifts")
-
-
-def is_ar_zero_object(f: Tower, bound: Optional[int] = None) -> Verdict:
-    """Isomorphic to zero in the shift-class category iff a zero system."""
-    return is_zero_system(f, bound)
 
 
 def ar_is_isomorphism(f: ARMor, bound: Optional[int] = None) -> Verdict:
@@ -245,7 +239,7 @@ def stable_image_tower(f: Tower, s: Optional[int] = None,
         sub, incl = subgroup_from_lattice(f.level(m), comp.matrix, transport_labels=labels)
         data.append((sub, incl))
     tail = f.tail if shape is not None else Truncated()
-    return _induce_sub_transitions(f, data, tail)
+    return induced_subtower(f, data, tail)
 
 
 @dataclass(frozen=True)

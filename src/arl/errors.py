@@ -21,10 +21,6 @@ class TruncatedTower(ArlError):
     """A level beyond the represented prefix of a truncated tower was requested."""
 
 
-class TailUnderivable(ArlError):
-    """A derived tower's tail rule could not be propagated."""
-
-
 class NotARladic(ArlError):
     """The tower could not be certified as Artin-Rees l-adic."""
 

@@ -147,15 +147,3 @@ class HyperNat:
         if expect_atom:
             raise ValueError("dangling operator in hypernatural term")
         return result
-
-
-def hn_add(a: HyperNat, b) -> HyperNat:
-    return a + b
-
-
-def hn_sub(a: HyperNat, b) -> HyperNat:
-    return a - b
-
-
-def hn_compare(a: HyperNat, b) -> str:
-    return a.compare(b)

@@ -91,11 +91,6 @@ def limit(tower: Tower) -> ZlModule:
     return candidate
 
 
-def rank_ql(module: ZlModule) -> int:
-    """Dimension after tensoring with Q_l: torsion dies, the free rank survives."""
-    return module.free_rank
-
-
 def tensor_zl(upsilon_obj) -> ZlModule:
     """The external Z_l-module carried by an image-quotient object at an
     infinite index: the limit of its tower of finite quotients."""

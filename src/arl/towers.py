@@ -2,15 +2,28 @@
 
 A tower is an explicit prefix F_0, ..., F_L with transition maps
 u_n : F_n -> F_{n-1}, together with a tail rule that pins down (or declines
-to pin down) every level beyond L:
+to pin down) every level beyond L.  A rule owns five methods: ``check`` (the
+prefix agrees with it), ``extends`` (levels beyond L can be built),
+``level`` and ``transition`` (build them) and ``shape`` (the candidate normal
+form that ``classify_tail`` verifies).  The ``TailRule`` defaults are the
+``Truncated`` behaviour; every other kind overrides all five:
 
-* ``Truncated``            -- nothing is known beyond L; quantified claims
-                              are checked up to L and search results carry a
-                              "prefix" scope.
-* ``ZeroTail(s)``          -- F_n is trivial for n >= s.
-* ``EventuallyLAdic(s, M)``-- F_n = M/l^{n+1} with canonical projections for
-                              n >= s, M a finitely generated Z_l-module.
-* ``ShiftOf/SumOf/QuotientOf`` -- derived towers referencing their parents.
+* ``Truncated``             -- nothing is known beyond L; quantified claims
+                               are checked up to L and search results carry
+                               a "prefix" scope.
+* ``ZeroTail(s)``           -- F_n is trivial for n >= s.
+* ``EventuallyLAdic(s, M)`` -- F_n = M/l^{n+1} with canonical projections
+                               for n >= s, M a finitely generated Z_l-module.
+* ``ShiftOf(F, r)``, ``SumOf(F, G)``, ``QuotientOf(F, k)`` -- F_{n+r},
+  F_n + G_n and F_n / l^k, read off the parents; ``shift``, ``direct_sum``
+  and ``mod_power`` build their prefix through the rule they attach.
+
+A tower hom carries a ``HomTail`` the same way.  The ``HomTail`` defaults are
+the ``HomTruncated`` behaviour; ``HomZeroTail`` (zero maps),
+``HomCanonicalTail`` (identity matrix) and ``HomModuleTail`` (a fixed module
+hom) override ``check`` and ``level``, how they ``compose`` and subtract
+(``minus``), and the tails that the levelwise kernel, image and cokernel
+inherit.
 
 Levels beyond the prefix of a non-truncated tower can be materialized on
 demand; predicates combine exact prefix computation with tail reasoning and
@@ -21,7 +34,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .errors import (
     PreconditionViolated,
@@ -109,8 +122,62 @@ class MLBound:
 
 # -- tail rules ---------------------------------------------------------------
 
+@dataclass(frozen=True)
+class TailShape:
+    """Verified normal form of a tail: for all n >= start the level equals
+    module/l^{n+1+offset} (module None meaning the trivial group) with the
+    canonical projections as transitions."""
+
+    start: int
+    module: Optional[ZlModule]
+    offset: int = 0
+
+
+def _departure(level, transition, shape: TailShape, levels: range,
+               transitions: range) -> Optional[tuple]:
+    """Where a tower, read through ``level`` and ``transition``, leaves the
+    normal form of ``shape``: the first of ``levels`` that differs, else the
+    first of ``transitions`` that is not the canonical projection, as
+    ("level", n) or ("transition", n); None when it follows the shape.
+    Transitions between trivial levels are zero, so they are not checked."""
+    m, off = shape.module, shape.offset
+    for n in levels:
+        if (not level(n).is_trivial()) if m is None else level(n) != m.quotient_group(n + 1 + off):
+            return "level", n
+    for n in transitions if m is not None else ():
+        if transition(n) != m.quotient_projection(n + 1 + off, n + off):
+            return "transition", n
+    return None
+
+
+def _lowest_start(level, transition, shape: TailShape, start: int) -> int:
+    """Walk a verified tail start down while the level below still follows shape."""
+    while start > 0 and _departure(level, transition, shape, range(start - 1, start),
+                                   range(start, start + 1)) is None:
+        start -= 1
+    return start
+
+
 class TailRule:
-    pass
+    """How a tower continues beyond its prefix.  These defaults are the
+    ``Truncated`` behaviour.  The derived kinds read every level off their
+    parents and ignore ``tower``, so their constructors pass None."""
+
+    def check(self, tower: "Tower") -> None:
+        """Raise ValueError when the prefix contradicts the rule."""
+
+    def extends(self) -> bool:
+        return False
+
+    def level(self, tower: "Tower", n: int) -> FinAbGroup:
+        raise TruncatedTower(f"level {n} beyond truncated prefix (top={tower.top})")
+
+    def transition(self, tower: "Tower", n: int) -> GroupHom:
+        raise TruncatedTower(f"transition {n} beyond truncated prefix")
+
+    def shape(self, tower: "Tower") -> Optional[TailShape]:
+        """The candidate normal form, which ``classify_tail`` verifies."""
+        return None
 
 
 @dataclass(frozen=True)
@@ -122,11 +189,62 @@ class Truncated(TailRule):
 class ZeroTail(TailRule):
     start: int
 
+    def check(self, tower):
+        if not 0 <= self.start <= tower.top + 1:
+            raise ValueError("zero tail start out of range")
+        miss = _departure(tower.level, tower.transition, self.shape(tower),
+                          range(self.start, tower.top + 1), range(0))
+        if miss:
+            raise ValueError(f"zero tail claims level {miss[1]} trivial but it is not")
+
+    def extends(self):
+        return True
+
+    def level(self, tower, n):
+        return trivial_group(tower.l)
+
+    def transition(self, tower, n):
+        return zero_hom(tower.level(n), tower.level(n - 1))
+
+    def shape(self, tower):
+        return TailShape(self.start, None)
+
 
 @dataclass(frozen=True)
 class EventuallyLAdic(TailRule):
     start: int
     module: ZlModule
+
+    def check(self, tower):
+        if self.module.l != tower.l:
+            raise PrimeMismatch("tail module prime differs from tower prime")
+        if not 0 <= self.start <= tower.top:
+            raise ValueError("eventually-l-adic tail must overlap the prefix")
+        miss = _departure(tower.level, tower.transition, TailShape(self.start, self.module),
+                          range(self.start, tower.top + 1), range(self.start + 1, tower.top + 1))
+        if miss:
+            kind, n = miss
+            raise ValueError(f"tail module does not match level {n}" if kind == "level"
+                             else f"transition {n} is not the canonical projection")
+
+    def extends(self):
+        return True
+
+    def level(self, tower, n):
+        return self.module.quotient_group(n + 1)
+
+    def transition(self, tower, n):
+        return self.module.quotient_projection(n + 1, n)
+
+    def shape(self, tower):
+        return TailShape(self.start, None if self.module.is_trivial() else self.module)
+
+
+def _check_derived(tower: "Tower", tail: TailRule, name: str, *parents: "Tower"):
+    if any(p.l != tower.l for p in parents):
+        raise PrimeMismatch(f"{name} parent prime differs")
+    if tower.groups[tower.top] != tail.level(tower, tower.top):
+        raise ValueError(f"{name} tail does not match the last prefix level")
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,11 +252,69 @@ class ShiftOf(TailRule):
     parent: "Tower"
     amount: int
 
+    def check(self, tower):
+        if self.amount < 0:
+            raise ValueError("negative shift")
+        _check_derived(tower, self, "shift", self.parent)
+
+    def extends(self):
+        return self.parent.can_extend()
+
+    def level(self, tower, n):
+        return self.parent.level(n + self.amount)
+
+    def transition(self, tower, n):
+        return self.parent.transition(n + self.amount)
+
+    def shape(self, tower):
+        p = classify_tail(self.parent)
+        if p is None:
+            return None
+        start = max(0, p.start - self.amount)
+        if p.module is None:
+            return TailShape(start, None)
+        if p.module.free_rank == 0:
+            # pure torsion: quotients stabilize, re-anchor at offset 0
+            return TailShape(max(start, p.module.max_exponent() - 1), p.module, 0)
+        return TailShape(start, p.module, p.offset + self.amount)
+
 
 @dataclass(frozen=True, eq=False)
 class SumOf(TailRule):
     left: "Tower"
     right: "Tower"
+
+    def check(self, tower):
+        _check_derived(tower, self, "sum", self.left, self.right)
+
+    def extends(self):
+        return self.left.can_extend() and self.right.can_extend()
+
+    def level(self, tower, n):
+        return direct_sum_with_maps(self.left.level(n), self.right.level(n))[0]
+
+    def transition(self, tower, n):
+        a, b = self.left, self.right
+        s1, _, _, pa1, pb1 = direct_sum_with_maps(a.level(n), b.level(n))
+        s0, ia0, ib0, _, _ = direct_sum_with_maps(a.level(n - 1), b.level(n - 1))
+        mat = (ia0.matrix @ a.transition(n).matrix @ pa1.matrix) + \
+              (ib0.matrix @ b.transition(n).matrix @ pb1.matrix)
+        return GroupHom(s1, s0, mat)
+
+    def shape(self, tower):
+        a, b = classify_tail(self.left), classify_tail(self.right)
+        if a is None or b is None:
+            return None
+        start = max(a.start, b.start)
+        # a module-free shape always has offset 0
+        if a.module is None:
+            return TailShape(start, b.module, b.offset)
+        if b.module is None:
+            return TailShape(start, a.module, a.offset)
+        if a.offset != b.offset:
+            return None
+        m, _, _ = a.module.direct_sum(b.module)
+        return TailShape(start, m, a.offset)
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,16 +322,31 @@ class QuotientOf(TailRule):
     parent: "Tower"
     power: int
 
+    def check(self, tower):
+        _check_derived(tower, self, "quotient", self.parent)
 
-@dataclass(frozen=True)
-class TailShape:
-    """Verified normal form of a tail: for all n >= start the level equals
-    module/l^{n+1+offset} (module None meaning the trivial group) with the
-    canonical projections as transitions."""
+    def extends(self):
+        return self.parent.can_extend()
 
-    start: int
-    module: Optional[ZlModule]
-    offset: int = 0
+    def level(self, tower, n):
+        return quotient_with_maps(self.parent.level(n), self.parent.l ** self.power)[0]
+
+    def transition(self, tower, n):
+        p = self.parent.l ** self.power
+        return hom_on_quotients(self.parent.transition(n), p, p)
+
+    def shape(self, tower):
+        p = classify_tail(self.parent)
+        if p is None:
+            return None
+        k = self.power
+        if p.module is None or k == 0:
+            return TailShape(p.start, None)
+        exps = sorted([min(a, k) for a in p.module.torsion_exponents] + [k] * p.module.free_rank)
+        m = ZlModule(tower.l, tuple(exps))
+        if m.is_trivial():
+            return TailShape(p.start, None)
+        return TailShape(max(p.start, k - 1 - p.offset, 0), m, 0)
 
 
 # -- towers -------------------------------------------------------------------
@@ -180,57 +371,7 @@ class Tower:
         for n, u in enumerate(self.maps, start=1):
             if u.source != self.groups[n] or u.target != self.groups[n - 1]:
                 raise ValueError(f"transition {n} does not connect level {n} to level {n - 1}")
-        self._check_tail()
-
-    # -- tail consistency --------------------------------------------------
-
-    def _check_tail(self):
-        t = self.tail
-        top = len(self.groups) - 1
-        if isinstance(t, Truncated):
-            return
-        if isinstance(t, ZeroTail):
-            if not 0 <= t.start <= top + 1:
-                raise ValueError("zero tail start out of range")
-            for n in range(t.start, top + 1):
-                if not self.groups[n].is_trivial():
-                    raise ValueError(f"zero tail claims level {n} trivial but it is not")
-            return
-        if isinstance(t, EventuallyLAdic):
-            if t.module.l != self.l:
-                raise PrimeMismatch("tail module prime differs from tower prime")
-            if not 0 <= t.start <= top:
-                raise ValueError("eventually-l-adic tail must overlap the prefix")
-            for n in range(t.start, top + 1):
-                if self.groups[n] != t.module.quotient_group(n + 1):
-                    raise ValueError(f"tail module does not match level {n}")
-            for n in range(t.start + 1, top + 1):
-                if self.maps[n - 1] != t.module.quotient_projection(n + 1, n):
-                    raise ValueError(f"transition {n} is not the canonical projection")
-            return
-        if isinstance(t, ShiftOf):
-            if t.amount < 0:
-                raise ValueError("negative shift")
-            if t.parent.l != self.l:
-                raise PrimeMismatch("shift parent prime differs")
-            if self.groups[top] != t.parent.level(top + t.amount):
-                raise ValueError("shift tail does not match the last prefix level")
-            return
-        if isinstance(t, SumOf):
-            if t.left.l != self.l or t.right.l != self.l:
-                raise PrimeMismatch("sum parent prime differs")
-            expected, _, _, _, _ = direct_sum_with_maps(t.left.level(top), t.right.level(top))
-            if self.groups[top] != expected:
-                raise ValueError("sum tail does not match the last prefix level")
-            return
-        if isinstance(t, QuotientOf):
-            if t.parent.l != self.l:
-                raise PrimeMismatch("quotient parent prime differs")
-            q, _, _ = quotient_with_maps(t.parent.level(top), self.l ** t.power)
-            if self.groups[top] != q:
-                raise ValueError("quotient tail does not match the last prefix level")
-            return
-        raise TypeError(f"unknown tail rule {t!r}")
+        self.tail.check(self)
 
     # -- level access --------------------------------------------------------
 
@@ -239,14 +380,7 @@ class Tower:
         return len(self.groups) - 1
 
     def can_extend(self) -> bool:
-        t = self.tail
-        if isinstance(t, Truncated):
-            return False
-        if isinstance(t, (ShiftOf, QuotientOf)):
-            return t.parent.can_extend()
-        if isinstance(t, SumOf):
-            return t.left.can_extend() and t.right.can_extend()
-        return True
+        return self.tail.extends()
 
     def level(self, n: int) -> FinAbGroup:
         if n < 0:
@@ -255,7 +389,7 @@ class Tower:
             return self.groups[n]
         key = ("level", n)
         if key not in self._cache:
-            self._cache[key] = self._tail_level(n)
+            self._cache[key] = self.tail.level(self, n)
         return self._cache[key]
 
     def transition(self, n: int) -> GroupHom:
@@ -266,52 +400,8 @@ class Tower:
             return self.maps[n - 1]
         key = ("transition", n)
         if key not in self._cache:
-            self._cache[key] = self._tail_transition(n)
+            self._cache[key] = self.tail.transition(self, n)
         return self._cache[key]
-
-    def _tail_level(self, n: int) -> FinAbGroup:
-        t = self.tail
-        if isinstance(t, Truncated):
-            raise TruncatedTower(f"level {n} beyond truncated prefix (top={self.top})")
-        if isinstance(t, ZeroTail):
-            return trivial_group(self.l)
-        if isinstance(t, EventuallyLAdic):
-            return t.module.quotient_group(n + 1)
-        if isinstance(t, ShiftOf):
-            return t.parent.level(n + t.amount)
-        if isinstance(t, SumOf):
-            s, _, _, _, _ = direct_sum_with_maps(t.left.level(n), t.right.level(n))
-            return s
-        if isinstance(t, QuotientOf):
-            q, _, _ = quotient_with_maps(t.parent.level(n), self.l ** t.power)
-            return q
-        raise TypeError
-
-    def _tail_transition(self, n: int) -> GroupHom:
-        t = self.tail
-        if isinstance(t, Truncated):
-            raise TruncatedTower(f"transition {n} beyond truncated prefix")
-        if isinstance(t, ZeroTail):
-            return zero_hom(self.level(n), self.level(n - 1))
-        if isinstance(t, EventuallyLAdic):
-            return t.module.quotient_projection(n + 1, n)
-        if isinstance(t, ShiftOf):
-            u = t.parent.transition(n + t.amount)
-            if u.target != self.level(n - 1) or u.source != self.level(n):
-                raise ValueError("shift tail transition mismatch")
-            return u
-        if isinstance(t, SumOf):
-            a, b = t.left, t.right
-            _, ia1, ib1, pa1, pb1 = direct_sum_with_maps(a.level(n), b.level(n))
-            _, ia0, ib0, pa0, pb0 = direct_sum_with_maps(a.level(n - 1), b.level(n - 1))
-            ua, ub = a.transition(n), b.transition(n)
-            mat = (ia0.matrix @ ua.matrix @ pa1.matrix) + (ib0.matrix @ ub.matrix @ pb1.matrix)
-            return GroupHom(self.level(n), self.level(n - 1), mat)
-        if isinstance(t, QuotientOf):
-            u = t.parent.transition(n)
-            p = self.l ** t.power
-            return hom_on_quotients(u, p, p)
-        raise TypeError
 
     def composite(self, n: int, r: int) -> GroupHom:
         """The composed transition F_{n+r} -> F_n (identity for r = 0)."""
@@ -348,12 +438,19 @@ class Tower:
 
 
 def resolve_bound(tower: Tower, bound: Optional[int]) -> int:
+    """An explicit bound, else ARL_DEFAULT_BOUND, else the tower's top level."""
     if bound is not None:
         return bound
     env = os.environ.get(DEFAULT_BOUND_ENV)
-    if env is not None:
-        return int(env)
-    return tower.top
+    if env is None:
+        return tower.top
+    try:
+        value = int(env)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise ValueError(f"{DEFAULT_BOUND_ENV} must be a non-negative integer, got {env!r}")
+    return value
 
 
 def constant_tower(l: int, group: FinAbGroup, levels: int, transition: Optional[GroupHom] = None,
@@ -366,122 +463,64 @@ def constant_tower(l: int, group: FinAbGroup, levels: int, transition: Optional[
     return Tower(l, (group,) * levels, (u,) * (levels - 1), t)
 
 
-# -- tail classification -------------------------------------------------------
-
-def _candidate_shape(tower: Tower) -> Optional[TailShape]:
-    t = tower.tail
-    if isinstance(t, Truncated):
-        return None
-    if isinstance(t, ZeroTail):
-        return TailShape(t.start, None)
-    if isinstance(t, EventuallyLAdic):
-        if t.module.is_trivial():
-            return TailShape(t.start, None)
-        return TailShape(t.start, t.module, 0)
-    if isinstance(t, ShiftOf):
-        p = classify_tail(t.parent)
-        if p is None:
-            return None
-        if p.module is None:
-            return TailShape(max(0, p.start - t.amount), None)
-        m = p.module
-        off = p.offset + t.amount
-        start = max(0, p.start - t.amount)
-        if m.free_rank == 0:
-            # pure torsion: quotients stabilize, re-anchor at offset 0
-            return TailShape(max(start, m.max_exponent() - 1, 0), m, 0)
-        return TailShape(start, m, off)
-    if isinstance(t, SumOf):
-        a = classify_tail(t.left)
-        b = classify_tail(t.right)
-        if a is None or b is None:
-            return None
-        if a.module is None and b.module is None:
-            return TailShape(max(a.start, b.start), None)
-        if a.module is None:
-            return TailShape(max(a.start, b.start), b.module, b.offset)
-        if b.module is None:
-            return TailShape(max(a.start, b.start), a.module, a.offset)
-        if a.offset != b.offset:
-            return None
-        m, _, _ = a.module.direct_sum(b.module)
-        return TailShape(max(a.start, b.start), m, a.offset)
-    if isinstance(t, QuotientOf):
-        p = classify_tail(t.parent)
-        if p is None:
-            return None
-        if p.module is None:
-            return TailShape(p.start, None)
-        k = t.power
-        if k == 0:
-            return TailShape(p.start, None)
-        exps = sorted([min(a, k) for a in p.module.torsion_exponents] + [k] * p.module.free_rank)
-        m = ZlModule(tower.l, tuple(exps))
-        if m.is_trivial():
-            return TailShape(p.start, None)
-        return TailShape(max(p.start, k - 1 - p.offset, 0), m, 0)
-    return None
-
-
-def _shape_holds(tower: Tower, shape: TailShape) -> bool:
-    # Verify the claimed normal form on represented levels and one step beyond.
-    try:
-        hi = tower.top + 1 if tower.can_extend() else tower.top
-        for n in range(max(shape.start, 0), hi + 1):
-            if shape.module is None:
-                if not tower.level(n).is_trivial():
-                    return False
-            else:
-                if tower.level(n) != shape.module.quotient_group(n + 1 + shape.offset):
-                    return False
-        for n in range(max(shape.start + 1, 1), hi + 1):
-            if shape.module is None:
-                if not tower.transition(n).is_zero():
-                    return False
-            else:
-                expected = shape.module.quotient_projection(n + 1 + shape.offset, n + shape.offset)
-                if tower.transition(n) != expected:
-                    return False
-    except TruncatedTower:
-        return False
-    return True
-
-
-def _minimize_shape_start(tower: Tower, shape: TailShape) -> TailShape:
-    start = min(shape.start, tower.top + 1)
-    while start > 0:
-        n = start - 1
-        if shape.module is None:
-            if not tower.level(n).is_trivial():
-                break
-        else:
-            if tower.level(n) != shape.module.quotient_group(n + 1 + shape.offset):
-                break
-            expected = shape.module.quotient_projection(n + 2 + shape.offset,
-                                                        n + 1 + shape.offset)
-            if tower.transition(n + 1) != expected:
-                break
-        start -= 1
-    return TailShape(start, shape.module, shape.offset)
-
-
 def classify_tail(tower: Tower) -> Optional[TailShape]:
-    """The verified normal form of the tower's tail, or None when opaque."""
+    """The verified normal form of the tower's tail, or None when opaque: the
+    tail rule's candidate shape, checked on the represented levels and one
+    step beyond, with its start walked down as far as the prefix allows."""
     def compute():
-        shape = _candidate_shape(tower)
-        if shape is not None and not _shape_holds(tower, shape):
-            shape = None
-        if shape is not None:
-            shape = _minimize_shape_start(tower, shape)
-        return shape
+        shape = tower.tail.shape(tower)
+        if shape is None:
+            return None
+        hi = tower.top + 1 if tower.can_extend() else tower.top
+        try:
+            if _departure(tower.level, tower.transition, shape,
+                          range(shape.start, hi + 1), range(shape.start + 1, hi + 1)):
+                return None
+        except TruncatedTower:
+            return None
+        start = _lowest_start(tower.level, tower.transition, shape, min(shape.start, tower.top + 1))
+        return TailShape(start, shape.module, shape.offset)
     return tower.cached(("tail_shape",), compute)
 
 
 # -- tower homomorphisms --------------------------------------------------------
 
-
 class HomTail:
-    pass
+    """How a tower hom continues beyond its represented levels, and which
+    tails its composites, differences, kernel, image and cokernel inherit.
+    These defaults are the ``HomTruncated`` behaviour."""
+
+    def check(self, hom: "TowerHom") -> None:
+        """Raise ValueError when the represented levels contradict the rule."""
+
+    def level(self, hom: "TowerHom", n: int) -> GroupHom:
+        raise TruncatedTower(f"hom level {n} beyond represented data")
+
+    def compose(self, inner: "HomTail", inner_shift: int) -> "HomTail":
+        """The tail of self after inner; level n of the composite uses
+        inner's level n + inner_shift."""
+        if isinstance(inner, HomZeroTail):
+            return HomZeroTail(max(0, inner.start - inner_shift))
+        return HomTruncated()
+
+    def minus(self, other: "HomTail") -> "HomTail":
+        """The tail of the levelwise difference self - other."""
+        return HomTruncated()
+
+    def kernel_tail(self, hom: "TowerHom") -> TailRule:
+        return Truncated()
+
+    def image_tail(self, hom: "TowerHom", onto: bool) -> TailRule:
+        """``onto``: every represented level map is surjective."""
+        return Truncated()
+
+    def cokernel_route(self, hom: "TowerHom") -> Optional[tuple]:
+        """(start, cokernel module, projection, lift) when the cokernel's
+        tail levels are read off a module cokernel."""
+        return None
+
+    def cokernel_tail(self, hom: "TowerHom", route: Optional[tuple]) -> TailRule:
+        return Truncated()
 
 
 @dataclass(frozen=True)
@@ -493,6 +532,33 @@ class HomTruncated(HomTail):
 class HomZeroTail(HomTail):
     start: int
 
+    def check(self, hom):
+        for n in range(self.start, len(hom.levels)):
+            if not hom.levels[n].is_zero():
+                raise ValueError(f"zero hom tail contradicted at level {n}")
+
+    def level(self, hom, n):
+        if n < self.start:
+            return super().level(hom, n)
+        return zero_hom(hom.source.level(n), hom.target.level(n))
+
+    def compose(self, inner, inner_shift):
+        return HomZeroTail(self.start)
+
+    def minus(self, other):
+        if isinstance(other, HomZeroTail):
+            return HomZeroTail(max(self.start, other.start))
+        return HomTruncated()
+
+    def kernel_tail(self, hom):
+        return hom.source.tail
+
+    def image_tail(self, hom, onto):
+        return ZeroTail(min(self.start, hom.top + 1))
+
+    def cokernel_tail(self, hom, route):
+        return hom.target.tail
+
 
 @dataclass(frozen=True)
 class HomCanonicalTail(HomTail):
@@ -500,6 +566,38 @@ class HomCanonicalTail(HomTail):
     (canonical projections between module quotients)."""
 
     start: int
+
+    def check(self, hom):
+        for n in range(self.start, len(hom.levels)):
+            f = hom.levels[n]
+            if f.source.rank != f.target.rank or \
+                    f != GroupHom(f.source, f.target, IntMatrix.identity(f.source.rank)):
+                raise ValueError(f"canonical hom tail contradicted at level {n}")
+
+    def level(self, hom, n):
+        if n < self.start:
+            return super().level(hom, n)
+        src = hom.source.level(n)
+        return GroupHom(src, hom.target.level(n), IntMatrix.identity(src.rank))
+
+    def compose(self, inner, inner_shift):
+        if isinstance(inner, HomCanonicalTail):
+            return HomCanonicalTail(max(self.start, inner.start - inner_shift, 0))
+        return super().compose(inner, inner_shift)
+
+    def minus(self, other):
+        if isinstance(other, HomCanonicalTail):
+            return HomZeroTail(max(self.start, other.start))
+        return HomTruncated()
+
+    def image_tail(self, hom, onto):
+        return hom.target.tail if onto else Truncated()
+
+    def cokernel_tail(self, hom, route):
+        # canonical projections are surjective, so the cokernel dies
+        if all(is_surjective(hom.level(n)) for n in range(self.start, hom.top + 1)):
+            return ZeroTail(min(self.start, hom.top + 1))
+        return Truncated()
 
 
 @dataclass(frozen=True)
@@ -509,6 +607,57 @@ class HomModuleTail(HomTail):
 
     start: int
     matrix: IntMatrix
+
+    def check(self, hom):
+        sm = _eventually_module(hom.source)
+        tm = _eventually_module(hom.target)
+        if sm is None or tm is None:
+            raise ValueError("module hom tail requires eventually-l-adic towers")
+        check_module_hom(self.matrix, sm, tm)
+        for n in range(self.start, len(hom.levels)):
+            f = hom.levels[n]
+            if f != GroupHom(f.source, f.target, self.matrix):
+                raise ValueError(f"module hom tail contradicted at level {n}")
+
+    def level(self, hom, n):
+        if n < self.start:
+            return super().level(hom, n)
+        return GroupHom(hom.source.level(n), hom.target.level(n), self.matrix)
+
+    def compose(self, inner, inner_shift):
+        if isinstance(inner, HomModuleTail):
+            return HomModuleTail(max(self.start, inner.start - inner_shift, 0),
+                                 self.matrix @ inner.matrix)
+        return super().compose(inner, inner_shift)
+
+    def minus(self, other):
+        if isinstance(other, HomModuleTail):
+            return HomModuleTail(max(self.start, other.start), self.matrix - other.matrix)
+        return HomTruncated()
+
+    def cokernel_route(self, hom):
+        sm = _eventually_module(hom.source)
+        tm = _eventually_module(hom.target)
+        if sm is None or tm is None:
+            return None
+        coker_mod, proj_mat, lift_mat = module_cokernel(self.matrix, sm, tm)
+        start = max(self.start, classify_tail(hom.source).start, classify_tail(hom.target).start)
+        return start, coker_mod, proj_mat, lift_mat
+
+    def cokernel_tail(self, hom, route):
+        if route is None:
+            return Truncated()
+        start, coker_mod, _, _ = route
+        if coker_mod.is_trivial():
+            return ZeroTail(min(start, hom.top + 1))
+        return EventuallyLAdic(start, coker_mod) if start <= hom.top else Truncated()
+
+
+def _eventually_module(tower: Tower) -> Optional[ZlModule]:
+    shape = classify_tail(tower)
+    if shape is None or shape.offset != 0:
+        return None
+    return ZlModule(tower.l, ()) if shape.module is None else shape.module
 
 
 @dataclass(frozen=True, eq=False)
@@ -532,39 +681,7 @@ class TowerHom:
             right = self.target.transition(n + 1).compose(self.levels[n + 1])
             if left != right:
                 raise ValueError(f"square at levels {n + 1} -> {n} does not commute")
-        self._check_tail()
-
-    def _check_tail(self):
-        t = self.tail
-        k = len(self.levels)
-        if isinstance(t, HomTruncated):
-            return
-        if isinstance(t, HomZeroTail):
-            for n in range(t.start, k):
-                if not self.levels[n].is_zero():
-                    raise ValueError(f"zero hom tail contradicted at level {n}")
-            return
-        if isinstance(t, HomCanonicalTail):
-            for n in range(t.start, k):
-                f = self.levels[n]
-                expected = GroupHom(f.source, f.target, IntMatrix.identity(f.source.rank)) \
-                    if f.source.rank == f.target.rank else None
-                if expected is None or f != expected:
-                    raise ValueError(f"canonical hom tail contradicted at level {n}")
-            return
-        if isinstance(t, HomModuleTail):
-            sm = _eventually_module(self.source)
-            tm = _eventually_module(self.target)
-            if sm is None or tm is None:
-                raise ValueError("module hom tail requires eventually-l-adic towers")
-            check_module_hom(t.matrix, sm, tm)
-            for n in range(t.start, k):
-                f = self.levels[n]
-                expected = GroupHom(f.source, f.target, t.matrix)
-                if f != expected:
-                    raise ValueError(f"module hom tail contradicted at level {n}")
-            return
-        raise TypeError(f"unknown hom tail {t!r}")
+        self.tail.check(self)
 
     @property
     def top(self) -> int:
@@ -573,15 +690,7 @@ class TowerHom:
     def level(self, n: int) -> GroupHom:
         if n <= self.top:
             return self.levels[n]
-        t = self.tail
-        if isinstance(t, HomZeroTail) and n >= t.start:
-            return zero_hom(self.source.level(n), self.target.level(n))
-        if isinstance(t, HomCanonicalTail) and n >= t.start:
-            src = self.source.level(n)
-            return GroupHom(src, self.target.level(n), IntMatrix.identity(src.rank))
-        if isinstance(t, HomModuleTail) and n >= t.start:
-            return GroupHom(self.source.level(n), self.target.level(n), t.matrix)
-        raise TruncatedTower(f"hom level {n} beyond represented data")
+        return self.tail.level(self, n)
 
     def is_levelwise_zero(self) -> bool:
         return all(f.is_zero() for f in self.levels)
@@ -591,49 +700,12 @@ class TowerHom:
             raise PreconditionViolated("tower hom composition endpoints do not match")
         k = min(first.top, self.top)
         levels = tuple(self.levels[n].compose(first.levels[n]) for n in range(k + 1))
-        return TowerHom(first.source, self.target, levels,
-                        tail=_compose_hom_tails(self.tail, first.tail, 0))
+        return TowerHom(first.source, self.target, levels, tail=self.tail.compose(first.tail, 0))
 
     def __sub__(self, other: "TowerHom") -> "TowerHom":
         k = min(self.top, other.top)
         levels = tuple(self.levels[n] - other.levels[n] for n in range(k + 1))
-        return TowerHom(self.source, self.target, levels,
-                        tail=_diff_hom_tails(self.tail, other.tail))
-
-
-def _eventually_module(tower: Tower) -> Optional[ZlModule]:
-    shape = classify_tail(tower)
-    if shape is None:
-        return None
-    if shape.module is None:
-        return ZlModule(tower.l, ())
-    if shape.offset == 0:
-        return shape.module
-    return None
-
-
-def _compose_hom_tails(outer: HomTail, inner: HomTail, inner_shift: int) -> HomTail:
-    # Level n of the composite uses outer_n and inner_{n + inner_shift}.
-    if isinstance(outer, HomZeroTail):
-        return HomZeroTail(outer.start)
-    if isinstance(inner, HomZeroTail):
-        return HomZeroTail(max(0, inner.start - inner_shift))
-    if isinstance(outer, HomCanonicalTail) and isinstance(inner, HomCanonicalTail):
-        return HomCanonicalTail(max(outer.start, inner.start - inner_shift, 0))
-    if isinstance(outer, HomModuleTail) and isinstance(inner, HomModuleTail):
-        return HomModuleTail(max(outer.start, inner.start - inner_shift, 0),
-                             outer.matrix @ inner.matrix)
-    return HomTruncated()
-
-
-def _diff_hom_tails(a: HomTail, b: HomTail) -> HomTail:
-    if isinstance(a, HomZeroTail) and isinstance(b, HomZeroTail):
-        return HomZeroTail(max(a.start, b.start))
-    if isinstance(a, HomModuleTail) and isinstance(b, HomModuleTail):
-        return HomModuleTail(max(a.start, b.start), a.matrix - b.matrix)
-    if isinstance(a, HomCanonicalTail) and isinstance(b, HomCanonicalTail):
-        return HomZeroTail(max(a.start, b.start))
-    return HomTruncated()
+        return TowerHom(self.source, self.target, levels, tail=self.tail.minus(other.tail))
 
 
 def identity_tower_hom(f: Tower) -> TowerHom:
@@ -649,22 +721,23 @@ def zero_tower_hom(source: Tower, target: Tower) -> TowerHom:
 
 # -- elementary tower operations -------------------------------------------------
 
+def _read_off(l: int, tail: TailRule, hi: int, starred: bool = False) -> Tower:
+    """The tower whose prefix 0..hi is read off the derived tail it carries."""
+    maps = tuple(tail.transition(None, n) for n in range(1, hi + 1))
+    first = maps[0].target if maps else tail.level(None, 0)
+    return Tower(l, (first,) + tuple(u.source for u in maps), maps, tail, starred)
+
+
 def shift(f: Tower, r: int) -> Tower:
     """The tower with level n equal to F_{n+r}."""
     if r < 0:
         raise ValueError("shift amount must be >= 0")
     if r == 0:
         return f
-    if f.can_extend():
-        hi = f.top
-        groups = tuple(f.level(n + r) for n in range(hi + 1))
-        maps = tuple(f.transition(n + r) for n in range(1, hi + 1))
-    else:
-        if r > f.top:
-            raise TruncatedTower("shift exceeds the represented prefix")
-        groups = f.groups[r:]
-        maps = f.maps[r:]
-    return Tower(f.l, groups, maps, tail=ShiftOf(f, r), starred=f.starred)
+    if not f.can_extend() and r > f.top:
+        raise TruncatedTower("shift exceeds the represented prefix")
+    hi = f.top if f.can_extend() else f.top - r
+    return _read_off(f.l, ShiftOf(f, r), hi, starred=f.starred)
 
 
 def natural_map(f: Tower, r: int) -> TowerHom:
@@ -675,63 +748,33 @@ def natural_map(f: Tower, r: int) -> TowerHom:
     k = min(src.top, f.top)
     levels = tuple(f.composite(n, r) for n in range(k + 1))
     shape = classify_tail(f)
-    tail: HomTail = HomTruncated()
-    if shape is not None:
-        if shape.module is None:
-            tail = HomZeroTail(shape.start)
-        else:
-            tail = HomCanonicalTail(shape.start)
-    return TowerHom(src, f, levels, tail=tail)
+    if shape is None:
+        return TowerHom(src, f, levels, tail=HomTruncated())
+    kind = HomZeroTail if shape.module is None else HomCanonicalTail
+    return TowerHom(src, f, levels, tail=kind(shape.start))
 
 
 def mod_power(f: Tower, k: int) -> Tower:
     """Levelwise quotient by l^k with the induced transitions."""
     if k < 0:
         raise ValueError("power must be >= 0")
-    p = f.l ** k
-    groups = []
-    for n in range(f.top + 1):
-        q, _, _ = quotient_with_maps(f.level(n), p)
-        groups.append(q)
-    maps = tuple(hom_on_quotients(f.transition(n), p, p) for n in range(1, f.top + 1))
-    return Tower(f.l, tuple(groups), maps, tail=QuotientOf(f, k))
-
-
-def minimal_tail_start(groups: Sequence[FinAbGroup], maps: Sequence[GroupHom],
-                       module: ZlModule, start: int) -> int:
-    """Walk a verified eventually-l-adic start down while the canonical
-    pattern keeps matching the represented levels."""
-    while start > 0:
-        n = start - 1
-        if groups[n] != module.quotient_group(n + 1):
-            break
-        if n + 1 < len(groups) and maps[n] != module.quotient_projection(n + 2, n + 1):
-            break
-        start -= 1
-    return start
+    return _read_off(f.l, QuotientOf(f, k), f.top)
 
 
 def ladic_truncation(f: Tower) -> Tower:
     """The tower with level n equal to F_n / l^{n+1}."""
-    groups = []
-    for n in range(f.top + 1):
-        q, _, _ = quotient_with_maps(f.level(n), f.l ** (n + 1))
-        groups.append(q)
+    groups = tuple(quotient_with_maps(f.level(n), f.l ** (n + 1))[0] for n in range(f.top + 1))
     maps = tuple(hom_on_quotients(f.transition(n), f.l ** (n + 1), f.l ** n)
                  for n in range(1, f.top + 1))
     shape = classify_tail(f)
     tail: TailRule = Truncated()
-    if shape is not None:
-        if shape.module is None:
-            tail = ZeroTail(min(shape.start, f.top + 1))
-        else:
-            start = minimal_tail_start(groups, maps, shape.module,
-                                       min(shape.start, f.top))
-            tail = EventuallyLAdic(start, shape.module)
-    try:
-        return Tower(f.l, tuple(groups), maps, tail=tail)
-    except ValueError:
-        return Tower(f.l, tuple(groups), maps, tail=Truncated())
+    if shape is not None and shape.module is None:
+        tail = ZeroTail(min(shape.start, f.top + 1))
+    elif shape is not None:
+        start = _lowest_start(groups.__getitem__, lambda n: maps[n - 1],
+                              TailShape(0, shape.module), min(shape.start, f.top))
+        tail = EventuallyLAdic(start, shape.module)
+    return Tower(f.l, groups, maps, tail=tail)
 
 
 def direct_sum(f: Tower, g: Tower) -> Tower:
@@ -746,17 +789,7 @@ def direct_sum(f: Tower, g: Tower) -> Tower:
         hi = f.top
     else:
         hi = min(f.top, g.top)
-    groups = []
-    maps = []
-    for n in range(hi + 1):
-        s, ia, ib, pa, pb = direct_sum_with_maps(f.level(n), g.level(n))
-        groups.append(s)
-        if n >= 1:
-            _, ia0, ib0, _, _ = direct_sum_with_maps(f.level(n - 1), g.level(n - 1))
-            mat = (ia0.matrix @ f.transition(n).matrix @ pa.matrix) + \
-                  (ib0.matrix @ g.transition(n).matrix @ pb.matrix)
-            maps.append(GroupHom(s, groups[n - 1], mat))
-    return Tower(f.l, tuple(groups), tuple(maps), tail=SumOf(f, g))
+    return _read_off(f.l, SumOf(f, g), hi)
 
 
 def sum_embeddings(f: Tower, g: Tower, summed: Tower) -> tuple[TowerHom, TowerHom, TowerHom, TowerHom]:
@@ -777,8 +810,10 @@ def sum_embeddings(f: Tower, g: Tower, summed: Tower) -> tuple[TowerHom, TowerHo
 
 # -- levelwise kernels, images, cokernels -----------------------------------------
 
-def _induce_sub_transitions(parent: Tower, data: list[tuple[FinAbGroup, GroupHom]],
-                            tail: TailRule) -> tuple[Tower, TowerHom]:
+def induced_subtower(parent: Tower, data: list[tuple[FinAbGroup, GroupHom]],
+                     tail: TailRule) -> tuple[Tower, TowerHom]:
+    """The sub-tower with levels and inclusions ``data`` inside ``parent``,
+    its transitions restricted from the parent's, carrying ``tail``."""
     groups = tuple(g for g, _ in data)
     incls = tuple(i for _, i in data)
     maps = []
@@ -793,10 +828,7 @@ def _induce_sub_transitions(parent: Tower, data: list[tuple[FinAbGroup, GroupHom
             cols.append(z)
         maps.append(GroupHom(groups[n], groups[n - 1],
                              IntMatrix.from_columns(cols, rows=groups[n - 1].rank)))
-    try:
-        tower = Tower(parent.l, groups, tuple(maps), tail=tail)
-    except ValueError:
-        tower = Tower(parent.l, groups, tuple(maps), tail=Truncated())
+    tower = Tower(parent.l, groups, tuple(maps), tail=tail)
     return tower, TowerHom(tower, parent, incls)
 
 
@@ -810,10 +842,7 @@ def _induce_quot_transitions(parent: Tower, data: list[tuple[FinAbGroup, GroupHo
         section = data[n][2]
         mat = projs[n - 1].matrix @ u.matrix @ section
         maps.append(GroupHom(groups[n], groups[n - 1], mat))
-    try:
-        tower = Tower(parent.l, groups, tuple(maps), tail=tail)
-    except ValueError:
-        tower = Tower(parent.l, groups, tuple(maps), tail=Truncated())
+    tower = Tower(parent.l, groups, tuple(maps), tail=tail)
     return tower, TowerHom(parent, tower, projs)
 
 
@@ -826,54 +855,34 @@ def levelwise_kernel(f: TowerHom) -> tuple[Tower, TowerHom]:
             data.append((fn.source, identity_hom(fn.source)))
         else:
             data.append(hom_kernel(fn))
-    tail: TailRule = Truncated()
-    if isinstance(f.tail, HomZeroTail):
-        tail = f.source.tail
-    return _induce_sub_transitions(f.source, data, tail)
+    return induced_subtower(f.source, data, f.tail.kernel_tail(f))
 
 
 def levelwise_image(f: TowerHom) -> tuple[Tower, TowerHom]:
     """(I, incl) with I_n = im(f_n) inside the target."""
     data = []
     surjective_everywhere = True
-    zero_everywhere = True
     for n in range(f.top + 1):
         fn = f.level(n)
         if fn.is_zero():
             surjective_everywhere = surjective_everywhere and fn.target.is_trivial()
             data.append((trivial_group(f.source.l), zero_hom(trivial_group(f.source.l), fn.target)))
         elif is_surjective(fn):
-            zero_everywhere = False
             data.append((fn.target, identity_hom(fn.target)))
         else:
             surjective_everywhere = False
-            zero_everywhere = False
             data.append(hom_image(fn))
-    tail: TailRule = Truncated()
-    if isinstance(f.tail, HomZeroTail):
-        tail = ZeroTail(min(f.tail.start, f.top + 1))
-    elif isinstance(f.tail, HomCanonicalTail) and surjective_everywhere:
-        tail = f.target.tail
-    return _induce_sub_transitions(f.target, data, tail)
+    return induced_subtower(f.target, data, f.tail.image_tail(f, surjective_everywhere))
 
 
 def levelwise_cokernel(f: TowerHom) -> tuple[Tower, TowerHom]:
     """(C, proj) with C_n = coker(f_n) and the induced transitions."""
-    module_route = None
-    if isinstance(f.tail, HomModuleTail):
-        src_shape = classify_tail(f.source)
-        tgt_shape = classify_tail(f.target)
-        sm = _eventually_module(f.source)
-        tm = _eventually_module(f.target)
-        if sm is not None and tm is not None:
-            coker_mod, proj_mat, lift_mat = module_cokernel(f.tail.matrix, sm, tm)
-            start = max(f.tail.start, src_shape.start, tgt_shape.start)
-            module_route = (start, coker_mod, proj_mat, lift_mat)
+    route = f.tail.cokernel_route(f)
     data = []
     for n in range(f.top + 1):
         fn = f.level(n)
-        if module_route is not None and n >= module_route[0]:
-            _, coker_mod, proj_mat, lift_mat = module_route
+        if route is not None and n >= route[0]:
+            _, coker_mod, proj_mat, lift_mat = route
             cq = coker_mod.quotient_group(n + 1)
             data.append((cq, GroupHom(fn.target, cq, proj_mat), lift_mat))
         elif fn.is_zero():
@@ -881,27 +890,11 @@ def levelwise_cokernel(f: TowerHom) -> tuple[Tower, TowerHom]:
         else:
             coker, proj = hom_cokernel(fn)
             # a section of proj: any integer preimages of the generators
-            cols = []
-            for j in range(coker.rank):
-                y = tuple(1 if i == j else 0 for i in range(coker.rank))
-                z = solve_mod(proj.matrix, coker.invariant_factors, y)
-                cols.append(z)
+            cols = [solve_mod(proj.matrix, coker.invariant_factors,
+                              tuple(1 if i == j else 0 for i in range(coker.rank)))
+                    for j in range(coker.rank)]
             data.append((coker, proj, IntMatrix.from_columns(cols, rows=fn.target.rank)))
-    tail: TailRule = Truncated()
-    if isinstance(f.tail, HomZeroTail):
-        tail = f.target.tail
-    elif isinstance(f.tail, HomCanonicalTail):
-        # canonical projections are surjective, so the cokernel dies
-        all_surj = all(is_surjective(f.level(n)) for n in range(f.tail.start, f.top + 1))
-        if all_surj:
-            tail = ZeroTail(min(f.tail.start, f.top + 1))
-    elif module_route is not None:
-        start, coker_mod, _, _ = module_route
-        if coker_mod.is_trivial():
-            tail = ZeroTail(min(start, f.top + 1))
-        elif start <= f.top:
-            tail = EventuallyLAdic(start, coker_mod)
-    return _induce_quot_transitions(f.target, data, tail)
+    return _induce_quot_transitions(f.target, data, f.tail.cokernel_tail(f, route))
 
 
 # -- predicates -------------------------------------------------------------------

@@ -10,7 +10,6 @@ from arl.arcat import (
     canonical_l_adic,
     certify_ar_l_adic,
     factorization_radius,
-    is_ar_zero_object,
     kernel_bound_check,
     reshift,
     stable_image_bound,
@@ -116,9 +115,10 @@ class TestEqual:
 
 
 class TestZeroObject:
-    def test_delegates(self):
-        assert is_ar_zero_object(zero_tail_tower())
-        assert is_ar_zero_object(zl_tower()).is_no
+    def test_zero_system_is_zero_object(self):
+        # isomorphic to zero in the shift-class category iff a zero system
+        assert is_zero_system(zero_tail_tower())
+        assert is_zero_system(zl_tower()).is_no
 
 
 class TestIsomorphism:

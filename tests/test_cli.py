@@ -109,6 +109,15 @@ class TestNormalize:
         assert code3 == 3
 
 
+    @pytest.mark.parametrize("value", ["-1", "abc"])
+    def test_bad_default_bound_exit_2(self, capsys, sample, monkeypatch, value):
+        monkeypatch.setenv("ARL_DEFAULT_BOUND", value)
+        code, out, err = run(capsys, "normalize", "--file", sample, "--tower", "noisy")
+        assert code == 2
+        assert "ARL_DEFAULT_BOUND" in err
+        assert "not-ar-l-adic" not in out
+
+
 class TestLimit:
     def test_zl(self, capsys, sample):
         code, out, _ = run(capsys, "limit", "--file", sample, "--tower", "zl")

@@ -1,7 +1,7 @@
 import pytest
 
 from arl.errors import NegativeResult
-from arl.hypernat import HyperNat, hn_add, hn_compare, hn_sub
+from arl.hypernat import HyperNat
 
 
 H = HyperNat.symbol("h")
@@ -11,13 +11,13 @@ D2 = HyperNat.symbol("d2")
 
 class TestArithmetic:
     def test_add_symbols(self):
-        t = hn_add(hn_add(H, D1), D2)
+        t = H + D1 + D2
         assert t.coefficient("h") == 1
         assert t.coefficient("d1") == 1
         assert t.describe() == "d1+d2+h"
 
     def test_sub_cancels(self):
-        assert hn_sub(H + D1, H) == D1
+        assert (H + D1) - H == D1
 
     def test_sub_offset(self):
         t = H - 1
@@ -25,11 +25,11 @@ class TestArithmetic:
 
     def test_negative_finite_rejected(self):
         with pytest.raises(NegativeResult):
-            hn_sub(HyperNat.finite(1), HyperNat.finite(2))
+            HyperNat.finite(1) - HyperNat.finite(2)
 
     def test_negative_coefficient_rejected(self):
         with pytest.raises(NegativeResult):
-            hn_sub(HyperNat.finite(1), H)
+            HyperNat.finite(1) - H
 
     def test_int_coercion(self):
         assert (H + 3).offset == 3
@@ -38,20 +38,20 @@ class TestArithmetic:
 
 class TestCompare:
     def test_infinite_beats_finite(self):
-        assert hn_compare(H, HyperNat.finite(10**6)) == "GT"
-        assert hn_compare(H - 10**9, HyperNat.finite(5)) == "GT"
+        assert H.compare(HyperNat.finite(10**6)) == "GT"
+        assert (H - 10**9).compare(HyperNat.finite(5)) == "GT"
 
     def test_distinct_symbols_incomparable(self):
-        assert hn_compare(H, D1) == "incomparable"
-        assert hn_compare(H + D1, D1 + D2) == "incomparable"
+        assert H.compare(D1) == "incomparable"
+        assert (H + D1).compare(D1 + D2) == "incomparable"
 
     def test_same_part_compares_offsets(self):
-        assert hn_compare(H, H - 1) == "GT"
-        assert hn_compare(H - 1, H - 1) == "EQ"
-        assert hn_compare(H, H + 1) == "LT"
+        assert H.compare(H - 1) == "GT"
+        assert (H - 1).compare(H - 1) == "EQ"
+        assert H.compare(H + 1) == "LT"
 
     def test_dominated_parts(self):
-        assert hn_compare(H + D1, H) == "GT"
+        assert (H + D1).compare(H) == "GT"
 
 
 class TestParse:

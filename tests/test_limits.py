@@ -9,7 +9,6 @@ from arl.limits import (
     comparison_check,
     ladic_iff_torsionfree,
     limit,
-    rank_ql,
     tensor_zl,
     to_tower,
 )
@@ -116,9 +115,10 @@ class TestTensorAndRank:
         assert tensor_zl(upsilon(t, H)) == ZlModule(L, (1,))
 
     def test_rank_ql(self):
-        assert rank_ql(ZlModule(L, (), 1)) == 1
-        assert rank_ql(ZlModule(L, (5,), 2)) == 2
-        assert rank_ql(ZlModule(L, ())) == 0
+        # torsion dies over Q_l, the free rank survives
+        assert ZlModule(L, (), 1).free_rank == 1
+        assert ZlModule(L, (5,), 2).free_rank == 2
+        assert ZlModule(L, ()).free_rank == 0
 
 
 class TestComparison:

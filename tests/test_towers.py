@@ -1,6 +1,14 @@
 import pytest
 
 from arl.errors import PreconditionViolated, PrimeMismatch, TruncatedTower
+from arl.gen import (
+    GenParams,
+    module_hom_tower_map,
+    random_module_hom,
+    random_prime,
+    random_zl_module,
+    rng_for,
+)
 from arl.groups import (
     FinAbGroup,
     GroupHom,
@@ -22,6 +30,7 @@ from arl.towers import (
     constant_tower,
     direct_sum,
     epi_forces_trivial,
+    identity_tower_hom,
     is_l_adic,
     is_zero_system,
     ladic_truncation,
@@ -32,6 +41,7 @@ from arl.towers import (
     natural_map,
     shift,
     sum_embeddings,
+    zero_tower_hom,
 )
 from arl.zlmod import ZlModule
 
@@ -297,6 +307,33 @@ class TestTruncation:
         assert is_l_adic(g)
 
 
+class TestDerivedTails:
+    """Derived towers keep the tail kind their construction derives."""
+
+    def test_ladic_truncation_keeps_eventually_l_adic(self):
+        g = ladic_truncation(shift(zl_tower(), 2))
+        assert g.tail == EventuallyLAdic(0, ZL)
+
+    def test_kernel_of_zero_hom_keeps_source_tail(self):
+        k, _ = levelwise_kernel(zero_tower_hom(zl_tower(6), zero_tail_tower(3, 6)))
+        assert k.tail == EventuallyLAdic(0, ZL)
+
+    def test_image_of_identity_keeps_target_tail(self):
+        t = zero_tail_tower(3, 6)
+        i, _ = levelwise_image(identity_tower_hom(t))
+        assert i.tail == ZeroTail(3)
+
+    @pytest.mark.parametrize("case", range(12))
+    def test_cokernel_of_module_hom_keeps_module_tail(self, case):
+        rng = rng_for(0, case)
+        params = GenParams(levels=6)
+        l = random_prime(rng, params)
+        src, tgt = random_zl_module(rng, l, params), random_zl_module(rng, l, params)
+        f = module_hom_tower_map(random_module_hom(rng, src, tgt), src, tgt, params.levels)
+        c, _ = levelwise_cokernel(f)
+        assert isinstance(c.tail, (EventuallyLAdic, ZeroTail))
+
+
 class TestEpiProperty:
     def test_epi_onto_zero_system_forces_trivial(self):
         t = zl_tower(6)
@@ -355,6 +392,15 @@ class TestDefaultBound:
         monkeypatch.setenv("ARL_DEFAULT_BOUND", "1")
         v = is_zero_system(zero_tail_tower(3))
         assert v and v.certificate.radius == 3
+
+    @pytest.mark.parametrize("value", ["-1", "abc"])
+    def test_bad_env_bound_is_rejected(self, monkeypatch, value):
+        from arl.towers import resolve_bound
+        monkeypatch.setenv("ARL_DEFAULT_BOUND", value)
+        with pytest.raises(ValueError, match="ARL_DEFAULT_BOUND"):
+            resolve_bound(zl_tower(6), None)
+        with pytest.raises(ValueError, match="ARL_DEFAULT_BOUND"):
+            is_zero_system(zero_tail_tower(3))
 
 
 class TestClassification:
