@@ -30,6 +30,7 @@ from .groups import (
     GroupHom,
     canonicalize,
     cyclic,
+    direct_sum_hom,
     direct_sum_with_maps,
     hom_cokernel,
     hom_image,

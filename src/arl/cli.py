@@ -18,6 +18,7 @@ from .hypernat import HyperNat
 from .limits import limit
 from .suites import SUITES, parse_report, replay_report, run_suite
 from .towerfile import load_tower_file
+from .towers import default_bound
 from .upsilon import psi, upsilon
 
 EXIT_OK = 0
@@ -175,6 +176,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     start = time.perf_counter()
     try:
+        default_bound()  # a bad setting is a usage error, before any verdict
         if ns.command == "normalize":
             code = _cmd_normalize(ns, argv)
         elif ns.command == "limit":

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .errors import CompositionMismatch, InfiniteGroup, PrimeMismatch
@@ -437,6 +438,13 @@ def element_in_multiples(g: FinAbGroup, coords: Sequence[int], n: int) -> bool:
     return solve_mod(scaled, g.invariant_factors, list(coords)) is not None
 
 
+# Direct sums are pure functions of frozen values, and the levels of a sum
+# tower ask for the same few over and over; bounded memos share them (see
+# intmat._snf_cached).
+DIRECT_SUM_MEMO_SIZE = 16
+
+
+@lru_cache(maxsize=DIRECT_SUM_MEMO_SIZE)
 def direct_sum_with_maps(g: FinAbGroup, h: FinAbGroup,
                          ) -> tuple[FinAbGroup, GroupHom, GroupHom, GroupHom, GroupHom]:
     """(S, incl_g, incl_h, proj_g, proj_h) for S = g + h.
@@ -483,3 +491,12 @@ def direct_sum_with_maps(g: FinAbGroup, h: FinAbGroup,
     return (s,
             GroupHom(g, s, mg), GroupHom(h, s, mh),
             GroupHom(s, g, pg), GroupHom(s, h, ph))
+
+
+@lru_cache(maxsize=DIRECT_SUM_MEMO_SIZE)
+def direct_sum_hom(f: GroupHom, g: GroupHom) -> GroupHom:
+    """The map f + g : f.source + g.source -> f.target + g.target."""
+    s, _, _, pf, pg = direct_sum_with_maps(f.source, g.source)
+    t, incl_f, incl_g, _, _ = direct_sum_with_maps(f.target, g.target)
+    mat = incl_f.matrix @ f.matrix @ pf.matrix + incl_g.matrix @ g.matrix @ pg.matrix
+    return GroupHom(s, t, mat)

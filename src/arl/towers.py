@@ -44,6 +44,7 @@ from .errors import (
 from .groups import (
     FinAbGroup,
     GroupHom,
+    direct_sum_hom,
     direct_sum_with_maps,
     hom_cokernel,
     hom_image,
@@ -294,12 +295,7 @@ class SumOf(TailRule):
         return direct_sum_with_maps(self.left.level(n), self.right.level(n))[0]
 
     def transition(self, tower, n):
-        a, b = self.left, self.right
-        s1, _, _, pa1, pb1 = direct_sum_with_maps(a.level(n), b.level(n))
-        s0, ia0, ib0, _, _ = direct_sum_with_maps(a.level(n - 1), b.level(n - 1))
-        mat = (ia0.matrix @ a.transition(n).matrix @ pa1.matrix) + \
-              (ib0.matrix @ b.transition(n).matrix @ pb1.matrix)
-        return GroupHom(s1, s0, mat)
+        return direct_sum_hom(self.left.transition(n), self.right.transition(n))
 
     def shape(self, tower):
         a, b = classify_tail(self.left), classify_tail(self.right)
@@ -437,13 +433,11 @@ class Tower:
         return [self.level(n).describe() for n in range(hi + 1)]
 
 
-def resolve_bound(tower: Tower, bound: Optional[int]) -> int:
-    """An explicit bound, else ARL_DEFAULT_BOUND, else the tower's top level."""
-    if bound is not None:
-        return bound
+def default_bound() -> Optional[int]:
+    """ARL_DEFAULT_BOUND as a non-negative integer, None when it is unset."""
     env = os.environ.get(DEFAULT_BOUND_ENV)
     if env is None:
-        return tower.top
+        return None
     try:
         value = int(env)
     except ValueError:
@@ -451,6 +445,14 @@ def resolve_bound(tower: Tower, bound: Optional[int]) -> int:
     if value < 0:
         raise ValueError(f"{DEFAULT_BOUND_ENV} must be a non-negative integer, got {env!r}")
     return value
+
+
+def resolve_bound(tower: Tower, bound: Optional[int]) -> int:
+    """An explicit bound, else ARL_DEFAULT_BOUND, else the tower's top level."""
+    if bound is not None:
+        return bound
+    value = default_bound()
+    return tower.top if value is None else value
 
 
 def constant_tower(l: int, group: FinAbGroup, levels: int, transition: Optional[GroupHom] = None,
@@ -666,7 +668,6 @@ class TowerHom:
     target: Tower
     levels: tuple[GroupHom, ...]
     tail: HomTail = HomTruncated()
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.source.l != self.target.l:
@@ -794,18 +795,10 @@ def direct_sum(f: Tower, g: Tower) -> Tower:
 
 def sum_embeddings(f: Tower, g: Tower, summed: Tower) -> tuple[TowerHom, TowerHom, TowerHom, TowerHom]:
     """(incl_f, incl_g, proj_f, proj_g) for a tower built by direct_sum."""
-    hi = summed.top
-    incl_f, incl_g, proj_f, proj_g = [], [], [], []
-    for n in range(hi + 1):
-        _, ia, ib, pa, pb = direct_sum_with_maps(f.level(n), g.level(n))
-        incl_f.append(GroupHom(f.level(n), summed.level(n), ia.matrix))
-        incl_g.append(GroupHom(g.level(n), summed.level(n), ib.matrix))
-        proj_f.append(GroupHom(summed.level(n), f.level(n), pa.matrix))
-        proj_g.append(GroupHom(summed.level(n), g.level(n), pb.matrix))
-    return (TowerHom(f, summed, tuple(incl_f)),
-            TowerHom(g, summed, tuple(incl_g)),
-            TowerHom(summed, f, tuple(proj_f)),
-            TowerHom(summed, g, tuple(proj_g)))
+    incl_f, incl_g, proj_f, proj_g = zip(*(direct_sum_with_maps(f.level(n), g.level(n))[1:]
+                                           for n in range(summed.top + 1)))
+    return (TowerHom(f, summed, incl_f), TowerHom(g, summed, incl_g),
+            TowerHom(summed, f, proj_f), TowerHom(summed, g, proj_g))
 
 
 # -- levelwise kernels, images, cokernels -----------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .errors import PrimeMismatch
@@ -123,20 +124,13 @@ class ZlModule:
         """The finite group  self / l^power  on the module's own generators."""
         if power < 1:
             raise ValueError("quotient power must be >= 1")
-        factors = [self.l ** min(a, power) for a in self.torsion_exponents]
-        factors += [self.l ** power] * self.free_rank
-        group = FinAbGroup(tuple(factors), prime_support=self.l)
-        if self.operators:
-            group = group.with_operators([(lab, mat) for lab, mat in self.operators])
-        return group
+        return _quotient_group(self, power)
 
     def quotient_projection(self, power_src: int, power_tgt: int) -> GroupHom:
         """Canonical projection  self/l^power_src -> self/l^power_tgt."""
         if power_tgt > power_src:
             raise ValueError("projection must decrease the power")
-        src = self.quotient_group(power_src)
-        tgt = self.quotient_group(power_tgt)
-        return GroupHom(src, tgt, IntMatrix.identity(self.rank))
+        return _quotient_projection(self, power_src, power_tgt)
 
     def torsion_window_exponents(self, power: int) -> list[int]:
         """Exponents of the l^power-torsion subgroup (free part contributes none)."""
@@ -205,6 +199,28 @@ class ZlModule:
                 continue
             raise ValueError(f"cannot parse module term {term!r}")
         return ZlModule(l, tuple(sorted(exps)), rho)
+
+
+# Finite quotients are pure functions of frozen values, and towers ask for the
+# same few over and over; bounded memos share them (see intmat._snf_cached).
+QUOTIENT_MEMO_SIZE = 16
+
+
+@lru_cache(maxsize=QUOTIENT_MEMO_SIZE)
+def _quotient_group(module: ZlModule, power: int) -> FinAbGroup:
+    factors = [module.l ** min(a, power) for a in module.torsion_exponents]
+    factors += [module.l ** power] * module.free_rank
+    group = FinAbGroup(tuple(factors), prime_support=module.l)
+    if module.operators:
+        group = group.with_operators([(lab, mat) for lab, mat in module.operators])
+    return group
+
+
+@lru_cache(maxsize=QUOTIENT_MEMO_SIZE)
+def _quotient_projection(module: ZlModule, power_src: int, power_tgt: int) -> GroupHom:
+    src = module.quotient_group(power_src)
+    tgt = module.quotient_group(power_tgt)
+    return GroupHom(src, tgt, IntMatrix.identity(module.rank))
 
 
 def check_module_hom(mat: IntMatrix, source: ZlModule, target: ZlModule):

@@ -6,10 +6,12 @@ epsilon.  Each test prints a single PASS line with its runtime; the stated
 budgets are asserted as hard limits.
 """
 
+import os
 import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 from arl.arcat import ar_is_isomorphism, canonical_l_adic, kernel_bound_check, \
     stable_image_bound, stable_image_tower
@@ -185,9 +187,11 @@ def test_acceptance_cli_determinism():
     start = time.perf_counter()
     cmd = [sys.executable, "-m", "arl", "verify", "--suite", "comparison",
            "--seed", "99", "--cases", "25"]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     runs = []
     for _ in range(2):
-        proc = subprocess.run(cmd, capture_output=True, text=True)
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         body = [line for line in proc.stdout.splitlines()
                 if not line.startswith("timing:")]

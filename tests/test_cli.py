@@ -204,6 +204,14 @@ class TestVerify:
         assert code2 == 1
         assert "replay mismatch" in out2
 
+    @pytest.mark.parametrize("value", ["-1", "abc"])
+    def test_bad_default_bound_fails_verify_with_exit_2(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("ARL_DEFAULT_BOUND", value)
+        code, out, err = run(capsys, "verify", "--suite", "ml", "--cases", "2")
+        assert code == 2
+        assert "ARL_DEFAULT_BOUND" in err
+        assert "case " not in out
+
 
 def test_timing_line_is_last_and_excluded(capsys):
     code = main(["verify", "--suite", "torsionfree", "--seed", "1", "--cases", "2"])

@@ -1,0 +1,138 @@
+"""The process-wide memos are transparent: results are the same whether a
+value comes out of a memo or is built afresh."""
+
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from arl import groups, intmat, zlmod
+from arl.errors import PrimeMismatch
+from arl.gen import random_hom
+from arl.groups import (
+    FinAbGroup,
+    GroupHom,
+    cyclic,
+    direct_sum_hom,
+    direct_sum_with_maps,
+    identity_hom,
+)
+from arl.intmat import IntMatrix
+from arl.suites import SuiteReport, default_params, run_case, run_suite
+
+
+MEMOS = (
+    groups.direct_sum_with_maps,
+    groups.direct_sum_hom,
+    zlmod._quotient_group,
+    zlmod._quotient_projection,
+)
+
+
+def clear_memos():
+    for memo in MEMOS + (intmat._snf_cached,):
+        memo.cache_clear()
+
+
+@pytest.mark.parametrize("suite, cases", [("torsionfree", 300), ("comparison", 10)])
+def test_reports_equal_with_memos_cleared_before_each_case(suite, cases):
+    clear_memos()
+    warm = run_suite(suite, 0, cases)
+    assert warm.all_pass()
+    assert all(memo.cache_info().hits > 0 for memo in MEMOS)
+    params = default_params(suite)
+    cold = []
+    for index in range(cases):
+        clear_memos()
+        cold.append(run_case(suite, 0, index, params))
+    assert SuiteReport(suite, 0, cases, tuple(cold)).body_lines() == warm.body_lines()
+
+
+def _memo_work(modules):
+    out = []
+    for m in modules:
+        for p in range(2, 5):
+            u = m.quotient_projection(p, p - 1)
+            out.append((m.quotient_group(p), u, direct_sum_hom(u, u),
+                        direct_sum_with_maps(u.source, u.target)))
+    return out
+
+
+def test_memos_agree_under_concurrent_callers():
+    # more keys than a memo holds, so that threads evict each other's entries;
+    # each shape comes with and without an operator
+    shapes = [zlmod.ZlModule(l, tuple(range(1, k + 1)), rho)
+              for l in (2, 3) for k in range(4) for rho in range(3)]
+    modules = [m.with_operators([("c", IntMatrix.diagonal([c] * m.rank))]) if c else m
+               for m in shapes for c in (0, 2)]
+    clear_memos()
+    expected = _memo_work(modules)
+    clear_memos()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(_memo_work, modules[i:] + modules[:i]) for i in range(8)]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for i, got in enumerate(results):
+        shift = 3 * i
+        assert got == expected[shift:] + expected[:shift]
+    assert all(0 < memo.cache_info().currsize <= memo.cache_info().maxsize for memo in MEMOS)
+
+
+@st.composite
+def hom_pairs(draw):
+    """Two random homs between l-local groups.  Every group carries the same
+    scalar operator "c"; with ``endo`` each hom is an endomorphism that is
+    also its group's operator "e", so the sums carry a non-scalar operator."""
+    l = draw(st.sampled_from([2, 3, 5]))
+    c = draw(st.integers(0, 6))
+    endo = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def group():
+        exps = sorted(draw(st.lists(st.integers(1, 3), max_size=3)))
+        g = FinAbGroup(tuple(l ** a for a in exps), prime_support=l)
+        return g.with_operators([("c", IntMatrix.diagonal([c] * g.rank))])
+
+    def hom():
+        src = group()
+        if not endo:
+            return random_hom(rng, src, group())
+        f = random_hom(rng, src.without_operators(), src.without_operators())
+        g = src.with_operators(src.operators + (("e", f.matrix),))
+        return GroupHom(g, g, f.matrix)
+
+    return hom(), hom()
+
+
+@settings(max_examples=60, deadline=None)
+@given(hom_pairs())
+def test_direct_sum_hom_matches_sum_formula(pair):
+    f, g = pair
+    s1, _, _, pa1, pb1 = direct_sum_with_maps(f.source, g.source)
+    s0, ia0, ib0, _, _ = direct_sum_with_maps(f.target, g.target)
+    expected = ia0.compose(f).compose(pa1) + ib0.compose(g).compose(pb1)
+    assert direct_sum_hom(f, g) == expected  # the memo as earlier examples left it
+    groups.direct_sum_hom.cache_clear()
+    built = direct_sum_hom(f, g)
+    assert built == expected
+    assert (built.source, built.target) == (s1, s0)
+
+
+def test_direct_sum_hom_rejects_mixed_primes():
+    with pytest.raises(PrimeMismatch):
+        direct_sum_hom(identity_hom(cyclic(2, 2)), identity_hom(cyclic(3, 3)))
+
+
+def test_quotient_memo_keeps_argument_checks():
+    m = zlmod.ZlModule(2, (1, 3), 1)
+    with pytest.raises(ValueError):
+        m.quotient_group(0)
+    with pytest.raises(ValueError):
+        m.quotient_projection(1, 2)
+    assert m.quotient_projection(3, 1) is m.quotient_projection(3, 1)
