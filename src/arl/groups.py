@@ -23,6 +23,7 @@ from typing import Iterator, Mapping, Optional, Sequence
 from .errors import CompositionMismatch, InfiniteGroup, PrimeMismatch
 from .intmat import (
     IntMatrix,
+    exact_int,
     hermite_normal_form,
     kernel_basis,
     snf_with_inverses,
@@ -45,7 +46,7 @@ class FinAbGroup:
     operators: tuple[tuple[str, IntMatrix], ...] = ()
 
     def __post_init__(self):
-        factors = tuple(int(d) for d in self.invariant_factors)
+        factors = tuple(exact_int(d, "invariant factor") for d in self.invariant_factors)
         object.__setattr__(self, "invariant_factors", factors)
         for i, d in enumerate(factors):
             if d < 2:
@@ -156,10 +157,9 @@ class Element:
 
 
 def _reduce_matrix(mat: IntMatrix, target_factors: Sequence[int]) -> IntMatrix:
-    rows = []
-    for i, d in enumerate(target_factors):
-        rows.append(tuple(x % d for x in mat.entries[i]))
-    return IntMatrix(len(target_factors), mat.cols, tuple(rows))
+    return IntMatrix._of(len(target_factors), mat.cols, tuple(
+        tuple([x % d for x in row]) for row, d in zip(mat.entries, target_factors)
+    ))
 
 
 def _check_well_defined(mat: IntMatrix, source_factors: Sequence[int],
@@ -184,7 +184,13 @@ def common_labels(g: FinAbGroup, h: FinAbGroup) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class GroupHom:
-    """A homomorphism source -> target given by a matrix on generators."""
+    """A homomorphism source -> target given by a matrix on generators.
+
+    The public constructor checks the shape, well-definedness and commutation
+    with every common operator, and reduces the matrix.  Composites, sums,
+    differences, identities, zeros, quotient projections and direct sums of
+    valid homs are valid by construction and use the trusted :meth:`_of`.
+    """
 
     source: FinAbGroup
     target: FinAbGroup
@@ -207,6 +213,15 @@ class GroupHom:
             if left != right:
                 raise ValueError(f"hom does not commute with operator {label!r}")
 
+    @classmethod
+    def _of(cls, source: FinAbGroup, target: FinAbGroup, matrix: IntMatrix) -> "GroupHom":
+        """Trusted constructor: skips ``__post_init__``.  Only for a matrix that
+        is already reduced modulo the target factors and defines a
+        well-defined hom commuting with every common operator."""
+        hom = object.__new__(cls)
+        hom.__dict__.update(source=source, target=target, matrix=matrix)
+        return hom
+
     # -- basics ------------------------------------------------------------
 
     def apply(self, coords: Sequence[int]) -> tuple[int, ...]:
@@ -219,27 +234,38 @@ class GroupHom:
         """self after first."""
         if first.target != self.source:
             raise CompositionMismatch("hom composition endpoints do not match")
-        return GroupHom(first.source, self.target, self.matrix @ first.matrix)
+        matrix = _reduce_matrix(self.matrix @ first.matrix, self.target.invariant_factors)
+        # The composite commutes with every operator both factors commute with.
+        # An operator of source and target that the middle group lacks binds
+        # neither factor, so the composite must be checked against it.
+        labels = common_labels(first.source, self.target)
+        if labels and not set(labels) <= set(common_labels(first.source, first.target)) \
+                & set(common_labels(self.source, self.target)):
+            return GroupHom(first.source, self.target, matrix)
+        return GroupHom._of(first.source, self.target, matrix)
 
     def __add__(self, other: "GroupHom") -> "GroupHom":
         if (other.source, other.target) != (self.source, self.target):
             raise ValueError("hom addition endpoints do not match")
-        return GroupHom(self.source, self.target, self.matrix + other.matrix)
+        return GroupHom._of(self.source, self.target, _reduce_matrix(
+            self.matrix + other.matrix, self.target.invariant_factors))
 
     def __sub__(self, other: "GroupHom") -> "GroupHom":
         if (other.source, other.target) != (self.source, self.target):
             raise ValueError("hom subtraction endpoints do not match")
-        return GroupHom(self.source, self.target, self.matrix - other.matrix)
+        return GroupHom._of(self.source, self.target, _reduce_matrix(
+            self.matrix - other.matrix, self.target.invariant_factors))
 
     def scale(self, c: int) -> "GroupHom":
         return GroupHom(self.source, self.target, self.matrix.scale(c))
 
 
 def identity_hom(g: FinAbGroup) -> GroupHom:
-    return GroupHom(g, g, IntMatrix.identity(g.rank))
+    # every invariant factor is >= 2, so the identity matrix is already reduced
+    return GroupHom._of(g, g, IntMatrix.identity(g.rank))
 
 def zero_hom(source: FinAbGroup, target: FinAbGroup) -> GroupHom:
-    return GroupHom(source, target, IntMatrix.zeros(target.rank, source.rank))
+    return GroupHom._of(source, target, IntMatrix.zeros(target.rank, source.rank))
 
 
 # -- presentations ----------------------------------------------------------
@@ -381,7 +407,9 @@ def quotient_with_maps(g: FinAbGroup, n: int) -> tuple[FinAbGroup, GroupHom, Int
     if g.operators:
         ops = [(label, proj_matrix @ mat @ lift) for label, mat in g.operators]
         q = q.with_operators(ops)
-    return q, GroupHom(g, q, proj_matrix), lift
+    # the kept factors gcd(d_i, n) are >= 2, so proj_matrix is reduced; the
+    # dropped generators lie in n*g, which every operator preserves
+    return q, GroupHom._of(g, q, proj_matrix), lift
 
 
 def quotient_by_integer(g: FinAbGroup, n: int) -> FinAbGroup:
@@ -499,4 +527,6 @@ def direct_sum_hom(f: GroupHom, g: GroupHom) -> GroupHom:
     s, _, _, pf, pg = direct_sum_with_maps(f.source, g.source)
     t, incl_f, incl_g, _, _ = direct_sum_with_maps(f.target, g.target)
     mat = incl_f.matrix @ f.matrix @ pf.matrix + incl_g.matrix @ g.matrix @ pg.matrix
-    return GroupHom(s, t, mat)
+    # a sum of composites of valid homs; an operator of both s and t is one of
+    # every nontrivial summand group, so f and g commute with it
+    return GroupHom._of(s, t, _reduce_matrix(mat, t.invariant_factors))

@@ -17,15 +17,31 @@ from typing import Iterable, Sequence
 Vector = tuple[int, ...]
 
 
+def exact_int(x, what: str = "value") -> int:
+    """x as an int; floats, strings and None are rejected, never truncated."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"non-integer {what} {x!r}") from None
+
+
 @dataclass(frozen=True)
 class IntMatrix:
-    """An immutable rows x cols integer matrix stored row-major."""
+    """An immutable rows x cols integer matrix stored row-major.
+
+    The public constructors validate every entry.  Derivations whose result is
+    a valid matrix by construction (products, sums, stacks, selections and the
+    normal forms) build it with the trusted :meth:`_of` instead.
+    """
 
     rows: int
     cols: int
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        for dim in (self.rows, self.cols):
+            if not isinstance(dim, int) or isinstance(dim, bool):
+                raise ValueError(f"non-integer matrix dimension {dim!r}")
         if self.rows < 0 or self.cols < 0:
             raise ValueError("negative matrix dimensions")
         if len(self.entries) != self.rows:
@@ -39,6 +55,14 @@ class IntMatrix:
 
     # -- constructors ------------------------------------------------------
 
+    @classmethod
+    def _of(cls, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]) -> "IntMatrix":
+        """Trusted constructor: skips ``__post_init__``.  Only for entries that
+        are already a tuple of ``rows`` tuples of ``cols`` ints."""
+        m = object.__new__(cls)
+        m.__dict__.update(rows=rows, cols=cols, entries=entries)
+        return m
+
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
         try:
@@ -51,15 +75,19 @@ class IntMatrix:
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        if n < 0:
+            raise ValueError("negative matrix dimensions")
+        return IntMatrix._of(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
+        if rows < 0 or cols < 0:
+            raise ValueError("negative matrix dimensions")
+        return IntMatrix._of(rows, cols, ((0,) * cols,) * rows)
 
     @staticmethod
     def diagonal(values: Sequence[int], rows: int | None = None, cols: int | None = None) -> "IntMatrix":
-        values = [int(v) for v in values]
+        values = [exact_int(v, "matrix entry") for v in values]
         n = len(values)
         rows = n if rows is None else rows
         cols = n if cols is None else cols
@@ -74,7 +102,7 @@ class IntMatrix:
             rows = len(columns[0]) if columns else 0
         return IntMatrix(
             rows, len(columns),
-            tuple(tuple(int(col[i]) for col in columns) for i in range(rows)),
+            tuple(tuple(exact_int(col[i], "matrix entry") for col in columns) for i in range(rows)),
         )
 
     # -- basic queries -----------------------------------------------------
@@ -95,7 +123,8 @@ class IntMatrix:
         return tuple(self.entries[i][j] for i in range(self.rows))
 
     def columns(self) -> list[Vector]:
-        return [self.column(j) for j in range(self.cols)]
+        # zip(*()) yields no columns at all, so a 0-row matrix spells them out
+        return list(zip(*self.entries)) if self.rows else [()] * self.cols
 
     def diagonal_values(self) -> list[int]:
         return [self.entries[i][i] for i in range(min(self.rows, self.cols))]
@@ -105,48 +134,45 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        rows = []
-        for i in range(self.rows):
-            srow = self.entries[i]
-            rows.append(tuple(
-                sum(srow[k] * other.entries[k][j] for k in range(self.cols))
-                for j in range(other.cols)
-            ))
-        return IntMatrix(self.rows, other.cols, tuple(rows))
+        cols = other.columns()
+        mul = operator.mul
+        return IntMatrix._of(self.rows, other.cols, tuple(
+            tuple([sum(map(mul, row, col)) for col in cols]) for row in self.entries
+        ))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in addition")
-        return IntMatrix(self.rows, self.cols, tuple(
-            tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)
+        return IntMatrix._of(self.rows, self.cols, tuple(
+            tuple(map(operator.add, r1, r2)) for r1, r2 in zip(self.entries, other.entries)
         ))
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         return self + (-other)
 
     def __neg__(self) -> "IntMatrix":
-        return self.scale(-1)
+        return IntMatrix._of(self.rows, self.cols, tuple(
+            tuple(-x for x in row) for row in self.entries
+        ))
 
     def scale(self, c: int) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, tuple(tuple(c * x for x in row) for row in self.entries))
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, tuple(
-            tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)
-        ))
+        return IntMatrix._of(self.cols, self.rows, tuple(self.columns()))
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
-        return IntMatrix(self.rows, self.cols + other.cols, tuple(
+        return IntMatrix._of(self.rows, self.cols + other.cols, tuple(
             r1 + r2 for r1, r2 in zip(self.entries, other.entries)
         ))
 
     def take_rows(self, indices: Sequence[int]) -> "IntMatrix":
-        return IntMatrix(len(indices), self.cols, tuple(self.entries[i] for i in indices))
+        return IntMatrix._of(len(indices), self.cols, tuple(self.entries[i] for i in indices))
 
     def take_columns(self, indices: Sequence[int]) -> "IntMatrix":
-        return IntMatrix(self.rows, len(indices), tuple(
+        return IntMatrix._of(self.rows, len(indices), tuple(
             tuple(row[j] for j in indices) for row in self.entries
         ))
 
@@ -327,7 +353,7 @@ def _snf_state(m: IntMatrix) -> _SnfState:
 @lru_cache(maxsize=8192)
 def _snf_cached(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
     st = _snf_state(m)
-    freeze = lambda a, r, c: IntMatrix(r, c, tuple(tuple(row) for row in a))
+    freeze = lambda a, r, c: IntMatrix._of(r, c, tuple(tuple(row) for row in a))
     return (
         freeze(st.u, m.rows, m.rows),
         freeze(st.d, m.rows, m.cols),
@@ -437,8 +463,8 @@ def hermite_normal_form(basis: IntMatrix) -> IntMatrix:
             q = w[r][j] // w[r][pc]
             col_addmul(j, pc, -q)
         pc += 1
-    return IntMatrix(k, k, tuple(tuple(row[:k]) for row in w))
+    return IntMatrix._of(k, k, tuple(tuple(row[:k]) for row in w))
 
 
 def vector(values: Iterable[int]) -> Vector:
-    return tuple(int(v) for v in values)
+    return tuple(exact_int(v, "vector entry") for v in values)

@@ -3,8 +3,10 @@
 A file declares a prime, named groups (invariant factors plus optional
 operator matrices), named homs, named modules in the ``Zl^r + Z/l^a`` text
 form, and towers assembled from those pieces with an explicit tail rule.
-Everything is validated on load; diagnostics carry the offending name and,
-for matrices, the row and column.
+Everything is validated on load, down to the JSON type of every field, since
+the library trusts the values it derives from what it loads: a float, string
+or null where an integer belongs is an error, never a truncation.
+Diagnostics carry the offending name and, for matrices, the row and column.
 
 Example::
 
@@ -55,6 +57,25 @@ def _require(cond: bool, message: str):
         raise TowerFileError(message)
 
 
+def _integer(x, what: str) -> int:
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise TowerFileError(f"{what}: expected integer, got {x!r}")
+    return x
+
+
+def _section(data: dict, key: str) -> dict:
+    section = data.get(key)
+    if section is None:
+        return {}
+    _require(isinstance(section, dict), f"{key!r} must be an object")
+    return section
+
+
+def _name(x, table: dict, what: str):
+    _require(isinstance(x, str) and x in table, f"{what} {x!r}")
+    return table[x]
+
+
 def _parse_matrix(data, what: str, rows: int, cols: int) -> IntMatrix:
     _require(isinstance(data, list), f"{what}: matrix must be a list of rows")
     _require(len(data) == rows, f"{what}: expected {rows} rows, got {len(data)}")
@@ -73,7 +94,8 @@ def _parse_matrix(data, what: str, rows: int, cols: int) -> IntMatrix:
 
 def load_tower_data(data: dict) -> TowerFile:
     _require(isinstance(data, dict), "top level must be an object")
-    _require(data.get("format") == 1, "unsupported or missing format (expected 1)")
+    _require(type(data.get("format")) is int and data["format"] == 1,
+             "unsupported or missing format (expected 1)")
     l = data.get("l")
     _require(isinstance(l, int) and l >= 2, "missing or invalid prime 'l'")
 
@@ -82,21 +104,22 @@ def load_tower_data(data: dict) -> TowerFile:
         _require(isinstance(data["symbols"], list), "'symbols' must be a list")
         tf.symbols = tuple(str(s) for s in data["symbols"])
 
-    for name, spec in (data.get("modules") or {}).items():
+    for name, spec in _section(data, "modules").items():
         try:
             tf.modules[name] = ZlModule.parse(str(spec), l)
         except ValueError as exc:
             raise TowerFileError(f"module {name!r}: {exc}") from exc
 
-    for name, spec in (data.get("groups") or {}).items():
+    for name, spec in _section(data, "groups").items():
         _require(isinstance(spec, dict), f"group {name!r}: must be an object")
         factors = spec.get("factors")
         _require(isinstance(factors, list), f"group {name!r}: missing 'factors' list")
+        factors = tuple(_integer(d, f"group {name!r}: factor {i}") for i, d in enumerate(factors))
         try:
-            group = FinAbGroup(tuple(int(d) for d in factors), prime_support=l)
+            group = FinAbGroup(factors, prime_support=l)
         except ValueError as exc:
             raise TowerFileError(f"group {name!r}: {exc}") from exc
-        ops = spec.get("operators") or {}
+        ops = _section(spec, "operators")
         if ops:
             try:
                 group = group.with_operators({
@@ -108,48 +131,41 @@ def load_tower_data(data: dict) -> TowerFile:
                 raise TowerFileError(f"group {name!r}: {exc}") from exc
         tf.groups[name] = group
 
-    for name, spec in (data.get("homs") or {}).items():
+    for name, spec in _section(data, "homs").items():
         _require(isinstance(spec, dict), f"hom {name!r}: must be an object")
         for key in ("source", "target", "matrix"):
             _require(key in spec, f"hom {name!r}: missing {key!r}")
-        _require(spec["source"] in tf.groups, f"hom {name!r}: unknown source group {spec['source']!r}")
-        _require(spec["target"] in tf.groups, f"hom {name!r}: unknown target group {spec['target']!r}")
-        src = tf.groups[spec["source"]]
-        tgt = tf.groups[spec["target"]]
+        src = _name(spec["source"], tf.groups, f"hom {name!r}: unknown source group")
+        tgt = _name(spec["target"], tf.groups, f"hom {name!r}: unknown target group")
         mat = _parse_matrix(spec["matrix"], f"hom {name!r}", tgt.rank, src.rank)
         try:
             tf.homs[name] = GroupHom(src, tgt, mat)
         except ValueError as exc:
             raise TowerFileError(f"hom {name!r}: {exc}") from exc
 
-    for name, spec in (data.get("towers") or {}).items():
+    for name, spec in _section(data, "towers").items():
         _require(isinstance(spec, dict), f"tower {name!r}: must be an object")
         level_names = spec.get("levels")
         _require(isinstance(level_names, list) and level_names,
                  f"tower {name!r}: needs a nonempty 'levels' list")
         map_names = spec.get("maps", [])
-        _require(len(map_names) == len(level_names) - 1,
-                 f"tower {name!r}: needs exactly {len(level_names) - 1} maps")
-        groups = []
-        for gname in level_names:
-            _require(gname in tf.groups, f"tower {name!r}: unknown group {gname!r}")
-            groups.append(tf.groups[gname])
-        maps = []
-        for mname in map_names:
-            _require(mname in tf.homs, f"tower {name!r}: unknown hom {mname!r}")
-            maps.append(tf.homs[mname])
+        _require(isinstance(map_names, list) and len(map_names) == len(level_names) - 1,
+                 f"tower {name!r}: needs a 'maps' list of exactly {len(level_names) - 1} maps")
+        groups = [_name(g, tf.groups, f"tower {name!r}: unknown group") for g in level_names]
+        maps = [_name(m, tf.homs, f"tower {name!r}: unknown hom") for m in map_names]
         tail_spec = spec.get("tail", {"kind": "truncated"})
+        _require(isinstance(tail_spec, dict), f"tower {name!r}: 'tail' must be an object")
         kind = tail_spec.get("kind", "truncated")
         if kind == "truncated":
             tail = Truncated()
         elif kind == "zero":
             _require("start" in tail_spec, f"tower {name!r}: zero tail needs 'start'")
-            tail = ZeroTail(int(tail_spec["start"]))
+            tail = ZeroTail(_integer(tail_spec["start"], f"tower {name!r}: tail 'start'"))
         elif kind == "eventually-l-adic":
             _require("module" in tail_spec, f"tower {name!r}: tail needs 'module'")
-            mname = tail_spec["module"]
-            _require(mname in tf.modules, f"tower {name!r}: unknown module {mname!r}")
-            tail = EventuallyLAdic(int(tail_spec.get("start", 0)), tf.modules[mname])
+            module = _name(tail_spec["module"], tf.modules, f"tower {name!r}: unknown module")
+            start = _integer(tail_spec.get("start", 0), f"tower {name!r}: tail 'start'")
+            tail = EventuallyLAdic(start, module)
         else:
             raise TowerFileError(f"tower {name!r}: unknown tail kind {kind!r}")
         try:

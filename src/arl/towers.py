@@ -664,6 +664,14 @@ def _eventually_module(tower: Tower) -> Optional[ZlModule]:
 
 @dataclass(frozen=True, eq=False)
 class TowerHom:
+    """A morphism of towers, given on its represented levels plus a tail rule.
+
+    The public constructor checks the endpoints and every naturality square.
+    Composites, differences, identities and zeros of valid tower homs are
+    natural by construction and use the trusted :meth:`_of`, which still runs
+    the tail check.
+    """
+
     source: Tower
     target: Tower
     levels: tuple[GroupHom, ...]
@@ -684,6 +692,17 @@ class TowerHom:
                 raise ValueError(f"square at levels {n + 1} -> {n} does not commute")
         self.tail.check(self)
 
+    @classmethod
+    def _of(cls, source: Tower, target: Tower, levels: tuple[GroupHom, ...],
+            tail: HomTail) -> "TowerHom":
+        """Trusted constructor: skips the endpoint and naturality checks of
+        ``__post_init__`` but keeps the tail check.  Only for levels that are
+        natural maps between the levels of source and target."""
+        hom = object.__new__(cls)
+        hom.__dict__.update(source=source, target=target, levels=levels, tail=tail)
+        tail.check(hom)
+        return hom
+
     @property
     def top(self) -> int:
         return len(self.levels) - 1
@@ -701,23 +720,38 @@ class TowerHom:
             raise PreconditionViolated("tower hom composition endpoints do not match")
         k = min(first.top, self.top)
         levels = tuple(self.levels[n].compose(first.levels[n]) for n in range(k + 1))
-        return TowerHom(first.source, self.target, levels, tail=self.tail.compose(first.tail, 0))
+        tail = self.tail.compose(first.tail, 0)
+        if _same_transitions(first.target, self.source, k):
+            return TowerHom._of(first.source, self.target, levels, tail)
+        return TowerHom(first.source, self.target, levels, tail=tail)
 
     def __sub__(self, other: "TowerHom") -> "TowerHom":
         k = min(self.top, other.top)
         levels = tuple(self.levels[n] - other.levels[n] for n in range(k + 1))
-        return TowerHom(self.source, self.target, levels, tail=self.tail.minus(other.tail))
+        tail = self.tail.minus(other.tail)
+        if _same_transitions(self.source, other.source, k) and \
+                _same_transitions(self.target, other.target, k):
+            return TowerHom._of(self.source, self.target, levels, tail)
+        return TowerHom(self.source, self.target, levels, tail=tail)
+
+
+def _same_transitions(f: Tower, g: Tower, k: int) -> bool:
+    """Whether f and g have the same represented levels and transitions up to
+    level k, so that squares natural for one are natural for the other."""
+    return f is g or (k <= min(f.top, g.top) and f.levelwise_equal(g, upto=k))
 
 
 def identity_tower_hom(f: Tower) -> TowerHom:
     levels = tuple(identity_hom(f.level(n)) for n in range(f.top + 1))
-    return TowerHom(f, f, levels, tail=HomCanonicalTail(0))
+    return TowerHom._of(f, f, levels, HomCanonicalTail(0))
 
 
 def zero_tower_hom(source: Tower, target: Tower) -> TowerHom:
+    if source.l != target.l:
+        raise PrimeMismatch("tower hom across different primes")
     k = min(source.top, target.top)
     levels = tuple(zero_hom(source.level(n), target.level(n)) for n in range(k + 1))
-    return TowerHom(source, target, levels, tail=HomZeroTail(0))
+    return TowerHom._of(source, target, levels, HomZeroTail(0))
 
 
 # -- elementary tower operations -------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 from .errors import PrimeMismatch
 from .groups import FinAbGroup, GroupHom
-from .intmat import IntMatrix, snf_with_inverses
+from .intmat import IntMatrix, exact_int, snf_with_inverses
 
 
 def _lval(n: int, l: int) -> int:
@@ -37,8 +37,9 @@ class ZlModule:
     operators: tuple[tuple[str, IntMatrix], ...] = ()
 
     def __post_init__(self):
-        exps = tuple(int(a) for a in self.torsion_exponents)
+        exps = tuple(exact_int(a, "torsion exponent") for a in self.torsion_exponents)
         object.__setattr__(self, "torsion_exponents", exps)
+        exact_int(self.free_rank, "free rank")
         if self.l < 2:
             raise ValueError("prime must be >= 2")
         if any(a < 1 for a in exps):

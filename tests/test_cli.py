@@ -118,6 +118,34 @@ class TestNormalize:
         assert "not-ar-l-adic" not in out
 
 
+    @pytest.mark.parametrize("mutate, field", [
+        pytest.param(lambda d: d["groups"]["A1"].update(factors=[4.5]),
+                     "group 'A1': factor 0", id="float-factor"),
+        pytest.param(lambda d: d["groups"]["A1"].update(factors=["4"]),
+                     "group 'A1': factor 0", id="string-factor"),
+        pytest.param(lambda d: d["groups"]["A1"].update(factors=[None]),
+                     "group 'A1': factor 0", id="null-factor"),
+        pytest.param(lambda d: d["towers"]["zl"].update(tail={"kind": "zero", "start": None}),
+                     "tower 'zl': tail 'start'", id="null-start"),
+        pytest.param(lambda d: d["towers"]["zl"]["tail"].update(start=2.9),
+                     "tower 'zl': tail 'start'", id="float-start"),
+        pytest.param(lambda d: d["towers"]["zl"].update(tail="zero"),
+                     "tower 'zl': 'tail' must be an object", id="string-tail"),
+        pytest.param(lambda d: d.update(groups=[1]),
+                     "'groups' must be an object", id="list-groups"),
+    ])
+    def test_wrong_json_types_exit_2(self, capsys, sample, mutate, field):
+        with open(sample) as fh:
+            doc = json.load(fh)
+        mutate(doc)
+        with open(sample, "w") as fh:
+            json.dump(doc, fh)
+        code, out, err = run(capsys, "normalize", "--file", sample, "--tower", "zl")
+        assert code == 2
+        assert field in err
+        assert "Traceback" not in err
+
+
 class TestLimit:
     def test_zl(self, capsys, sample):
         code, out, _ = run(capsys, "limit", "--file", sample, "--tower", "zl")

@@ -80,6 +80,11 @@ class TestGroupBasics:
         with pytest.raises(ValueError):
             FinAbGroup((6,), prime_support=2)
 
+    @pytest.mark.parametrize("factor", [4.5, 4.0, "4", None])
+    def test_non_integral_factor_rejected(self, factor):
+        with pytest.raises(ValueError, match="non-integer invariant factor"):
+            FinAbGroup((factor,))
+
     def test_element_reduction(self):
         e = Element(FinAbGroup((2, 4)), (3, 7))
         assert e.coords == (1, 3)

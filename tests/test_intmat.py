@@ -12,6 +12,7 @@ from arl.intmat import (
     smith_normal_form,
     snf_with_inverses,
     solve,
+    vector,
 )
 
 from oracles import elementary_divisors_by_minors
@@ -134,6 +135,26 @@ def test_matrix_validation():
         IntMatrix.from_rows([[1.5]])
     with pytest.raises(ValueError):
         IntMatrix(1, 2, ((1,),))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: IntMatrix.diagonal([2.5]),
+    lambda: IntMatrix.diagonal(["2"]),
+    lambda: IntMatrix.from_columns([[1.9]]),
+    lambda: IntMatrix.from_columns([[None]]),
+    lambda: IntMatrix(1.0, 1, ((1,),)),
+    lambda: IntMatrix(1, True, ((1,),)),
+    lambda: vector([1, 2.0]),
+])
+def test_non_integral_input_rejected_not_truncated(build):
+    with pytest.raises(ValueError, match="non-integer"):
+        build()
+
+
+def test_integral_input_accepted():
+    assert IntMatrix.diagonal([2, 3]).entries == ((2, 0), (0, 3))
+    assert IntMatrix.from_columns([[1], [2]]).entries == ((1, 2),)
+    assert vector([1, -2]) == (1, -2)
 
 
 def test_det_exact():

@@ -134,6 +134,45 @@ class TestDiagnostics:
         with pytest.raises(TowerFileError, match="'T'"):
             load_tower_data(doc)
 
+    @pytest.mark.parametrize("mutate, field", [
+        pytest.param(lambda d: d["groups"]["A1"].update(factors=[4.5]),
+                     r"group 'A1': factor 0", id="float-factor"),
+        pytest.param(lambda d: d["groups"]["A1"].update(factors=["4"]),
+                     r"group 'A1': factor 0", id="string-factor"),
+        pytest.param(lambda d: d["groups"]["A1"].update(factors=[None]),
+                     r"group 'A1': factor 0", id="null-factor"),
+        pytest.param(lambda d: d["groups"]["A1"].update(factors=[True]),
+                     r"group 'A1': factor 0", id="bool-factor"),
+        pytest.param(lambda d: d["towers"]["T"].update(tail={"kind": "zero", "start": None}),
+                     r"tower 'T': tail 'start'", id="null-start"),
+        pytest.param(lambda d: d["towers"]["T"]["tail"].update(start=2.9),
+                     r"tower 'T': tail 'start'", id="float-start"),
+        pytest.param(lambda d: d["towers"]["T"]["tail"].update(start="0"),
+                     r"tower 'T': tail 'start'", id="string-start"),
+        pytest.param(lambda d: d["towers"]["T"].update(tail="zero"),
+                     r"tower 'T': 'tail' must be an object", id="string-tail"),
+        pytest.param(lambda d: d.update(groups=[1]),
+                     r"'groups' must be an object", id="list-groups"),
+        pytest.param(lambda d: d.update(homs=["u1"]),
+                     r"'homs' must be an object", id="list-homs"),
+        pytest.param(lambda d: d["groups"]["A0"].update(operators=[[1]]),
+                     r"'operators' must be an object", id="list-operators"),
+        pytest.param(lambda d: d["towers"]["T"].update(maps="u1"),
+                     r"tower 'T': needs a 'maps' list", id="string-maps"),
+        pytest.param(lambda d: d["towers"]["T"].update(levels=[["A0"], "A1"]),
+                     r"tower 'T': unknown group", id="list-level-name"),
+        pytest.param(lambda d: d["homs"]["u1"].update(source=["A1"]),
+                     r"hom 'u1': unknown source group", id="list-hom-source"),
+        pytest.param(lambda d: d["towers"]["T"]["tail"].update(module=["M"]),
+                     r"tower 'T': unknown module", id="list-module-name"),
+        pytest.param(lambda d: d.update(format=1.0), r"format", id="float-format"),
+    ])
+    def test_wrong_json_types_name_the_field(self, mutate, field):
+        doc = base_doc()
+        mutate(doc)
+        with pytest.raises(TowerFileError, match=field):
+            load_tower_data(doc)
+
     def test_unknown_tower_name(self):
         tf = load_tower_data(base_doc())
         with pytest.raises(TowerFileError, match="available"):

@@ -1,0 +1,191 @@
+"""The trusted constructors change no result.
+
+``IntMatrix._of``, ``GroupHom._of`` and ``TowerHom._of`` skip the checks of
+the public constructors for values that are valid by construction.  Swapping
+each of them for its validating public constructor re-checks every derived
+matrix, hom and tower hom, so a derivation that builds an invalid value
+fails here instead of passing silently.
+"""
+
+import contextlib
+import io
+import random
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from arl import groups, intmat, zlmod
+from arl.cli import main
+from arl.gen import random_hom
+from arl.groups import (
+    FinAbGroup,
+    GroupHom,
+    direct_sum_hom,
+    identity_hom,
+    quotient_with_maps,
+    zero_hom,
+)
+from arl.intmat import IntMatrix
+from arl.suites import run_suite
+from arl.towers import Tower, TowerHom
+
+ROOT = Path(__file__).resolve().parents[1]
+SAMPLE = "demos/data/sample.arl.json"
+
+
+def clear_memos():
+    for memo in (groups.direct_sum_with_maps, groups.direct_sum_hom, zlmod._quotient_group,
+                 zlmod._quotient_projection, intmat._snf_cached):
+        memo.cache_clear()
+
+
+@pytest.fixture()
+def full_checks(monkeypatch):
+    """Route every trusted construction through the validating constructor."""
+    def enable():
+        clear_memos()
+        for cls in (IntMatrix, GroupHom, TowerHom):
+            monkeypatch.setattr(cls, "_of", classmethod(lambda c, *fields: c(*fields)))
+    yield enable
+    monkeypatch.undo()
+    clear_memos()
+
+
+def test_full_checks_reject_an_invalid_derived_value(full_checks):
+    g = FinAbGroup((2,), prime_support=2)
+    # Z/2 -> Z/2 by [[3]] is valid but unreduced, which _of alone does not see
+    assert GroupHom._of(g, g, IntMatrix.from_rows([[3]])).matrix.entries == ((3,),)
+    full_checks()
+    assert GroupHom._of(g, g, IntMatrix.from_rows([[3]])).matrix.entries == ((1,),)
+    with pytest.raises(ValueError):
+        IntMatrix._of(1, 1, ((1.5,),))
+    with pytest.raises(ValueError):
+        GroupHom._of(g, FinAbGroup((4,), prime_support=2), IntMatrix.from_rows([[1]]))
+
+
+@pytest.mark.parametrize("suite, cases", [("torsionfree", 300), ("comparison", 10)])
+def test_suite_reports_equal_under_full_checks(full_checks, suite, cases):
+    clear_memos()
+    trusted = run_suite(suite, 0, cases)
+    assert trusted.all_pass()
+    full_checks()
+    assert run_suite(suite, 0, cases).body_lines() == trusted.body_lines()
+
+
+def _cli_outputs():
+    out = []
+    for tower in ("zl", "noisy", "flat"):
+        for command in ("normalize", "limit"):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = main([command, "--file", SAMPLE, "--tower", tower])
+            body = [line for line in buf.getvalue().splitlines() if not line.startswith("timing:")]
+            out.append((command, tower, code, body))
+    return out
+
+
+def test_cli_outputs_equal_under_full_checks(full_checks, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    clear_memos()
+    trusted = _cli_outputs()
+    assert all(code == 0 for _, _, code, _ in trusted)
+    full_checks()
+    assert _cli_outputs() == trusted
+
+
+@st.composite
+def hom_chains(draw):
+    """f, f2 : A -> B and g : B -> C between random l-local groups.  A and C
+    carry a scalar operator "c"; B carries it only sometimes."""
+    l = draw(st.sampled_from([2, 3]))
+    c = draw(st.integers(0, 4))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def group(with_operator):
+        exps = sorted(draw(st.lists(st.integers(1, 3), max_size=3)))
+        g = FinAbGroup(tuple(l ** e for e in exps), prime_support=l)
+        return g.with_operators([("c", IntMatrix.diagonal([c] * g.rank))]) if with_operator else g
+
+    a, b, c_group = group(True), group(draw(st.booleans())), group(True)
+    return random_hom(rng, a, b), random_hom(rng, a, b), random_hom(rng, b, c_group)
+
+
+def _revalidated(h: GroupHom) -> GroupHom:
+    return GroupHom(h.source, h.target, IntMatrix(h.matrix.rows, h.matrix.cols, h.matrix.entries))
+
+
+@settings(max_examples=100, deadline=None)
+@given(hom_chains(), st.integers(1, 30))
+def test_trusted_homs_equal_their_validated_construction(chain, n):
+    f, f2, g = chain
+    a, b = f.source, f.target
+    derived = [g.compose(f), f + f2, f - f2, identity_hom(a), zero_hom(a, b),
+               quotient_with_maps(a, n)[1], direct_sum_hom(f, g)]
+    for h in derived:
+        assert _revalidated(h) == h
+    assert g.compose(f) == GroupHom(a, g.target, g.matrix @ f.matrix)
+    assert f + f2 == GroupHom(a, b, f.matrix + f2.matrix)
+    assert f - f2 == GroupHom(a, b, f.matrix - f2.matrix)
+
+
+def _swap_group():
+    sigma = IntMatrix.from_rows([[0, 1], [1, 0]])
+    return FinAbGroup((2, 2), prime_support=2, operators=(("sigma", sigma),))
+
+
+def test_compose_through_a_group_without_the_operator_is_checked():
+    # A and C carry a swap, B carries none: both factors are valid homs, but
+    # their composite keeps only the first coordinate and breaks the swap
+    a = c = _swap_group()
+    b = FinAbGroup((2,), prime_support=2)
+    first = GroupHom(a, b, IntMatrix.from_rows([[1, 0]]))
+    second = GroupHom(b, c, IntMatrix.from_rows([[1], [0]]))
+    with pytest.raises(ValueError, match="sigma"):
+        second.compose(first)
+
+
+def test_compose_keeps_operators_common_to_both_factors():
+    a = _swap_group()
+    swap = GroupHom(a, a, a.operator("sigma"))
+    assert swap.compose(swap) == GroupHom(a, a, IntMatrix.identity(2))
+
+
+def _two_level(maps_matrix):
+    g = FinAbGroup((2,), prime_support=2)
+    return Tower(2, (g, g), (GroupHom(g, g, IntMatrix.from_rows(maps_matrix)),))
+
+
+def test_difference_over_other_transitions_is_checked():
+    s, s_other, t = _two_level([[1]]), _two_level([[0]]), _two_level([[1]])
+    g = s.level(0)
+    one, zero = GroupHom(g, g, IntMatrix.identity(1)), GroupHom(g, g, IntMatrix.zeros(1, 1))
+    f = TowerHom(s, t, (one, one))
+    h = TowerHom(s_other, t, (one, zero))
+    # levels (0, 1) are not natural over the transitions of s
+    with pytest.raises(ValueError, match="commute"):
+        f - h
+    assert (f - f).is_levelwise_zero()
+
+
+@st.composite
+def _factors(draw):
+    rows, inner, cols = (draw(st.integers(0, 4)) for _ in range(3))
+    entry = st.integers(-10**30, 10**30) | st.integers(-3, 3)
+    a = [[draw(entry) for _ in range(inner)] for _ in range(rows)]
+    b = [[draw(entry) for _ in range(cols)] for _ in range(inner)]
+    return rows, inner, cols, a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(_factors())
+def test_matmul_equals_the_naive_triple_sum(factors):
+    rows, inner, cols, a, b = factors
+    ma, mb = IntMatrix.from_rows(a, cols=inner), IntMatrix.from_rows(b, cols=cols)
+    product = ma @ mb
+    expected = tuple(tuple(sum(a[i][t] * b[t][j] for t in range(inner)) for j in range(cols))
+                     for i in range(rows))
+    assert (product.rows, product.cols, product.entries) == (rows, cols, expected)
+    # the trusted result is the value the validating constructor builds
+    assert product == IntMatrix(rows, cols, expected)
+    assert all(type(x) is int for row in product.entries for x in row)

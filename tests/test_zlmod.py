@@ -48,6 +48,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             ZlModule(2, (3, 1))
 
+    @pytest.mark.parametrize("exps, rank", [((1.7,), 0), (("1",), 0), ((1,), 1.5)])
+    def test_non_integral_numbers_rejected(self, exps, rank):
+        with pytest.raises(ValueError, match="non-integer"):
+            ZlModule(2, exps, rank)
+
     def test_operator_torsion_to_free_rejected(self):
         with pytest.raises(ValueError):
             ZlModule(2, (1,), 1, operators=(("f", IntMatrix.from_rows([[1, 0], [1, 1]])),))
