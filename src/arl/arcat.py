@@ -260,13 +260,9 @@ def _epi_onto_stable(f: Tower, stable: Tower, incl: TowerHom, s: int, upto: int)
     levels = []
     for m in range(upto + 1):
         comp = f.composite(m, s)
-        cols = []
-        for j in range(comp.source.rank):
-            z = solve_mod(incl.levels[m].matrix, f.level(m).invariant_factors,
-                          comp.matrix.column(j))
-            if z is None:
-                raise PreconditionViolated("transition image escapes the stable subgroup")
-            cols.append(z)
+        cols = solve_mod(incl.levels[m].matrix, f.level(m).invariant_factors, comp.matrix)
+        if None in cols:
+            raise PreconditionViolated("transition image escapes the stable subgroup")
         levels.append(GroupHom(comp.source, stable.level(m),
                                IntMatrix.from_columns(cols, rows=stable.level(m).rank)))
     return levels

@@ -6,10 +6,13 @@ actions standing in for a Galois action.  Homomorphisms are integer matrices
 on the chosen generators, stored with entries reduced modulo the target
 factors so that equal maps have equal matrices.
 
-Kernels, images and cokernels are computed by exact lattice arithmetic over
-Z.  Subgroups are presented on the Hermite-normal-form basis of their
-preimage lattice, which makes every computed object canonical: two different
-generating sets of the same subgroup give the same presentation.
+Kernels, images and cokernels are computed exactly, modulo the exponent e of
+the groups involved: every lattice they need contains e*Z^n, so it is solved,
+intersected and presented over Z/e with entries kept in [0, e) (see
+``intmat.modular_smith``).  Subgroups are presented on the Hermite-normal-form
+basis of their preimage lattice, which makes every computed object canonical:
+two different generating sets of the same subgroup give the same
+presentation.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .errors import CompositionMismatch, InfiniteGroup, PrimeMismatch
@@ -25,9 +28,9 @@ from .intmat import (
     IntMatrix,
     exact_int,
     hermite_normal_form,
-    kernel_basis,
-    snf_with_inverses,
-    solve,
+    modular_kernel,
+    modular_smith,
+    modular_solve,
 )
 
 
@@ -270,39 +273,52 @@ def zero_hom(source: FinAbGroup, target: FinAbGroup) -> GroupHom:
 
 # -- presentations ----------------------------------------------------------
 
-def presentation_with_maps(relations: IntMatrix, prime: Optional[int] = None,
+def presentation_with_maps(relations: IntMatrix, modulus: int, prime: Optional[int] = None,
                            ) -> tuple[FinAbGroup, IntMatrix, IntMatrix]:
-    """Canonical form of Z^n / col-span(relations) with coordinate maps.
+    """Canonical form of Z^n / L, L = col-span(relations), with coordinate maps.
 
-    Returns (group, proj, lift): proj maps ambient Z^n coordinates onto the
-    group's generator coordinates, lift sends each group generator to an
-    ambient representative, and proj @ lift is the identity.
+    modulus is a multiple e of the group's exponent, so that e*Z^n lies in L:
+    the presentation is computed over Z/e.  Returns (group, proj, lift): proj
+    maps ambient Z^n coordinates onto the group's generator coordinates, lift
+    sends each group generator to an ambient representative, and proj @ lift
+    is the identity modulo the group's factors.
     """
-    n = relations.rows
-    u, d, _, ui, _ = snf_with_inverses(relations)
-    k = min(n, relations.cols)
-    diag = [d.entries[i][i] for i in range(k)] + [0] * (n - k)
-    bad = [i for i, x in enumerate(diag) if x == 0]
-    if bad:
-        raise InfiniteGroup(f"presentation has free rank {len(bad)}")
-    keep = [i for i in range(n) if diag[i] != 1]
-    group = FinAbGroup(tuple(diag[i] for i in keep), prime_support=prime)
-    proj = u.take_rows(keep)
-    lift = ui.take_columns(keep)
-    return group, proj, lift
+    factors, u, ui = modular_smith(relations, modulus)
+    keep = [i for i, d in enumerate(factors) if d != 1]
+    group = FinAbGroup(tuple(factors[i] for i in keep), prime_support=prime)
+    return group, u.take_rows(keep), ui.take_columns(keep)
 
 
 def canonicalize(relations: IntMatrix, prime: Optional[int] = None) -> FinAbGroup:
-    """Invariant-factor form of Z^n / col-span(relations), unit factors dropped."""
-    group, _, _ = presentation_with_maps(relations, prime)
+    """Invariant-factor form of Z^n / col-span(relations), unit factors dropped.
+
+    The index of the lattice, the product of its Hermite-normal-form diagonal,
+    is a multiple of the group's exponent.
+    """
+    try:
+        index = math.prod(hermite_normal_form(relations).diagonal_values())
+    except ValueError:
+        raise InfiniteGroup("presentation has positive free rank") from None
+    group, _, _ = presentation_with_maps(relations, index, prime)
     return group
 
 
+def _scaled_rows(mat: IntMatrix, factors: Sequence[int]) -> tuple[IntMatrix, int]:
+    # row i holds modulo d_i exactly when (e / d_i) * row i holds modulo e
+    if len(factors) != mat.rows:
+        raise ValueError(f"{mat.rows} rows against {len(factors)} factors")
+    e = math.lcm(*factors)
+    return IntMatrix._of(mat.rows, mat.cols, tuple(
+        tuple([e // d * x for x in row]) for row, d in zip(mat.entries, factors))), e
+
+
 def preimage_lattice(mat: IntMatrix, target_factors: Sequence[int]) -> IntMatrix:
-    """Generators of {x in Z^m : mat @ x = 0 modulo the target factors}."""
-    stacked = mat.hstack(IntMatrix.diagonal(list(target_factors), rows=mat.rows))
-    ker = kernel_basis(stacked)
-    return ker.take_rows(list(range(mat.cols)))
+    """Generators of {x in Z^m : mat @ x = 0 modulo the target factors}.
+
+    The lattice contains e*Z^m for e the lcm of the factors, and the
+    generators include e times the unit vectors.
+    """
+    return modular_kernel(*_scaled_rows(mat, target_factors))
 
 
 def sublattice_basis(ambient: FinAbGroup, gens: IntMatrix) -> IntMatrix:
@@ -311,13 +327,12 @@ def sublattice_basis(ambient: FinAbGroup, gens: IntMatrix) -> IntMatrix:
     return hermite_normal_form(lat)
 
 
-def solve_mod(mat: IntMatrix, target_factors: Sequence[int], y: Sequence[int]) -> tuple[int, ...] | None:
-    """x with mat @ x = y modulo the target factors, or None."""
-    stacked = mat.hstack(IntMatrix.diagonal(list(target_factors), rows=mat.rows))
-    sol = solve(stacked, y)
-    if sol is None:
-        return None
-    return tuple(sol[: mat.cols])
+def solve_mod(mat: IntMatrix, target_factors: Sequence[int], ys: IntMatrix,
+              ) -> list[tuple[int, ...] | None]:
+    """For each column y of ys, some x with mat @ x = y modulo the target
+    factors, or None when there is none.  One elimination serves them all."""
+    scaled, e = _scaled_rows(mat, target_factors)
+    return modular_solve(scaled, e, _scaled_rows(ys, target_factors)[0])
 
 
 # -- subgroups and quotients -------------------------------------------------
@@ -336,7 +351,7 @@ def subgroup_from_lattice(ambient: FinAbGroup, gens: IntMatrix,
     if h.is_identity():
         return ambient, identity_hom(ambient)
     rel = preimage_lattice(h, ambient.invariant_factors)
-    sub, _, lift = presentation_with_maps(rel, prime=ambient.prime_support)
+    sub, _, lift = presentation_with_maps(rel, ambient.exponent(), prime=ambient.prime_support)
     incl_matrix = h @ lift
     # normalize generator signs: of g and -g keep the lexicographically
     # smaller reduced embedding, so equal subgroups embed identically
@@ -347,17 +362,15 @@ def subgroup_from_lattice(ambient: FinAbGroup, gens: IntMatrix,
         cols.append(min(col, neg))
     incl_matrix = IntMatrix.from_columns(cols, rows=ambient.rank)
     if transport_labels:
+        images = reduce(IntMatrix.hstack, [ambient.operator(label) @ incl_matrix
+                                           for label in transport_labels])
+        cols = solve_mod(incl_matrix, ambient.invariant_factors, images)
         ops = []
-        for label in transport_labels:
-            sigma = ambient.operator(label)
-            cols = []
-            for j in range(sub.rank):
-                y = sigma.apply(incl_matrix.column(j))
-                z = solve_mod(incl_matrix, ambient.invariant_factors, y)
-                if z is None:
-                    raise ValueError(f"operator {label!r} does not preserve the subgroup")
-                cols.append(z)
-            ops.append((label, IntMatrix.from_columns(cols, rows=sub.rank)))
+        for k, label in enumerate(transport_labels):
+            block = cols[k * sub.rank:(k + 1) * sub.rank]
+            if None in block:
+                raise ValueError(f"operator {label!r} does not preserve the subgroup")
+            ops.append((label, IntMatrix.from_columns(block, rows=sub.rank)))
         sub = sub.with_operators(ops)
     incl = GroupHom(sub, ambient, incl_matrix)
     return sub, incl
@@ -379,7 +392,8 @@ def hom_image(f: GroupHom) -> tuple[FinAbGroup, GroupHom]:
 def hom_cokernel(f: GroupHom) -> tuple[FinAbGroup, GroupHom]:
     """(C, proj) with C the cokernel of f and proj the projection from the target."""
     rel = f.matrix.hstack(f.target.relation_matrix())
-    coker, proj, lift = presentation_with_maps(rel, prime=f.target.prime_support)
+    coker, proj, lift = presentation_with_maps(rel, f.target.exponent(),
+                                               prime=f.target.prime_support)
     labels = common_labels(f.source, f.target)
     if labels:
         ops = []
@@ -463,7 +477,7 @@ def is_exact_at(f: GroupHom, g: GroupHom) -> bool:
 def element_in_multiples(g: FinAbGroup, coords: Sequence[int], n: int) -> bool:
     """Whether the element lies in n*g."""
     scaled = IntMatrix.diagonal([n] * g.rank)
-    return solve_mod(scaled, g.invariant_factors, list(coords)) is not None
+    return solve_mod(scaled, g.invariant_factors, IntMatrix.from_columns([coords]))[0] is not None
 
 
 # Direct sums are pure functions of frozen values, and the levels of a sum
@@ -503,8 +517,9 @@ def direct_sum_with_maps(g: FinAbGroup, h: FinAbGroup,
         mg, mh = selection(rows_g, g.rank), selection(rows_h, h.rank)
         pg, ph = mg.transpose(), mh.transpose()
     else:
-        amb = IntMatrix.diagonal(list(g.invariant_factors) + list(h.invariant_factors))
-        s, proj, lift = presentation_with_maps(amb, prime=prime)
+        factors = g.invariant_factors + h.invariant_factors
+        s, proj, lift = presentation_with_maps(IntMatrix.diagonal(factors), math.lcm(*factors),
+                                               prime=prime)
         mg = proj.take_columns(list(range(g.rank)))
         mh = proj.take_columns(list(range(g.rank, g.rank + h.rank)))
         pg = lift.take_rows(list(range(g.rank)))

@@ -1,9 +1,13 @@
-"""Exact integer matrices: Smith/Hermite normal forms and lattice arithmetic.
+"""Exact integer matrices: normal forms over Z and linear algebra modulo e.
 
 All arithmetic is over arbitrary-precision Python integers; nothing here is
-ever rounded.  The Smith normal form uses a fixed pivot rule (nonzero entry of
-minimal absolute value, ties broken by lowest (row, col)) so that every result
-is bit-for-bit reproducible.
+ever rounded.  The Smith normal form over Z uses a fixed pivot rule (nonzero
+entry of minimal absolute value, ties broken by lowest (row, col)) so that
+every result is bit-for-bit reproducible.
+
+The lattices of finite-group arithmetic all contain e*Z^n for a known e, so
+they are solved, intersected and presented over Z/e instead (see
+:func:`modular_smith`), with every entry kept in [0, e).
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 from typing import Iterable, Sequence
 
 
@@ -224,7 +229,7 @@ def _pivot(d: list[list[int]], t: int, rows: int, cols: int) -> tuple[int, int] 
 
 
 class _SnfState:
-    """Mutable workspace tracking D = U*M*V together with U^-1 and V^-1."""
+    """Mutable workspace tracking D = U*M*V together with U^-1."""
 
     def __init__(self, m: IntMatrix):
         self.rows = m.rows
@@ -233,7 +238,6 @@ class _SnfState:
         self.u = [[1 if i == j else 0 for j in range(m.rows)] for i in range(m.rows)]
         self.ui = [[1 if i == j else 0 for j in range(m.rows)] for i in range(m.rows)]
         self.v = [[1 if i == j else 0 for j in range(m.cols)] for i in range(m.cols)]
-        self.vi = [[1 if i == j else 0 for j in range(m.cols)] for i in range(m.cols)]
 
     def swap_rows(self, i: int, k: int):
         if i == k:
@@ -250,7 +254,6 @@ class _SnfState:
             row[j], row[k] = row[k], row[j]
         for row in self.v:
             row[j], row[k] = row[k], row[j]
-        self.vi[j], self.vi[k] = self.vi[k], self.vi[j]
 
     def negate_row(self, i: int):
         self.d[i] = [-x for x in self.d[i]]
@@ -279,9 +282,6 @@ class _SnfState:
             row[j] += c * row[k]
         for row in self.v:
             row[j] += c * row[k]
-        vj, vk = self.vi[j], self.vi[k]
-        for t in range(self.cols):
-            vk[t] -= c * vj[t]
 
     def clear_at(self, t: int) -> bool:
         """Bring the minimal pivot to (t, t) and clear its row and column.
@@ -351,7 +351,7 @@ def _snf_state(m: IntMatrix) -> _SnfState:
 
 
 @lru_cache(maxsize=8192)
-def _snf_cached(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
+def _snf_cached(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
     st = _snf_state(m)
     freeze = lambda a, r, c: IntMatrix._of(r, c, tuple(tuple(row) for row in a))
     return (
@@ -359,7 +359,6 @@ def _snf_cached(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatri
         freeze(st.d, m.rows, m.cols),
         freeze(st.v, m.cols, m.cols),
         freeze(st.ui, m.rows, m.rows),
-        freeze(st.vi, m.cols, m.cols),
     )
 
 
@@ -369,54 +368,13 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     D is diagonal with nonnegative entries satisfying d_i | d_{i+1}; zero
     entries come last.
     """
-    u, d, v, _, _ = _snf_cached(m)
+    u, d, v, _ = _snf_cached(m)
     return u, d, v
 
 
-def snf_with_inverses(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
-    """Like :func:`smith_normal_form` but also returns U^-1 and V^-1."""
+def snf_with_inverses(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
+    """Like :func:`smith_normal_form` but also returns U^-1."""
     return _snf_cached(m)
-
-
-def solve(m: IntMatrix, b: Sequence[int]) -> Vector | None:
-    """An integer solution x of m @ x = b, or None when there is none."""
-    if len(b) != m.rows:
-        raise ValueError("right-hand side length mismatch")
-    u, d, v, _, _ = _snf_cached(m)
-    c = u.apply(tuple(b))
-    w = [0] * m.cols
-    k = min(m.rows, m.cols)
-    for i in range(m.rows):
-        di = d.entries[i][i] if i < k else 0
-        if di != 0:
-            if c[i] % di != 0:
-                return None
-            w[i] = c[i] // di
-        elif c[i] != 0:
-            return None
-    return v.apply(w)
-
-
-def kernel_basis(m: IntMatrix) -> IntMatrix:
-    """Columns generating the integer kernel {x : m @ x = 0}."""
-    _, d, v, _, _ = _snf_cached(m)
-    k = min(m.rows, m.cols)
-    zero_cols = [j for j in range(m.cols) if j >= k or d.entries[j][j] == 0]
-    return v.take_columns(zero_cols)
-
-
-def lattice_contains(basis: IntMatrix, x: Sequence[int]) -> bool:
-    """Whether x lies in the column span of basis over the integers."""
-    return solve(basis, x) is not None
-
-
-def lattice_leq(a: IntMatrix, b: IntMatrix) -> bool:
-    """Whether col-span(a) is contained in col-span(b)."""
-    return all(lattice_contains(b, a.column(j)) for j in range(a.cols))
-
-
-def lattice_eq(a: IntMatrix, b: IntMatrix) -> bool:
-    return lattice_leq(a, b) and lattice_leq(b, a)
 
 
 def hermite_normal_form(basis: IntMatrix) -> IntMatrix:
@@ -464,6 +422,240 @@ def hermite_normal_form(basis: IntMatrix) -> IntMatrix:
             col_addmul(j, pc, -q)
         pc += 1
     return IntMatrix._of(k, k, tuple(tuple(row[:k]) for row in w))
+
+
+# -- linear algebra modulo e -------------------------------------------------
+#
+# A lattice L with e*Z^n <= L <= Z^n is the preimage of a submodule of
+# (Z/e)^n, so it can be reduced there with every entry kept in [0, e); over Z
+# the same eliminations can grow entries without bound.  Z/e is a principal
+# ideal ring and has a Smith form.  Its pivot is a nonzero entry x of least
+# gcd(x, e).  For e = l^E, a local ring, that is the entry of least l-valuation:
+# it divides its whole row and column, and the inverse of its unit part clears
+# them.  For any other e a pivot may fail to divide an entry; a Bezout step then
+# replaces the pivot by their gcd, and a last pass turns the diagonal into a
+# divisibility chain.  Both take no step for e = l^E.
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*a + t*b = g = gcd(a, b), for a, b >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
+
+
+def _unit_quotient(b: int, a: int, e: int) -> int:
+    """q with q*a = b (mod e), given gcd(a, e) | b: b/g times the inverse of
+    the unit part a/g of a, which is invertible modulo e/g."""
+    g = gcd(a, e)
+    return b // g * pow(a // g, -1, e // g) % e
+
+
+def _identity_rows(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+class _ModSmith:
+    """Workspace for U @ M @ V = D (mod e), with U and V invertible mod e.
+
+    The rows of ``d`` carry the attached columns after M's own, so that they
+    end as U @ A.  Column operations are mirrored on V, or row operations on
+    U^-1 when row_inverse is set: no caller needs both, and the untracked one
+    stays an empty list that takes no updates.  All entries stay in [0, e).
+    """
+
+    def __init__(self, m: IntMatrix, e: int, attached: IntMatrix | None = None,
+                 row_inverse: bool = False):
+        if e < 1:
+            raise ValueError(f"modulus {e} < 1")
+        self.e = e
+        self.rows, self.cols = m.rows, m.cols
+        tails = attached.entries if attached is not None else ((),) * m.rows
+        self.d = [[x % e for x in row + tail] for row, tail in zip(m.entries, tails)]
+        self.v = [] if row_inverse else _identity_rows(m.cols)
+        self.ui = _identity_rows(m.rows) if row_inverse else []
+        t = 0
+        while t < min(self.rows, self.cols) and self._pivot_to(t):
+            self._clear(t)
+            t += 1
+        self._chain(t)
+
+    def diagonal(self, i: int) -> int:
+        return self.d[i][i] if i < min(self.rows, self.cols) else 0
+
+    # -- elementary operations, each invertible modulo e --------------------
+
+    def _swap_rows(self, i: int, k: int):
+        self.d[i], self.d[k] = self.d[k], self.d[i]
+        for row in self.ui:
+            row[i], row[k] = row[k], row[i]
+
+    def _swap_cols(self, j: int, k: int):
+        for row in self.d:
+            row[j], row[k] = row[k], row[j]
+        for row in self.v:
+            row[j], row[k] = row[k], row[j]
+
+    def _row_sub(self, i: int, t: int, q: int):
+        # row_i -= q * row_t
+        e = self.e
+        self.d[i] = [(x - q * y) % e for x, y in zip(self.d[i], self.d[t])]
+        for row in self.ui:
+            row[t] = (row[t] + q * row[i]) % e
+
+    def _col_sub(self, j: int, t: int, q: int):
+        # col_j -= q * col_t
+        e = self.e
+        for row in self.d:
+            row[j] = (row[j] - q * row[t]) % e
+        for row in self.v:
+            row[j] = (row[j] - q * row[t]) % e
+
+    def _row_bezout(self, t: int, i: int):
+        # (row_t, row_i) <- (s row_t + r row_i, -b/g row_t + a/g row_i) with
+        # s a + r b = g = gcd(a, b): d[t][t] becomes g and d[i][t] zero, and
+        # the 2x2 block has determinant 1
+        e = self.e
+        a, b = self.d[t][t], self.d[i][t]
+        g, s, r = _xgcd(a, b)
+        c, f = -(b // g), a // g
+        rt, ri = self.d[t], self.d[i]
+        self.d[t] = [(s * x + r * y) % e for x, y in zip(rt, ri)]
+        self.d[i] = [(c * x + f * y) % e for x, y in zip(rt, ri)]
+        for row in self.ui:
+            x, y = row[t], row[i]
+            row[t], row[i] = (f * x - c * y) % e, (s * y - r * x) % e
+
+    def _col_bezout(self, t: int, j: int):
+        # the transpose of _row_bezout, on columns (t, j)
+        e = self.e
+        a, b = self.d[t][t], self.d[t][j]
+        g, s, r = _xgcd(a, b)
+        c, f = -(b // g), a // g
+        for rows in (self.d, self.v):
+            for row in rows:
+                x, y = row[t], row[j]
+                row[t], row[j] = (s * x + r * y) % e, (c * x + f * y) % e
+
+    # -- elimination --------------------------------------------------------
+
+    def _pivot_to(self, t: int) -> bool:
+        """Move the entry of least gcd(x, e) in d[t:, t:] (ties by lowest
+        (row, col)) to (t, t); False when that block is zero."""
+        e, best, where = self.e, self.e, None
+        for i in range(t, self.rows):
+            row = self.d[i]
+            for j in range(t, self.cols):
+                if row[j]:
+                    g = gcd(row[j], e)
+                    if g < best:
+                        best, where = g, (i, j)
+        if where is None:
+            return False
+        if where[0] != t:
+            self._swap_rows(t, where[0])
+        if where[1] != t:
+            self._swap_cols(t, where[1])
+        return True
+
+    def _clear(self, t: int):
+        """Zero row t and column t of d apart from the pivot d[t][t]."""
+        d, e = self.d, self.e
+        while True:
+            for i in range(self.rows):
+                if i != t and d[i][t]:
+                    if d[i][t] % gcd(d[t][t], e):
+                        self._row_bezout(t, i)
+                    else:
+                        self._row_sub(i, t, _unit_quotient(d[i][t], d[t][t], e))
+            refilled = False
+            for j in range(self.cols):
+                if j != t and d[t][j]:
+                    if d[t][j] % gcd(d[t][t], e):
+                        # the new pivot column takes entries of column j
+                        self._col_bezout(t, j)
+                        refilled = True
+                    else:
+                        self._col_sub(j, t, _unit_quotient(d[t][j], d[t][t], e))
+            if not refilled:
+                return
+
+    def _chain(self, rank: int):
+        # make gcd(d_i, e) divide gcd(d_j, e) for i < j: adding column j to
+        # column i and clearing turns diag(a, b) into diag(gcd, lcm)
+        e = self.e
+        for i in range(rank):
+            for j in range(i + 1, rank):
+                if self.d[j][j] % gcd(self.d[i][i], e):
+                    self._col_sub(i, j, -1)
+                    self._clear(i)
+
+
+def modular_smith(m: IntMatrix, e: int) -> tuple[tuple[int, ...], IntMatrix, IntMatrix]:
+    """(factors, U, U^-1) presenting Z^rows / (col-span(m) + e*Z^rows).
+
+    That group is the sum of Z/factors_i, a divisibility chain of divisors of
+    e (unit factors included, one per row).  Row i of U, read modulo
+    factors_i, maps ambient coordinates onto generator i; column i of U^-1
+    lifts that generator, and U @ U^-1 = 1 modulo e.
+    """
+    st = _ModSmith(m, e, IntMatrix.identity(m.rows), row_inverse=True)
+    factors = tuple(gcd(st.diagonal(i), e) for i in range(m.rows))
+    u = IntMatrix._of(m.rows, m.rows, tuple(tuple(row[m.cols:]) for row in st.d))
+    ui = IntMatrix._of(m.rows, m.rows, tuple(tuple(row) for row in st.ui))
+    return factors, u, ui
+
+
+def modular_solve(m: IntMatrix, e: int, ys: IntMatrix) -> list[Vector | None]:
+    """For each column y of ys, some x in [0, e)^cols with m @ x = y (mod e),
+    or None when there is none.  One elimination serves every column."""
+    if ys.rows != m.rows:
+        raise ValueError("right-hand side length mismatch")
+    st = _ModSmith(m, e, ys)
+    pivots = []
+    for i in range(m.rows):
+        x = st.diagonal(i)
+        g = gcd(x, e)
+        pivots.append((g, pow(x // g, -1, e // g)))
+    out: list[Vector | None] = []
+    for c in range(m.cols, m.cols + ys.cols):
+        w = [0] * m.cols
+        for i, (g, inv) in enumerate(pivots):
+            y = st.d[i][c]
+            if y % g:
+                out.append(None)
+                break
+            if i < m.cols:
+                w[i] = y // g * inv % e
+        else:
+            x = tuple(sum(map(operator.mul, row, w)) % e for row in st.v)
+            if any((sum(map(operator.mul, row, x)) - y[c - m.cols]) % e
+                   for row, y in zip(m.entries, ys.entries)):
+                raise AssertionError(f"modular solution {x} fails modulo {e}")
+            out.append(x)
+    return out
+
+
+def modular_kernel(m: IntMatrix, e: int) -> IntMatrix:
+    """Columns generating the lattice {x in Z^cols : m @ x = 0 (mod e)}.
+
+    With D = U @ m @ V modulo e, the lattice is V @ {w : D w = 0 (mod e)} +
+    e*Z^cols; the generators are the columns of V scaled by e / gcd(d_j, e),
+    then e times the unit vectors.
+    """
+    st = _ModSmith(m, e)
+    gens = []
+    for j in range(m.cols):
+        scale = e // gcd(st.diagonal(j), e)
+        col = tuple(row[j] * scale % e for row in st.v)
+        if any(col):
+            gens.append(col)
+    gens += [tuple(e if i == j else 0 for i in range(m.cols)) for j in range(m.cols)]
+    return IntMatrix._of(m.cols, len(gens), tuple(zip(*gens)) if m.cols else ())
 
 
 def vector(values: Iterable[int]) -> Vector:

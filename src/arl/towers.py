@@ -845,14 +845,10 @@ def induced_subtower(parent: Tower, data: list[tuple[FinAbGroup, GroupHom]],
     incls = tuple(i for _, i in data)
     maps = []
     for n in range(1, len(data)):
-        u = parent.transition(n)
-        cols = []
-        for j in range(groups[n].rank):
-            y = u.matrix.apply(incls[n].matrix.column(j))
-            z = solve_mod(incls[n - 1].matrix, parent.level(n - 1).invariant_factors, y)
-            if z is None:
-                raise PreconditionViolated(f"sub-tower not closed under transition at level {n}")
-            cols.append(z)
+        images = parent.transition(n).matrix @ incls[n].matrix
+        cols = solve_mod(incls[n - 1].matrix, parent.level(n - 1).invariant_factors, images)
+        if None in cols:
+            raise PreconditionViolated(f"sub-tower not closed under transition at level {n}")
         maps.append(GroupHom(groups[n], groups[n - 1],
                              IntMatrix.from_columns(cols, rows=groups[n - 1].rank)))
     tower = Tower(parent.l, groups, tuple(maps), tail=tail)
@@ -917,9 +913,7 @@ def levelwise_cokernel(f: TowerHom) -> tuple[Tower, TowerHom]:
         else:
             coker, proj = hom_cokernel(fn)
             # a section of proj: any integer preimages of the generators
-            cols = [solve_mod(proj.matrix, coker.invariant_factors,
-                              tuple(1 if i == j else 0 for i in range(coker.rank)))
-                    for j in range(coker.rank)]
+            cols = solve_mod(proj.matrix, coker.invariant_factors, IntMatrix.identity(coker.rank))
             data.append((coker, proj, IntMatrix.from_columns(cols, rows=fn.target.rank)))
     return _induce_quot_transitions(f.target, data, f.tail.cokernel_tail(f, route))
 

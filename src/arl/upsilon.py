@@ -173,14 +173,11 @@ def ar_canonical_rep(f: ARMor) -> TowerHom:
             if any(x % d != 0 for x, d in zip(image, rep_n.target.invariant_factors)):
                 raise PreconditionViolated(
                     f"representative does not factor through the shift at level {n}")
-        cols = []
         src = f.source.level(n)
-        for j in range(src.rank):
-            unit = tuple(1 if i == j else 0 for i in range(src.rank))
-            z = solve_mod(comp.matrix, src.invariant_factors, unit)
-            if z is None:
-                raise PreconditionViolated(f"transitions not surjective at level {n}")
-            cols.append(rep_n.apply(z))
+        lifts = solve_mod(comp.matrix, src.invariant_factors, IntMatrix.identity(src.rank))
+        if None in lifts:
+            raise PreconditionViolated(f"transitions not surjective at level {n}")
+        cols = [rep_n.apply(z) for z in lifts]
         levels.append(GroupHom(src, f.target.level(n),
                                IntMatrix.from_columns(cols, rows=f.target.level(n).rank)))
     return TowerHom(f.source, f.target, tuple(levels))

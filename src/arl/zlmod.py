@@ -252,7 +252,7 @@ def zl_canonicalize(relations: IntMatrix, l: int) -> tuple[ZlModule, IntMatrix, 
     and proj @ lift is the identity.
     """
     n = relations.rows
-    u, d, _, ui, _ = snf_with_inverses(relations)
+    u, d, _, ui = snf_with_inverses(relations)
     k = min(n, relations.cols)
     diag = [d.entries[i][i] for i in range(k)] + [0] * (n - k)
     torsion, free = [], []

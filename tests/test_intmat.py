@@ -6,12 +6,10 @@ from hypothesis import given, settings, strategies as st
 from arl.intmat import (
     IntMatrix,
     hermite_normal_form,
-    kernel_basis,
-    lattice_contains,
-    lattice_eq,
+    modular_kernel,
+    modular_solve,
     smith_normal_form,
     snf_with_inverses,
-    solve,
     vector,
 )
 
@@ -72,29 +70,32 @@ def test_snf_roundtrip_property(m):
 @settings(max_examples=100, deadline=None)
 @given(matrices)
 def test_snf_inverses(m):
-    u, d, v, ui, vi = snf_with_inverses(m)
+    u, d, v, ui = snf_with_inverses(m)
     assert (u @ ui).is_identity()
-    assert (vi @ v).is_identity()
+    assert (ui @ u).is_identity()
+    assert m @ v == ui @ d
 
 
 def test_solve_and_kernel():
     m = IntMatrix.from_rows([[2, 4], [0, 0]])
-    assert solve(m, (6, 0)) is not None
-    assert solve(m, (3, 0)) is None
-    assert solve(m, (0, 1)) is None
-    k = kernel_basis(m)
-    assert all((m @ k).column(j) == (0, 0) for j in range(k.cols))
+    ys = IntMatrix.from_columns([(6, 0), (3, 0), (0, 1)])
+    solvable, odd, off = modular_solve(m, 8, ys)
+    assert solvable is not None and off is None and odd is None
+    assert tuple(x % 8 for x in m.apply(solvable)) == (6, 0)
+    k = modular_kernel(m, 8)
+    assert all(x % 8 == 0 for col in (m @ k).columns() for x in col)
 
 
 def test_lattice_membership():
+    # a full-rank lattice contains its index times Z^2: here 6 Z^2
     basis = IntMatrix.from_rows([[2, 0], [0, 3]])
-    assert lattice_contains(basis, (4, 3))
-    assert not lattice_contains(basis, (1, 0))
+    inside, outside = modular_solve(basis, 6, IntMatrix.from_columns([(4, 3), (1, 0)]))
+    assert inside is not None and outside is None
     # the same lattice from redundant generators
     same = IntMatrix.from_rows([[2, 0, 2], [3, 3, 0]])
-    assert lattice_eq(basis, same)
+    assert None not in modular_solve(basis, 6, same) + modular_solve(same, 6, basis)
     finer = IntMatrix.from_rows([[2, 0], [0, 4]])
-    assert not lattice_eq(basis, finer)
+    assert None in modular_solve(basis, 12, finer)
 
 
 def test_hnf_canonical_for_equal_lattices():
