@@ -8,10 +8,16 @@ can be shrunk (fewer levels first, then smaller groups).
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from dataclasses import dataclass, replace
+
+try:
+    # hashlib loads OpenSSL, 3 MB resident in a fresh arl process, for one
+    # digest; the lean builtin gives the same SHA-256 (as random.py does)
+    from _sha256 import sha256
+except ImportError:  # renamed in Python 3.12; hashlib always has it
+    from hashlib import sha256
 
 from .arcat import ARMor, ar_compose, ar_from_tower_hom
 from .groups import FinAbGroup, GroupHom, trivial_group
@@ -56,7 +62,7 @@ class GenParams:
 
 
 def rng_for(seed: int, case: int) -> random.Random:
-    digest = hashlib.sha256(f"{seed}:{case}".encode()).digest()
+    digest = sha256(f"{seed}:{case}".encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 

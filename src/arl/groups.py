@@ -21,7 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import CompositionMismatch, InfiniteGroup, PrimeMismatch
 from .intmat import (
@@ -42,7 +42,13 @@ def _is_prime_power(n: int, p: int) -> bool:
 
 @dataclass(frozen=True)
 class FinAbGroup:
-    """A finite abelian group in canonical invariant-factor form."""
+    """A finite abelian group in canonical invariant-factor form.
+
+    The public constructor checks the divisibility chain, the prime and the
+    operators.  Direct sums and quotients of valid groups are valid by
+    construction and use the trusted :meth:`_of`; their operators still go
+    through :meth:`with_operators`.
+    """
 
     invariant_factors: tuple[int, ...]
     prime_support: Optional[int] = None
@@ -70,6 +76,16 @@ class FinAbGroup:
         object.__setattr__(self, "operators", tuple(ops))
         for label, mat in ops:
             _check_well_defined(mat, factors, factors, what=f"operator {label!r}")
+
+    @classmethod
+    def _of(cls, invariant_factors: tuple[int, ...], prime_support: Optional[int]) -> "FinAbGroup":
+        """Trusted constructor: skips ``__post_init__``.  Only for a tuple of
+        ints >= 2 that form a divisibility chain of powers of prime_support
+        (when it is set); the group carries no operators."""
+        g = object.__new__(cls)
+        g.__dict__.update(invariant_factors=invariant_factors, prime_support=prime_support,
+                          operators=())
+        return g
 
     # -- structure ---------------------------------------------------------
 
@@ -119,7 +135,14 @@ class FinAbGroup:
         return (tuple(t) for t in itertools.product(*ranges))
 
     def relation_matrix(self) -> IntMatrix:
-        return IntMatrix.diagonal(list(self.invariant_factors))
+        """diag(d_1, ..., d_k), built once per group: a constant of a frozen value."""
+        mat = self.__dict__.get("_relation_matrix")
+        if mat is None:
+            n = self.rank
+            mat = IntMatrix._of(n, n, tuple(
+                tuple(d if i == j else 0 for j in range(n)) for i, d in enumerate(self.invariant_factors)))
+            self.__dict__["_relation_matrix"] = mat
+        return mat
 
     def describe(self) -> str:
         if not self.invariant_factors:
@@ -163,6 +186,14 @@ def _reduce_matrix(mat: IntMatrix, target_factors: Sequence[int]) -> IntMatrix:
     return IntMatrix._of(len(target_factors), mat.cols, tuple(
         tuple([x % d for x in row]) for row, d in zip(mat.entries, target_factors)
     ))
+
+
+def _selection(rows: int, cols: int, ones: Iterable[tuple[int, int]]) -> IntMatrix:
+    """The 0/1 matrix with a 1 at each (row, col) of ones."""
+    m = [[0] * cols for _ in range(rows)]
+    for i, j in ones:
+        m[i][j] = 1
+    return IntMatrix._of(rows, cols, tuple(map(tuple, m)))
 
 
 def _check_well_defined(mat: IntMatrix, source_factors: Sequence[int],
@@ -415,9 +446,11 @@ def quotient_with_maps(g: FinAbGroup, n: int) -> tuple[FinAbGroup, GroupHom, Int
         raise ValueError("quotient modulus must be >= 1")
     new = [math.gcd(d, n) for d in g.invariant_factors]
     keep = [i for i, d in enumerate(new) if d != 1]
-    q = FinAbGroup(tuple(new[i] for i in keep), prime_support=g.prime_support)
-    proj_matrix = IntMatrix.identity(g.rank).take_rows(keep)
-    lift = IntMatrix.identity(g.rank).take_columns(keep)
+    # d_i | d_{i+1} gives gcd(d_i, n) | gcd(d_{i+1}, n), and each gcd divides
+    # d_i, so the kept factors form a chain of powers of g's prime
+    q = FinAbGroup._of(tuple(new[i] for i in keep), g.prime_support)
+    proj_matrix = _selection(len(keep), g.rank, enumerate(keep))
+    lift = proj_matrix.transpose()
     if g.operators:
         ops = [(label, proj_matrix @ mat @ lift) for label, mat in g.operators]
         q = q.with_operators(ops)
@@ -440,7 +473,14 @@ def hom_on_quotients(f: GroupHom, n_source: int, n_target: int) -> GroupHom:
     """
     qs, _, lift_s = quotient_with_maps(f.source, n_source)
     qt, proj_t, _ = quotient_with_maps(f.target, n_target)
-    return GroupHom(qs, qt, proj_t.matrix @ f.matrix @ lift_s)
+    mat = proj_t.matrix @ f.matrix @ lift_s
+    if n_source % n_target:
+        return GroupHom(qs, qt, mat)
+    # f carries n_source*source into n_source*target, inside n_target*target,
+    # so it induces a hom i with i.proj_s = proj_t.f.  For an operator s of
+    # both ends, i.s.proj_s = proj_t.f.s = s.proj_t.f = s.i.proj_s, and proj_s
+    # is onto, so i commutes with s too.
+    return GroupHom._of(qs, qt, _reduce_matrix(mat, qt.invariant_factors))
 
 
 # -- predicates ---------------------------------------------------------------
@@ -504,26 +544,24 @@ def direct_sum_with_maps(g: FinAbGroup, h: FinAbGroup,
     merged = [tagged[t][0] for t in order]
     chain_ok = all(merged[i + 1] % merged[i] == 0 for i in range(len(merged) - 1))
     if chain_ok:
-        s = FinAbGroup(tuple(merged), prime_support=prime)
+        # the merged factors are a chain of the summands' own factors, which
+        # are powers of the prime when both summands carry it
+        s = FinAbGroup._of(tuple(merged), prime) if g.prime_support == h.prime_support \
+            else FinAbGroup(tuple(merged), prime_support=prime)
         rows_g, rows_h = [], []
         for pos, t in enumerate(order):
             _, side, idx = tagged[t]
             (rows_g if side == 0 else rows_h).append((pos, idx))
-        def selection(rows, src_rank):
-            m = [[0] * src_rank for _ in range(s.rank)]
-            for pos, idx in rows:
-                m[pos][idx] = 1
-            return IntMatrix.from_rows(m, cols=src_rank)
-        mg, mh = selection(rows_g, g.rank), selection(rows_h, h.rank)
+        mg, mh = _selection(s.rank, g.rank, rows_g), _selection(s.rank, h.rank, rows_h)
         pg, ph = mg.transpose(), mh.transpose()
     else:
         factors = g.invariant_factors + h.invariant_factors
         s, proj, lift = presentation_with_maps(IntMatrix.diagonal(factors), math.lcm(*factors),
                                                prime=prime)
-        mg = proj.take_columns(list(range(g.rank)))
-        mh = proj.take_columns(list(range(g.rank, g.rank + h.rank)))
-        pg = lift.take_rows(list(range(g.rank)))
-        ph = lift.take_rows(list(range(g.rank, g.rank + h.rank)))
+        mg = _reduce_matrix(proj.take_columns(range(g.rank)), s.invariant_factors)
+        mh = _reduce_matrix(proj.take_columns(range(g.rank, g.rank + h.rank)), s.invariant_factors)
+        pg = _reduce_matrix(lift.take_rows(range(g.rank)), g.invariant_factors)
+        ph = _reduce_matrix(lift.take_rows(range(g.rank, g.rank + h.rank)), h.invariant_factors)
     labels = common_labels(g, h)
     if labels:
         ops = []
@@ -531,9 +569,13 @@ def direct_sum_with_maps(g: FinAbGroup, h: FinAbGroup,
             mat = mg @ g.operator(label) @ pg + mh @ h.operator(label) @ ph
             ops.append((label, mat))
         s = s.with_operators(ops)
+    # The selections, or the presentation's isomorphism g + h -> S and its
+    # inverse, are homs with pg.mg = id_g and ph.mg = 0 (likewise for h).  An
+    # operator s of S is mg.s_g.pg + mh.s_h.ph, so s.mg = mg.s_g and
+    # pg.s = s_g.pg: all four commute with it.
     return (s,
-            GroupHom(g, s, mg), GroupHom(h, s, mh),
-            GroupHom(s, g, pg), GroupHom(s, h, ph))
+            GroupHom._of(g, s, mg), GroupHom._of(h, s, mh),
+            GroupHom._of(s, g, pg), GroupHom._of(s, h, ph))
 
 
 @lru_cache(maxsize=DIRECT_SUM_MEMO_SIZE)

@@ -82,7 +82,7 @@ class IntMatrix:
     def identity(n: int) -> "IntMatrix":
         if n < 0:
             raise ValueError("negative matrix dimensions")
-        return IntMatrix._of(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return _identity(operator.index(n))
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntMatrix":
@@ -210,6 +210,16 @@ class IntMatrix:
                     a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
             prev = a[k][k]
         return sign * a[n - 1][n - 1]
+
+
+# Identities are immutable constants asked for by size thousands of times a
+# run; one bounded memo serves them (ranks stay small).
+IDENTITY_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=IDENTITY_CACHE_SIZE)
+def _identity(n: int) -> IntMatrix:
+    return IntMatrix._of(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
 
 def _pivot(d: list[list[int]], t: int, rows: int, cols: int) -> tuple[int, int] | None:

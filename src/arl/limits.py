@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .errors import NonStabilizing, NotLAdic
-from .groups import FinAbGroup, GroupHom
+from .groups import FinAbGroup, GroupHom, trivial_group, zero_hom
 from .intmat import IntMatrix
 from .towers import (
     EventuallyLAdic,
@@ -161,19 +161,19 @@ def _torsion_window_tower(module: ZlModule, l: int, levels: int) -> Tower:
     by l as transitions (the free part contributes nothing)."""
     exps = module.torsion_exponents
     if not exps:
-        return Tower(l, (FinAbGroup((), prime_support=l),) * levels,
-                     (GroupHom(FinAbGroup((), prime_support=l),
-                               FinAbGroup((), prime_support=l),
-                               IntMatrix.zeros(0, 0)),) * (levels - 1),
+        trivial = trivial_group(l)
+        return Tower(l, (trivial,) * levels, (zero_hom(trivial, trivial),) * (levels - 1),
                      tail=ZeroTail(0))
-    groups = []
-    for n in range(levels):
-        factors = tuple(sorted(l ** min(b, n + 1) for b in exps))
-        groups.append(FinAbGroup(factors, prime_support=l))
-    maps = []
-    for n in range(1, levels):
-        maps.append(GroupHom(groups[n], groups[n - 1],
-                             IntMatrix.diagonal([l] * len(exps))))
+    # the exponents are sorted and >= 1, so each level is a chain of powers of l
+    groups = [FinAbGroup._of(tuple(l ** min(b, n + 1) for b in exps), l) for n in range(levels)]
+    # multiplication by l is well defined from l^min(b, n+1) down to
+    # l^min(b, n) and carries no operators; its entry is reduced modulo each
+    # target factor, which makes it 0 where that factor is l itself
+    k = len(exps)
+    maps = [GroupHom._of(groups[n], groups[n - 1], IntMatrix._of(k, k, tuple(
+                tuple(l % d if i == j else 0 for j in range(k))
+                for i, d in enumerate(groups[n - 1].invariant_factors))))
+            for n in range(1, levels)]
     return Tower(l, tuple(groups), tuple(maps))
 
 

@@ -572,9 +572,9 @@ class HomCanonicalTail(HomTail):
     def check(self, hom):
         for n in range(self.start, len(hom.levels)):
             f = hom.levels[n]
-            if f.source.rank != f.target.rank or \
-                    f != GroupHom(f.source, f.target, IntMatrix.identity(f.source.rank)):
-                raise ValueError(f"canonical hom tail contradicted at level {n}")
+            if not _has_matrix(f, IntMatrix.identity(f.source.rank)):
+                raise ValueError(f"HomCanonicalTail(start={self.start}) contradicted at level {n}: "
+                                 f"the level map is not induced by the identity matrix")
 
     def level(self, hom, n):
         if n < self.start:
@@ -617,9 +617,9 @@ class HomModuleTail(HomTail):
             raise ValueError("module hom tail requires eventually-l-adic towers")
         check_module_hom(self.matrix, sm, tm)
         for n in range(self.start, len(hom.levels)):
-            f = hom.levels[n]
-            if f != GroupHom(f.source, f.target, self.matrix):
-                raise ValueError(f"module hom tail contradicted at level {n}")
+            if not _has_matrix(hom.levels[n], self.matrix):
+                raise ValueError(f"HomModuleTail(start={self.start}) contradicted at level {n}: "
+                                 f"the level map is not induced by the tail's module matrix")
 
     def level(self, hom, n):
         if n < self.start:
@@ -655,6 +655,14 @@ class HomModuleTail(HomTail):
         return EventuallyLAdic(start, coker_mod) if start <= hom.top else Truncated()
 
 
+def _has_matrix(f: GroupHom, mat: IntMatrix) -> bool:
+    """Whether mat, read modulo the target factors, is f's matrix.  f is a valid
+    hom, so when it is, mat defines that same hom."""
+    return (mat.rows, mat.cols) == (f.matrix.rows, f.matrix.cols) and all(
+        x % d == y for row, f_row, d in zip(mat.entries, f.matrix.entries, f.target.invariant_factors)
+        for x, y in zip(row, f_row))
+
+
 def _eventually_module(tower: Tower) -> Optional[ZlModule]:
     shape = classify_tail(tower)
     if shape is None or shape.offset != 0:
@@ -667,9 +675,11 @@ class TowerHom:
     """A morphism of towers, given on its represented levels plus a tail rule.
 
     The public constructor checks the endpoints and every naturality square.
-    Composites, differences, identities and zeros of valid tower homs are
-    natural by construction and use the trusted :meth:`_of`, which still runs
-    the tail check.
+    Composites, differences, identities and zeros of valid tower homs, the
+    natural maps F[r] -> F, the embeddings of a direct sum and the inclusions
+    and projections of induced sub- and quotient towers are natural by
+    construction and use the trusted :meth:`_of`, which still runs the tail
+    check.
     """
 
     source: Tower
@@ -781,12 +791,14 @@ def natural_map(f: Tower, r: int) -> TowerHom:
         return identity_tower_hom(f)
     src = shift(f, r)
     k = min(src.top, f.top)
+    # level n is the composite F_{n+r} -> F_n, and both sides of each square
+    # are the composite F_{n+1+r} -> F_n, whose reduced matrix is unique
     levels = tuple(f.composite(n, r) for n in range(k + 1))
     shape = classify_tail(f)
     if shape is None:
-        return TowerHom(src, f, levels, tail=HomTruncated())
+        return TowerHom._of(src, f, levels, HomTruncated())
     kind = HomZeroTail if shape.module is None else HomCanonicalTail
-    return TowerHom(src, f, levels, tail=kind(shape.start))
+    return TowerHom._of(src, f, levels, kind(shape.start))
 
 
 def mod_power(f: Tower, k: int) -> Tower:
@@ -828,11 +840,18 @@ def direct_sum(f: Tower, g: Tower) -> Tower:
 
 
 def sum_embeddings(f: Tower, g: Tower, summed: Tower) -> tuple[TowerHom, TowerHom, TowerHom, TowerHom]:
-    """(incl_f, incl_g, proj_f, proj_g) for a tower built by direct_sum."""
+    """(incl_f, incl_g, proj_f, proj_g) for summed = direct_sum(f, g)."""
+    if not (isinstance(summed.tail, SumOf) and summed.tail.left is f and summed.tail.right is g):
+        raise ValueError("summed is not the tower direct_sum(f, g) built")
+    # summed has level n = f_n + g_n and transition u^f_n + u^g_n, so with
+    # incl_f.proj_f = id, incl_g.proj_f = 0 (and the same for g) every square
+    # commutes: (u^f + u^g).incl_f = incl_f.u^f, proj_f.(u^f + u^g) = u^f.proj_f
     incl_f, incl_g, proj_f, proj_g = zip(*(direct_sum_with_maps(f.level(n), g.level(n))[1:]
                                            for n in range(summed.top + 1)))
-    return (TowerHom(f, summed, incl_f), TowerHom(g, summed, incl_g),
-            TowerHom(summed, f, proj_f), TowerHom(summed, g, proj_g))
+    return (TowerHom._of(f, summed, incl_f, HomTruncated()),
+            TowerHom._of(g, summed, incl_g, HomTruncated()),
+            TowerHom._of(summed, f, proj_f, HomTruncated()),
+            TowerHom._of(summed, g, proj_g, HomTruncated()))
 
 
 # -- levelwise kernels, images, cokernels -----------------------------------------
@@ -840,7 +859,8 @@ def sum_embeddings(f: Tower, g: Tower, summed: Tower) -> tuple[TowerHom, TowerHo
 def induced_subtower(parent: Tower, data: list[tuple[FinAbGroup, GroupHom]],
                      tail: TailRule) -> tuple[Tower, TowerHom]:
     """The sub-tower with levels and inclusions ``data`` inside ``parent``,
-    its transitions restricted from the parent's, carrying ``tail``."""
+    its transitions restricted from the parent's, carrying ``tail``.  Each
+    inclusion of ``data`` maps into the parent's level of the same index."""
     groups = tuple(g for g, _ in data)
     incls = tuple(i for _, i in data)
     maps = []
@@ -852,11 +872,15 @@ def induced_subtower(parent: Tower, data: list[tuple[FinAbGroup, GroupHom]],
         maps.append(GroupHom(groups[n], groups[n - 1],
                              IntMatrix.from_columns(cols, rows=groups[n - 1].rank)))
     tower = Tower(parent.l, groups, tuple(maps), tail=tail)
-    return tower, TowerHom(tower, parent, incls)
+    # each transition was solved so that incl_{n-1}.u_n = u^parent_n.incl_n
+    return tower, TowerHom._of(tower, parent, incls, HomTruncated())
 
 
 def _induce_quot_transitions(parent: Tower, data: list[tuple[FinAbGroup, GroupHom, IntMatrix]],
                              tail: TailRule) -> tuple[Tower, TowerHom]:
+    """The quotient tower of ``parent`` with levels, projections and sections
+    ``data``, where projection n kills exactly im(f_n) for a tower hom f into
+    ``parent`` (``levelwise_cokernel``)."""
     groups = tuple(g for g, _, _ in data)
     projs = tuple(p for _, p, _ in data)
     maps = []
@@ -866,7 +890,10 @@ def _induce_quot_transitions(parent: Tower, data: list[tuple[FinAbGroup, GroupHo
         mat = projs[n - 1].matrix @ u.matrix @ section
         maps.append(GroupHom(groups[n], groups[n - 1], mat))
     tower = Tower(parent.l, groups, tuple(maps), tail=tail)
-    return tower, TowerHom(parent, tower, projs)
+    # projs[n] kills exactly im(f_n), and naturality of f gives
+    # u^parent_n(im f_n) <= im f_{n-1}; section_n.projs[n] moves a point by an
+    # element of im f_n, so u_n.projs[n] = projs[n-1].u^parent_n
+    return tower, TowerHom._of(parent, tower, projs, HomTruncated())
 
 
 def levelwise_kernel(f: TowerHom) -> tuple[Tower, TowerHom]:
@@ -950,13 +977,18 @@ def is_zero_system(f: Tower, bound: Optional[int] = None) -> Verdict:
 
 
 def _induced_quotient_map(f: Tower, n: int) -> Optional[GroupHom]:
-    """The map F_{n+1}/l^{n+1} -> F_n induced by the transition, or None."""
-    u = f.transition(n + 1)
-    qs, _, lift = quotient_with_maps(f.level(n + 1), f.l ** (n + 1))
-    try:
-        return GroupHom(qs, f.level(n), u.matrix @ lift)
-    except ValueError:
+    """The map F_{n+1}/l^{n+1} -> F_n induced by the transition, or None when
+    the transition does not kill l^{n+1} F_{n+1}."""
+    u, target = f.transition(n + 1), f.level(n)
+    power = f.l ** (n + 1)
+    if any(power * x % d for row, d in zip(u.matrix.entries, target.invariant_factors) for x in row):
         return None
+    qs, _, lift = quotient_with_maps(f.level(n + 1), power)
+    # u kills the kernel l^{n+1} F_{n+1} of the projection p onto qs, so it
+    # induces the hom i with i.p = u; its matrix is u's on the generators that
+    # lift selects, already reduced.  For an operator s of both ends,
+    # i.s.p = i.p.s = u.s = s.u = s.i.p, and p is onto, so i commutes with s.
+    return GroupHom._of(qs, target, u.matrix @ lift)
 
 
 def is_l_adic(f: Tower) -> Verdict:

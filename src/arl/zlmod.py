@@ -211,7 +211,8 @@ QUOTIENT_MEMO_SIZE = 16
 def _quotient_group(module: ZlModule, power: int) -> FinAbGroup:
     factors = [module.l ** min(a, power) for a in module.torsion_exponents]
     factors += [module.l ** power] * module.free_rank
-    group = FinAbGroup(tuple(factors), prime_support=module.l)
+    # sorted exponents >= 1 capped at power >= 1: a chain of powers of l >= 2
+    group = FinAbGroup._of(tuple(factors), module.l)
     if module.operators:
         group = group.with_operators([(lab, mat) for lab, mat in module.operators])
     return group
@@ -221,7 +222,10 @@ def _quotient_group(module: ZlModule, power: int) -> FinAbGroup:
 def _quotient_projection(module: ZlModule, power_src: int, power_tgt: int) -> GroupHom:
     src = module.quotient_group(power_src)
     tgt = module.quotient_group(power_tgt)
-    return GroupHom(src, tgt, IntMatrix.identity(module.rank))
+    # power_tgt <= power_src, so each target factor divides its source factor
+    # and the identity is a reduced, well-defined hom; both ends carry the
+    # module's operators, which it commutes with
+    return GroupHom._of(src, tgt, IntMatrix.identity(module.rank))
 
 
 def check_module_hom(mat: IntMatrix, source: ZlModule, target: ZlModule):

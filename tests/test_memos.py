@@ -31,8 +31,12 @@ MEMOS = (
 )
 
 
+# per-size constants: immutable values shared across the whole run
+CONSTANTS = (intmat._identity,)
+
+
 def clear_memos():
-    for memo in MEMOS + (intmat._snf_cached,):
+    for memo in MEMOS + CONSTANTS + (intmat._snf_cached,):
         memo.cache_clear()
 
 
@@ -41,7 +45,7 @@ def test_reports_equal_with_memos_cleared_before_each_case(suite, cases):
     clear_memos()
     warm = run_suite(suite, 0, cases)
     assert warm.all_pass()
-    assert all(memo.cache_info().hits > 0 for memo in MEMOS)
+    assert all(memo.cache_info().hits > 0 for memo in MEMOS + CONSTANTS)
     params = default_params(suite)
     cold = []
     for index in range(cases):
@@ -136,3 +140,18 @@ def test_quotient_memo_keeps_argument_checks():
     with pytest.raises(ValueError):
         m.quotient_projection(1, 2)
     assert m.quotient_projection(3, 1) is m.quotient_projection(3, 1)
+
+
+def test_constant_caches_stay_bounded_and_small():
+    clear_memos()
+    run_suite("comparison", 0, 10)
+    for memo in CONSTANTS:
+        info = memo.cache_info()
+        assert info.maxsize == intmat.IDENTITY_CACHE_SIZE
+        assert 0 < info.currsize <= info.maxsize and info.hits > info.misses
+    # a group's relation matrix is built once and then shared
+    g = FinAbGroup((2, 4), prime_support=2)
+    assert g.relation_matrix() is g.relation_matrix()
+    assert g.relation_matrix() == IntMatrix.diagonal([2, 4])
+    with pytest.raises(ValueError):
+        IntMatrix.identity(-1)

@@ -1,9 +1,13 @@
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arl.errors import PreconditionViolated, PrimeMismatch, TruncatedTower
 from arl.gen import (
     GenParams,
     module_hom_tower_map,
+    random_hom,
     random_module_hom,
     random_prime,
     random_zl_module,
@@ -21,6 +25,7 @@ from arl.intmat import IntMatrix
 from arl.limits import to_tower
 from arl.towers import (
     EventuallyLAdic,
+    HomCanonicalTail,
     HomModuleTail,
     Tower,
     TowerHom,
@@ -42,8 +47,11 @@ from arl.towers import (
     shift,
     sum_embeddings,
     zero_tower_hom,
+    _induced_quotient_map,
 )
 from arl.zlmod import ZlModule
+
+from oracles import group_elements, hom_apply
 
 
 L = 2
@@ -419,3 +427,120 @@ class TestClassification:
         shape = classify_tail(s)
         assert shape is not None and shape.offset == 0
         assert shape.module == ZlModule(L, (2,))
+
+
+class TestHomTailContradictions:
+    """A contradicted hom tail names itself and the level, even where the
+    tail's matrix does not define a hom between the levels at all."""
+
+    def test_canonical_tail_onto_a_larger_group(self):
+        # the identity Z/2 -> Z/4 is not well defined; the zero map is natural
+        s = constant_tower(L, FinAbGroup((2,), prime_support=L), 2)
+        t = constant_tower(L, FinAbGroup((4,), prime_support=L), 2)
+        levels = tuple(zero_hom(s.level(n), t.level(n)) for n in range(2))
+        for build in (TowerHom, TowerHom._of):
+            with pytest.raises(ValueError, match=r"HomCanonicalTail\(start=0\) contradicted at level 0"):
+                build(s, t, levels, HomCanonicalTail(0))
+
+    def test_canonical_tail_that_holds(self):
+        t = zl_tower(4)
+        f = TowerHom(t, t, tuple(identity_hom(t.level(n)) for n in range(5)), HomCanonicalTail(1))
+        assert f.level(6) == identity_hom(t.level(6))
+
+    def test_module_tail_not_defined_on_a_level(self):
+        # levels Z/2 -> Z/4 at 0, where the module matrix [1] is no hom
+        s = zl_tower(2)
+        z4 = FinAbGroup((4,), prime_support=L)
+        t = Tower(L, (z4, z4), (identity_hom(z4),), tail=EventuallyLAdic(1, ZL))
+        levels = (GroupHom(s.level(0), z4, IntMatrix.from_rows([[2]])),
+                  GroupHom(s.level(1), z4, IntMatrix.from_rows([[2]])))
+        one = IntMatrix.from_rows([[1]])
+        with pytest.raises(ValueError, match=r"HomModuleTail\(start=0\) contradicted at level 0"):
+            TowerHom(s, t, levels, HomModuleTail(0, one))
+        with pytest.raises(ValueError, match=r"HomModuleTail\(start=1\) contradicted at level 1"):
+            TowerHom(s, t, levels, HomModuleTail(1, one))
+        assert TowerHom(s, t, levels, HomModuleTail(1, IntMatrix.from_rows([[2]]))).top == 1
+
+
+def _brute_is_l_adic_witness(t):
+    """The first failure of the l-adic conditions on a truncated tower, by
+    element counting, or None when they all hold."""
+    l = t.l
+    for n in range(t.top + 1):
+        factors = t.level(n).invariant_factors
+        if any(any(l ** (n + 1) * x % d for x, d in zip(e, factors)) for e in group_elements(factors)):
+            return ("annihilator", n)
+    for n in range(t.top):
+        u = t.transition(n + 1)
+        src, tgt = u.source.invariant_factors, u.target.invariant_factors
+        rows = [list(r) for r in u.matrix.entries]
+        elements = group_elements(src)
+        if any(any(hom_apply(rows, tgt, tuple(l ** (n + 1) * x for x in e))) for e in elements):
+            return ("not-factoring", n)
+        quotient_order = 1
+        for d in src:
+            quotient_order *= min(d, l ** (n + 1))
+        image = {hom_apply(rows, tgt, e) for e in elements}
+        if quotient_order != len(group_elements(tgt)) or len(image) != quotient_order:
+            return ("induced-map", n)
+    return None
+
+
+@st.composite
+def small_towers(draw):
+    """Towers of two or three small l-groups with random transitions.  With
+    operators, every level carries the scalar "c"; or all levels are one group
+    G with an endomorphism "e" and the transitions are polynomials in e."""
+    l = draw(st.sampled_from([2, 3]))
+    levels = draw(st.integers(2, 3))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    mode = draw(st.sampled_from(["plain", "scalar", "endo"]))
+    cap = 3 if l == 2 else 2
+
+    def group(n):
+        exps = sorted(draw(st.lists(st.integers(1, min(n + 2, cap)), min_size=1, max_size=2)))
+        return FinAbGroup(tuple(l ** e for e in exps), prime_support=l)
+
+    if mode == "endo":
+        g = group(levels - 1)
+        e = random_hom(rng, g, g)
+        g = g.with_operators([("e", e.matrix)])
+        e = GroupHom(g, g, e.matrix)
+        maps = []
+        for _ in range(levels - 1):
+            a, b = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+            u = e.compose(e) + GroupHom(g, g, e.matrix.scale(a)) + GroupHom(g, g, IntMatrix.diagonal([b] * g.rank))
+            maps.append(u)
+        return Tower(l, (g,) * levels, tuple(maps))
+    groups = [group(n) for n in range(levels)]
+    if mode == "scalar":
+        c = draw(st.integers(0, 8))
+        groups = [g.with_operators([("c", IntMatrix.diagonal([c] * g.rank))]) for g in groups]
+    maps = tuple(random_hom(rng, groups[n], groups[n - 1]) for n in range(1, levels))
+    return Tower(l, tuple(groups), maps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_towers())
+def test_induced_quotient_map_against_brute_force(t):
+    l = t.l
+    for n in range(t.top):
+        u = t.transition(n + 1)
+        src, tgt = u.source.invariant_factors, u.target.invariant_factors
+        rows = [list(r) for r in u.matrix.entries]
+        factors = any(any(hom_apply(rows, tgt, tuple(l ** (n + 1) * x for x in e)))
+                      for e in group_elements(src)) is False
+        induced = _induced_quotient_map(t, n)
+        assert (induced is not None) == factors
+        if induced is None:
+            continue
+        # the validating constructor accepts it: well defined and commuting
+        assert GroupHom(induced.source, induced.target, induced.matrix) == induced
+        q = induced.source.invariant_factors
+        induced_rows = [list(r) for r in induced.matrix.entries]
+        for e in group_elements(src):
+            image = tuple(x % d for x, d in zip(e, q))
+            assert hom_apply(induced_rows, tgt, image) == hom_apply(rows, tgt, e)
+    verdict = is_l_adic(t)
+    assert verdict.witness == _brute_is_l_adic_witness(t)
+    assert bool(verdict) == (verdict.witness is None)

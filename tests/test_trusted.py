@@ -1,10 +1,10 @@
 """The trusted constructors change no result.
 
-``IntMatrix._of``, ``GroupHom._of`` and ``TowerHom._of`` skip the checks of
-the public constructors for values that are valid by construction.  Swapping
-each of them for its validating public constructor re-checks every derived
-matrix, hom and tower hom, so a derivation that builds an invalid value
-fails here instead of passing silently.
+``IntMatrix._of``, ``FinAbGroup._of``, ``GroupHom._of`` and ``TowerHom._of``
+skip the checks of the public constructors for values that are valid by
+construction.  Swapping each of them for its validating public constructor
+re-checks every derived matrix, group, hom and tower hom, so a derivation
+that builds an invalid value fails here instead of passing silently.
 """
 
 import contextlib
@@ -16,19 +16,40 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arl import groups, intmat, zlmod
+from arl.arcat import stable_image_tower
 from arl.cli import main
-from arl.gen import random_hom
+from arl.gen import (
+    GenParams,
+    module_hom_tower_map,
+    random_hom,
+    random_module_hom,
+    random_zero_system,
+    random_zl_module,
+)
 from arl.groups import (
     FinAbGroup,
     GroupHom,
     direct_sum_hom,
+    direct_sum_with_maps,
+    hom_on_quotients,
     identity_hom,
     quotient_with_maps,
     zero_hom,
 )
 from arl.intmat import IntMatrix
+from arl.limits import _torsion_window_tower
 from arl.suites import run_suite
-from arl.towers import Tower, TowerHom
+from arl.towers import (
+    Tower,
+    TowerHom,
+    direct_sum,
+    levelwise_cokernel,
+    levelwise_image,
+    levelwise_kernel,
+    natural_map,
+    sum_embeddings,
+)
+from arl.zlmod import ZlModule
 
 ROOT = Path(__file__).resolve().parents[1]
 SAMPLE = "demos/data/sample.arl.json"
@@ -36,7 +57,7 @@ SAMPLE = "demos/data/sample.arl.json"
 
 def clear_memos():
     for memo in (groups.direct_sum_with_maps, groups.direct_sum_hom, zlmod._quotient_group,
-                 zlmod._quotient_projection, intmat._snf_cached):
+                 zlmod._quotient_projection, intmat._snf_cached, intmat._identity):
         memo.cache_clear()
 
 
@@ -45,7 +66,7 @@ def full_checks(monkeypatch):
     """Route every trusted construction through the validating constructor."""
     def enable():
         clear_memos()
-        for cls in (IntMatrix, GroupHom, TowerHom):
+        for cls in (IntMatrix, FinAbGroup, GroupHom, TowerHom):
             monkeypatch.setattr(cls, "_of", classmethod(lambda c, *fields: c(*fields)))
     yield enable
     monkeypatch.undo()
@@ -53,15 +74,20 @@ def full_checks(monkeypatch):
 
 
 def test_full_checks_reject_an_invalid_derived_value(full_checks):
+    IntMatrix.identity(2)
     g = FinAbGroup((2,), prime_support=2)
     # Z/2 -> Z/2 by [[3]] is valid but unreduced, which _of alone does not see
     assert GroupHom._of(g, g, IntMatrix.from_rows([[3]])).matrix.entries == ((3,),)
     full_checks()
+    # identities built by the trusted path before the swap are not served
+    assert intmat._identity.cache_info().currsize == 0
     assert GroupHom._of(g, g, IntMatrix.from_rows([[3]])).matrix.entries == ((1,),)
     with pytest.raises(ValueError):
         IntMatrix._of(1, 1, ((1.5,),))
     with pytest.raises(ValueError):
         GroupHom._of(g, FinAbGroup((4,), prime_support=2), IntMatrix.from_rows([[1]]))
+    with pytest.raises(ValueError):
+        FinAbGroup._of((4, 2), 2)
 
 
 @pytest.mark.parametrize("suite, cases", [("torsionfree", 300), ("comparison", 10)])
@@ -189,3 +215,112 @@ def test_matmul_equals_the_naive_triple_sum(factors):
     # the trusted result is the value the validating constructor builds
     assert product == IntMatrix(rows, cols, expected)
     assert all(type(x) is int for row in product.entries for x in row)
+
+
+def _revalidated_group(g: FinAbGroup) -> FinAbGroup:
+    return FinAbGroup(g.invariant_factors, g.prime_support, g.operators)
+
+
+@st.composite
+def summand_pairs(draw):
+    """Two groups to add: l-local with scalar and endomorphism operators, or
+    untagged with factors of mixed primes (which may break the chain)."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        l = draw(st.sampled_from([2, 3, 5]))
+        c = draw(st.integers(0, 6))
+
+        def group():
+            exps = sorted(draw(st.lists(st.integers(1, 3), max_size=3)))
+            g = FinAbGroup(tuple(l ** e for e in exps), prime_support=l)
+            ops = [("c", IntMatrix.diagonal([c] * g.rank))]
+            if draw(st.booleans()):
+                ops.append(("e", random_hom(rng, g, g).matrix))
+            return g.with_operators(ops)
+    else:
+        def group():
+            factors, d = [], 1
+            for _ in range(draw(st.integers(0, 2))):
+                d *= draw(st.sampled_from([2, 3, 4, 6]))
+                factors.append(d)
+            g = FinAbGroup(tuple(factors))
+            return g.with_operators([("c", IntMatrix.diagonal([5] * g.rank))]) \
+                if draw(st.booleans()) else g
+    return group(), group()
+
+
+@settings(max_examples=150, deadline=None)
+@given(summand_pairs())
+def test_direct_sum_maps_equal_their_validated_construction(pair):
+    g, h = pair
+    groups.direct_sum_with_maps.cache_clear()
+    s, incl_g, incl_h, proj_g, proj_h = direct_sum_with_maps(g, h)
+    assert _revalidated_group(s) == s
+    for f in (incl_g, incl_h, proj_g, proj_h):
+        assert _revalidated(f) == f
+    assert proj_g.compose(incl_g) == identity_hom(g)
+    assert proj_h.compose(incl_h) == identity_hom(h)
+    assert proj_h.compose(incl_g).is_zero() and proj_g.compose(incl_h).is_zero()
+    assert incl_g.compose(proj_g) + incl_h.compose(proj_h) == identity_hom(s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hom_chains(), st.integers(1, 30), st.integers(1, 4))
+def test_quotients_equal_their_validated_construction(chain, n, k):
+    f, _, g = chain
+    q, proj, lift = quotient_with_maps(f.source, n)
+    assert _revalidated_group(q) == q and _revalidated(proj) == proj
+    assert proj.matrix @ lift == IntMatrix.identity(q.rank)
+    # n_target | n_source: the induced map exists and is trusted
+    induced = hom_on_quotients(g, n * k, n)
+    assert _revalidated(induced) == induced
+    m = ZlModule(2, (1, 3), 1).with_operators([("c", IntMatrix.diagonal([3, 3, 3]))])
+    for power in range(1, 5):
+        group = m.quotient_group(power)
+        assert _revalidated_group(group) == group
+        u = m.quotient_projection(power + 1, power)
+        assert _revalidated(u) == u
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.lists(st.integers(1, 4), max_size=3),
+       st.integers(0, 2), st.integers(1, 6))
+def test_torsion_window_tower_equals_its_validated_construction(l, exps, rho, levels):
+    t = _torsion_window_tower(ZlModule(l, tuple(sorted(exps)), rho), l, levels)
+    rebuilt = Tower(l, tuple(_revalidated_group(g) for g in t.groups),
+                    tuple(_revalidated(u) for u in t.maps), t.tail)
+    assert rebuilt.levelwise_equal(t)
+    k = len(exps)
+    for n, u in enumerate(t.maps, start=1):
+        assert u == GroupHom(t.level(n), t.level(n - 1), IntMatrix.diagonal([l] * k))
+        # exponent 1: multiplication by l is zero onto Z/l
+        assert all(u.matrix.entries[i][i] == 0
+                   for i, d in enumerate(t.level(n - 1).invariant_factors) if d == l)
+
+
+def _checked(f: TowerHom) -> TowerHom:
+    """f rebuilt through the validating constructor: every square re-checked."""
+    return TowerHom(f.source, f.target, f.levels, tail=f.tail)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from([2, 3]), st.booleans())
+def test_derived_tower_homs_pass_the_validating_constructor(seed, l, operators):
+    rng = random.Random(seed)
+    params = GenParams(levels=4, max_exponent=2)
+    src, tgt = random_zl_module(rng, l, params), random_zl_module(rng, l, params)
+    if operators:
+        # one scalar action on both ends, which every module hom commutes with
+        src, tgt = (m.with_operators([("frob", IntMatrix.diagonal([l + 1] * m.rank))])
+                    if m.rank else m for m in (src, tgt))
+    f = module_hom_tower_map(random_module_hom(rng, src, tgt), src, tgt, params.levels)
+    noise = random_zero_system(rng, l, params, certified_only=False)
+    derived = []
+    for a, b in ((f.source, noise), (noise, f.target)):
+        derived += sum_embeddings(a, b, direct_sum(a, b))
+    for t in (f.source, f.target, noise, direct_sum(f.target, noise)):
+        derived += [natural_map(t, r) for r in range(3)]
+    derived += [levelwise_kernel(f)[1], levelwise_image(f)[1], levelwise_cokernel(f)[1]]
+    derived.append(stable_image_tower(direct_sum(f.target, noise), 1)[1])
+    for h in derived:
+        assert _checked(h).levels == h.levels
