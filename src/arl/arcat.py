@@ -319,7 +319,7 @@ def canonical_l_adic(f: Tower, bound: Optional[int] = None,
     iso = ARMor(f, g, r + s, fwd)
 
     # backward: G[r2] -> F via mod-l^{m+1} factorization of the transitions
-    fr = factorization_radius(f, bound, _pre_checked=True)
+    fr = _factorization_radius(f, bound)
     if not fr:
         raise NotARladic(f"no factorization radius: {fr.note}")
     r2 = fr.certificate
@@ -350,14 +350,18 @@ def canonical_l_adic(f: Tower, bound: Optional[int] = None,
     return CanonicalLAdic(g, iso, inverse, r, s, zk.certificate)
 
 
-def factorization_radius(f: Tower, bound: Optional[int] = None,
-                         _pre_checked: bool = False) -> Verdict:
+def factorization_radius(f: Tower, bound: Optional[int] = None) -> Verdict:
     """The least r such that every F_m -> F_{m-r} kills l^{m+1}-multiples."""
     bound = resolve_bound(f, bound)
-    if not _pre_checked:
-        cert = certify_ar_l_adic(f, bound)
-        if not cert:
-            raise NotARladic(f"factorization radius needs an AR-l-adic tower: {cert.note}")
+    cert = certify_ar_l_adic(f, bound)
+    if not cert:
+        raise NotARladic(f"factorization radius needs an AR-l-adic tower: {cert.note}")
+    return _factorization_radius(f, bound)
+
+
+def _factorization_radius(f: Tower, bound: int) -> Verdict:
+    """:func:`factorization_radius` unchecked: f is known to be AR-l-adic and
+    bound is resolved."""
 
     def compute() -> Verdict:
         shape = classify_tail(f)

@@ -323,15 +323,13 @@ def presentation_with_maps(relations: IntMatrix, modulus: int, prime: Optional[i
 def canonicalize(relations: IntMatrix, prime: Optional[int] = None) -> FinAbGroup:
     """Invariant-factor form of Z^n / col-span(relations), unit factors dropped.
 
-    The index of the lattice, the product of its Hermite-normal-form diagonal,
-    is a multiple of the group's exponent.
+    The factors are those of the Smith form over Z (modulus 0), where a
+    factor 0 is a free generator.
     """
-    try:
-        index = math.prod(hermite_normal_form(relations).diagonal_values())
-    except ValueError:
-        raise InfiniteGroup("presentation has positive free rank") from None
-    group, _, _ = presentation_with_maps(relations, index, prime)
-    return group
+    factors, _, _ = modular_smith(relations, 0)
+    if 0 in factors:
+        raise InfiniteGroup("presentation has positive free rank")
+    return FinAbGroup(tuple(d for d in factors if d != 1), prime_support=prime)
 
 
 def _scaled_rows(mat: IntMatrix, factors: Sequence[int]) -> tuple[IntMatrix, int]:

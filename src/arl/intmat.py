@@ -1,13 +1,13 @@
-"""Exact integer matrices: normal forms over Z and linear algebra modulo e.
+"""Exact integer matrices and their normal forms.
 
 All arithmetic is over arbitrary-precision Python integers; nothing here is
-ever rounded.  The Smith normal form over Z uses a fixed pivot rule (nonzero
-entry of minimal absolute value, ties broken by lowest (row, col)) so that
-every result is bit-for-bit reproducible.
-
-The lattices of finite-group arithmetic all contain e*Z^n for a known e, so
-they are solved, intersected and presented over Z/e instead (see
-:func:`modular_smith`), with every entry kept in [0, e).
+ever rounded.  One Smith-form elimination serves every modulus e
+(:func:`modular_smith`).  The lattices of finite-group arithmetic all contain
+e*Z^n for a known e, so they are solved, intersected and presented over Z/e,
+with every entry kept in [0, e).  The modulus e = 0 is Z itself: the
+integer Smith form (:func:`smith_normal_form`) is that elimination, unreduced.
+Its pivot rule is fixed (the nonzero entry of least absolute value, ties
+broken by lowest (row, col)), so every result is bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -222,171 +222,6 @@ def _identity(n: int) -> IntMatrix:
     return IntMatrix._of(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
 
-def _pivot(d: list[list[int]], t: int, rows: int, cols: int) -> tuple[int, int] | None:
-    # Minimal |entry| among nonzeros of d[t:, t:]; ties resolved by (row, col).
-    best = None
-    best_abs = None
-    for i in range(t, rows):
-        di = d[i]
-        for j in range(t, cols):
-            v = di[j]
-            if v != 0:
-                a = -v if v < 0 else v
-                if best_abs is None or a < best_abs:
-                    best_abs = a
-                    best = (i, j)
-    return best
-
-
-class _SnfState:
-    """Mutable workspace tracking D = U*M*V together with U^-1."""
-
-    def __init__(self, m: IntMatrix):
-        self.rows = m.rows
-        self.cols = m.cols
-        self.d = [list(row) for row in m.entries]
-        self.u = [[1 if i == j else 0 for j in range(m.rows)] for i in range(m.rows)]
-        self.ui = [[1 if i == j else 0 for j in range(m.rows)] for i in range(m.rows)]
-        self.v = [[1 if i == j else 0 for j in range(m.cols)] for i in range(m.cols)]
-
-    def swap_rows(self, i: int, k: int):
-        if i == k:
-            return
-        self.d[i], self.d[k] = self.d[k], self.d[i]
-        self.u[i], self.u[k] = self.u[k], self.u[i]
-        for row in self.ui:
-            row[i], row[k] = row[k], row[i]
-
-    def swap_cols(self, j: int, k: int):
-        if j == k:
-            return
-        for row in self.d:
-            row[j], row[k] = row[k], row[j]
-        for row in self.v:
-            row[j], row[k] = row[k], row[j]
-
-    def negate_row(self, i: int):
-        self.d[i] = [-x for x in self.d[i]]
-        self.u[i] = [-x for x in self.u[i]]
-        for row in self.ui:
-            row[i] = -row[i]
-
-    def row_addmul(self, i: int, k: int, c: int):
-        # row_i += c * row_k
-        if c == 0:
-            return
-        di, dk = self.d[i], self.d[k]
-        for j in range(self.cols):
-            di[j] += c * dk[j]
-        ui, uk = self.u[i], self.u[k]
-        for j in range(self.rows):
-            ui[j] += c * uk[j]
-        for row in self.ui:
-            row[k] -= c * row[i]
-
-    def col_addmul(self, j: int, k: int, c: int):
-        # col_j += c * col_k
-        if c == 0:
-            return
-        for row in self.d:
-            row[j] += c * row[k]
-        for row in self.v:
-            row[j] += c * row[k]
-
-    def clear_at(self, t: int) -> bool:
-        """Bring the minimal pivot to (t, t) and clear its row and column.
-
-        Returns False when the trailing block d[t:, t:] is already zero.
-        """
-        piv = _pivot(self.d, t, self.rows, self.cols)
-        if piv is None:
-            return False
-        self.swap_rows(t, piv[0])
-        self.swap_cols(t, piv[1])
-        while True:
-            dirty = False
-            for i in range(self.rows):
-                if i != t and self.d[i][t] != 0:
-                    q = self.d[i][t] // self.d[t][t]
-                    self.row_addmul(i, t, -q)
-                    if self.d[i][t] != 0:
-                        # Remainder becomes the strictly smaller new pivot.
-                        self.swap_rows(t, i)
-                        dirty = True
-            for j in range(self.cols):
-                if j != t and self.d[t][j] != 0:
-                    q = self.d[t][j] // self.d[t][t]
-                    self.col_addmul(j, t, -q)
-                    if self.d[t][j] != 0:
-                        self.swap_cols(t, j)
-                        dirty = True
-            if not dirty:
-                row_clear = all(self.d[t][j] == 0 for j in range(self.cols) if j != t)
-                col_clear = all(self.d[i][t] == 0 for i in range(self.rows) if i != t)
-                if row_clear and col_clear:
-                    return True
-
-
-def _snf_state(m: IntMatrix) -> _SnfState:
-    st = _SnfState(m)
-    k = min(m.rows, m.cols)
-    for t in range(k):
-        if not st.clear_at(t):
-            break
-    # Normalize signs, then repair the divisibility chain d_i | d_{i+1}.
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 100_000:
-            raise AssertionError("smith normal form failed to converge")
-        for i in range(k):
-            if st.d[i][i] < 0:
-                st.negate_row(i)
-        fixed = True
-        for i in range(k - 1):
-            a, b = st.d[i][i], st.d[i + 1][i + 1]
-            if a == 0 and b != 0:
-                st.swap_rows(i, i + 1)
-                st.swap_cols(i, i + 1)
-                fixed = False
-                break
-            if a != 0 and b % a != 0:
-                st.col_addmul(i, i + 1, 1)
-                st.clear_at(i)
-                st.clear_at(i + 1)
-                fixed = False
-                break
-        if fixed:
-            return st
-
-
-@lru_cache(maxsize=8192)
-def _snf_cached(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
-    st = _snf_state(m)
-    freeze = lambda a, r, c: IntMatrix._of(r, c, tuple(tuple(row) for row in a))
-    return (
-        freeze(st.u, m.rows, m.rows),
-        freeze(st.d, m.rows, m.cols),
-        freeze(st.v, m.cols, m.cols),
-        freeze(st.ui, m.rows, m.rows),
-    )
-
-
-def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return (U, D, V) with D = U @ m @ V, U and V unimodular.
-
-    D is diagonal with nonnegative entries satisfying d_i | d_{i+1}; zero
-    entries come last.
-    """
-    u, d, v, _ = _snf_cached(m)
-    return u, d, v
-
-
-def snf_with_inverses(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
-    """Like :func:`smith_normal_form` but also returns U^-1."""
-    return _snf_cached(m)
-
-
 def hermite_normal_form(basis: IntMatrix) -> IntMatrix:
     """Canonical column-HNF basis of a full-rank lattice in Z^k.
 
@@ -434,7 +269,7 @@ def hermite_normal_form(basis: IntMatrix) -> IntMatrix:
     return IntMatrix._of(k, k, tuple(tuple(row[:k]) for row in w))
 
 
-# -- linear algebra modulo e -------------------------------------------------
+# -- Smith forms over Z/e and over Z ------------------------------------------
 #
 # A lattice L with e*Z^n <= L <= Z^n is the preimage of a submodule of
 # (Z/e)^n, so it can be reduced there with every entry kept in [0, e); over Z
@@ -445,10 +280,15 @@ def hermite_normal_form(basis: IntMatrix) -> IntMatrix:
 # them.  For any other e a pivot may fail to divide an entry; a Bezout step then
 # replaces the pivot by their gcd, and a last pass turns the diagonal into a
 # divisibility chain.  Both take no step for e = l^E.
+#
+# The modulus e = 0 is Z itself (Z/0 = Z): nothing is reduced, and the pivot of
+# least gcd(x, 0) = |x| is the integer Smith form's classic rule.  Each Bezout
+# step replaces the pivot by a proper divisor of it, so clearing a position
+# takes at most log2 |pivot| of them.
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with s*a + t*b = g = gcd(a, b), for a, b >= 0."""
+    """(g, s, t) with s*a + t*b = g and |g| = gcd(a, b), for a, b of any sign."""
     s0, s1, t0, t1 = 1, 0, 0, 1
     while b:
         q, r = divmod(a, b)
@@ -460,7 +300,10 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 def _unit_quotient(b: int, a: int, e: int) -> int:
     """q with q*a = b (mod e), given gcd(a, e) | b: b/g times the inverse of
-    the unit part a/g of a, which is invertible modulo e/g."""
+    the unit part a/g of a, which is invertible modulo e/g.  Over Z (e = 0)
+    a divides b and q is their exact quotient."""
+    if not e:
+        return b // a
     g = gcd(a, e)
     return b // g * pow(a // g, -1, e // g) % e
 
@@ -473,26 +316,34 @@ class _ModSmith:
     """Workspace for U @ M @ V = D (mod e), with U and V invertible mod e.
 
     The rows of ``d`` carry the attached columns after M's own, so that they
-    end as U @ A.  Column operations are mirrored on V, or row operations on
-    U^-1 when row_inverse is set: no caller needs both, and the untracked one
-    stays an empty list that takes no updates.  All entries stay in [0, e).
+    end as U @ A.  Column operations are mirrored on V when track_v is set,
+    and row operations on U^-1 when track_ui is set; an untracked one stays an
+    empty list that takes no updates.  For e > 0 all entries stay in [0, e).
+    For e = 0 the arithmetic is over Z, U and V are unimodular and the
+    diagonal is made nonnegative.
     """
 
     def __init__(self, m: IntMatrix, e: int, attached: IntMatrix | None = None,
-                 row_inverse: bool = False):
-        if e < 1:
-            raise ValueError(f"modulus {e} < 1")
+                 track_v: bool = True, track_ui: bool = False):
+        if e < 0:
+            raise ValueError(f"modulus {e} < 0")
         self.e = e
+        # x -> x mod e; over Z the identity
+        self.red = (lambda x: x % e) if e else (lambda x: x)
         self.rows, self.cols = m.rows, m.cols
         tails = attached.entries if attached is not None else ((),) * m.rows
-        self.d = [[x % e for x in row + tail] for row, tail in zip(m.entries, tails)]
-        self.v = [] if row_inverse else _identity_rows(m.cols)
-        self.ui = _identity_rows(m.rows) if row_inverse else []
+        self.d = [[self.red(x) for x in row + tail] for row, tail in zip(m.entries, tails)]
+        self.v = _identity_rows(m.cols) if track_v else []
+        self.ui = _identity_rows(m.rows) if track_ui else []
         t = 0
         while t < min(self.rows, self.cols) and self._pivot_to(t):
             self._clear(t)
             t += 1
         self._chain(t)
+        if not e:
+            for i in range(t):
+                if self.d[i][i] < 0:
+                    self._negate_row(i)
 
     def diagonal(self, i: int) -> int:
         return self.d[i][i] if i < min(self.rows, self.cols) else 0
@@ -510,59 +361,63 @@ class _ModSmith:
         for row in self.v:
             row[j], row[k] = row[k], row[j]
 
+    def _negate_row(self, i: int):
+        self.d[i] = [-x for x in self.d[i]]
+        for row in self.ui:
+            row[i] = -row[i]
+
     def _row_sub(self, i: int, t: int, q: int):
         # row_i -= q * row_t
-        e = self.e
-        self.d[i] = [(x - q * y) % e for x, y in zip(self.d[i], self.d[t])]
+        red = self.red
+        self.d[i] = [red(x - q * y) for x, y in zip(self.d[i], self.d[t])]
         for row in self.ui:
-            row[t] = (row[t] + q * row[i]) % e
+            row[t] = red(row[t] + q * row[i])
 
     def _col_sub(self, j: int, t: int, q: int):
         # col_j -= q * col_t
-        e = self.e
-        for row in self.d:
-            row[j] = (row[j] - q * row[t]) % e
-        for row in self.v:
-            row[j] = (row[j] - q * row[t]) % e
+        red = self.red
+        for rows in (self.d, self.v):
+            for row in rows:
+                row[j] = red(row[j] - q * row[t])
 
     def _row_bezout(self, t: int, i: int):
         # (row_t, row_i) <- (s row_t + r row_i, -b/g row_t + a/g row_i) with
-        # s a + r b = g = gcd(a, b): d[t][t] becomes g and d[i][t] zero, and
-        # the 2x2 block has determinant 1
-        e = self.e
+        # s a + r b = g, |g| = gcd(a, b): d[t][t] becomes g and d[i][t] zero,
+        # and the 2x2 block has determinant 1
+        red = self.red
         a, b = self.d[t][t], self.d[i][t]
         g, s, r = _xgcd(a, b)
         c, f = -(b // g), a // g
         rt, ri = self.d[t], self.d[i]
-        self.d[t] = [(s * x + r * y) % e for x, y in zip(rt, ri)]
-        self.d[i] = [(c * x + f * y) % e for x, y in zip(rt, ri)]
+        self.d[t] = [red(s * x + r * y) for x, y in zip(rt, ri)]
+        self.d[i] = [red(c * x + f * y) for x, y in zip(rt, ri)]
         for row in self.ui:
             x, y = row[t], row[i]
-            row[t], row[i] = (f * x - c * y) % e, (s * y - r * x) % e
+            row[t], row[i] = red(f * x - c * y), red(s * y - r * x)
 
     def _col_bezout(self, t: int, j: int):
         # the transpose of _row_bezout, on columns (t, j)
-        e = self.e
+        red = self.red
         a, b = self.d[t][t], self.d[t][j]
         g, s, r = _xgcd(a, b)
         c, f = -(b // g), a // g
         for rows in (self.d, self.v):
             for row in rows:
                 x, y = row[t], row[j]
-                row[t], row[j] = (s * x + r * y) % e, (c * x + f * y) % e
+                row[t], row[j] = red(s * x + r * y), red(c * x + f * y)
 
     # -- elimination --------------------------------------------------------
 
     def _pivot_to(self, t: int) -> bool:
         """Move the entry of least gcd(x, e) in d[t:, t:] (ties by lowest
         (row, col)) to (t, t); False when that block is zero."""
-        e, best, where = self.e, self.e, None
+        e, best, where = self.e, None, None
         for i in range(t, self.rows):
             row = self.d[i]
             for j in range(t, self.cols):
                 if row[j]:
                     g = gcd(row[j], e)
-                    if g < best:
+                    if where is None or g < best:
                         best, where = g, (i, j)
         if where is None:
             return False
@@ -611,13 +466,43 @@ def modular_smith(m: IntMatrix, e: int) -> tuple[tuple[int, ...], IntMatrix, Int
     That group is the sum of Z/factors_i, a divisibility chain of divisors of
     e (unit factors included, one per row).  Row i of U, read modulo
     factors_i, maps ambient coordinates onto generator i; column i of U^-1
-    lifts that generator, and U @ U^-1 = 1 modulo e.
+    lifts that generator, and U @ U^-1 = 1 modulo e.  With e = 0 the group is
+    Z^rows / col-span(m) itself, a factor 0 is a free generator Z, and U is
+    unimodular with U^-1 its exact inverse.
     """
-    st = _ModSmith(m, e, IntMatrix.identity(m.rows), row_inverse=True)
+    st = _ModSmith(m, e, IntMatrix.identity(m.rows), track_v=False, track_ui=True)
     factors = tuple(gcd(st.diagonal(i), e) for i in range(m.rows))
     u = IntMatrix._of(m.rows, m.rows, tuple(tuple(row[m.cols:]) for row in st.d))
     ui = IntMatrix._of(m.rows, m.rows, tuple(tuple(row) for row in st.ui))
     return factors, u, ui
+
+
+@lru_cache(maxsize=8192)
+def _snf_cached(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
+    st = _ModSmith(m, 0, IntMatrix.identity(m.rows), track_ui=True)
+    rows, cols = m.rows, m.cols
+    return (
+        IntMatrix._of(rows, rows, tuple(tuple(row[cols:]) for row in st.d)),
+        IntMatrix._of(rows, cols, tuple(tuple(row[:cols]) for row in st.d)),
+        IntMatrix._of(cols, cols, tuple(tuple(row) for row in st.v)),
+        IntMatrix._of(rows, rows, tuple(tuple(row) for row in st.ui)),
+    )
+
+
+def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Return (U, D, V) with D = U @ m @ V, U and V unimodular.
+
+    D is diagonal with nonnegative entries satisfying d_i | d_{i+1}; zero
+    entries come last.  This is the Smith form modulo e = 0 (see
+    :func:`modular_smith`).
+    """
+    u, d, v, _ = _snf_cached(m)
+    return u, d, v
+
+
+def snf_with_inverses(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
+    """Like :func:`smith_normal_form` but also returns U^-1."""
+    return _snf_cached(m)
 
 
 def modular_solve(m: IntMatrix, e: int, ys: IntMatrix) -> list[Vector | None]:
@@ -625,6 +510,8 @@ def modular_solve(m: IntMatrix, e: int, ys: IntMatrix) -> list[Vector | None]:
     or None when there is none.  One elimination serves every column."""
     if ys.rows != m.rows:
         raise ValueError("right-hand side length mismatch")
+    if e < 1:
+        raise ValueError(f"modulus {e} < 1")
     st = _ModSmith(m, e, ys)
     pivots = []
     for i in range(m.rows):
@@ -657,6 +544,8 @@ def modular_kernel(m: IntMatrix, e: int) -> IntMatrix:
     e*Z^cols; the generators are the columns of V scaled by e / gcd(d_j, e),
     then e times the unit vectors.
     """
+    if e < 1:
+        raise ValueError(f"modulus {e} < 1")
     st = _ModSmith(m, e)
     gens = []
     for j in range(m.cols):

@@ -23,7 +23,7 @@ from .towers import (
     direct_sum,
     is_l_adic,
 )
-from .zlmod import ZlModule
+from .zlmod import ZlModule, _lval
 
 
 DEFAULT_PREFIX_LEVELS = 8
@@ -36,17 +36,6 @@ def to_tower(module: ZlModule, levels: int = DEFAULT_PREFIX_LEVELS) -> Tower:
     groups = tuple(module.quotient_group(n + 1) for n in range(levels))
     maps = tuple(module.quotient_projection(n + 1, n) for n in range(1, levels))
     return Tower(module.l, groups, maps, tail=EventuallyLAdic(0, module))
-
-
-def _level_exponents(group: FinAbGroup, l: int) -> list[int]:
-    exps = []
-    for d in group.invariant_factors:
-        v = 0
-        while d % l == 0:
-            d //= l
-            v += 1
-        exps.append(v)
-    return exps
 
 
 def limit(tower: Tower) -> ZlModule:
@@ -69,8 +58,8 @@ def limit(tower: Tower) -> ZlModule:
     top = tower.top
     if top < 1:
         raise NonStabilizing("need at least two represented levels", top)
-    top_exps = _level_exponents(tower.level(top), tower.l)
-    prev_exps = _level_exponents(tower.level(top - 1), tower.l)
+    top_exps = [_lval(d, tower.l) for d in tower.level(top).invariant_factors]
+    prev_exps = [_lval(d, tower.l) for d in tower.level(top - 1).invariant_factors]
     torsion = []
     rho = 0
     for v in top_exps:

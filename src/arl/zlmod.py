@@ -50,23 +50,9 @@ class ZlModule:
             raise ValueError("negative free rank")
         ops = []
         for label, mat in sorted(self.operators, key=lambda kv: kv[0]):
-            self._check_endo(mat, label)
+            check_module_hom(mat, self, self, what=f"operator {label!r}")
             ops.append((label, self._reduce_endo(mat)))
         object.__setattr__(self, "operators", tuple(ops))
-
-    def _check_endo(self, mat: IntMatrix, label: str):
-        n = self.rank
-        if mat.rows != n or mat.cols != n:
-            raise ValueError(f"operator {label!r} has wrong shape")
-        k = len(self.torsion_exponents)
-        for j, aj in enumerate(self.torsion_exponents):
-            for i in range(n):
-                if i < k:
-                    need = self.torsion_exponents[i] - aj
-                    if need > 0 and mat.entries[i][j] % self.l ** need != 0:
-                        raise ValueError(f"operator {label!r} not well-defined at ({i},{j})")
-                elif mat.entries[i][j] != 0:
-                    raise ValueError(f"operator {label!r} maps torsion into the free part")
 
     def _reduce_endo(self, mat: IntMatrix) -> IntMatrix:
         rows = []
@@ -228,12 +214,13 @@ def _quotient_projection(module: ZlModule, power_src: int, power_tgt: int) -> Gr
     return GroupHom._of(src, tgt, IntMatrix.identity(module.rank))
 
 
-def check_module_hom(mat: IntMatrix, source: ZlModule, target: ZlModule):
+def check_module_hom(mat: IntMatrix, source: ZlModule, target: ZlModule,
+                     what: str = "module hom"):
     """Validate that mat defines a Z_l-module map source -> target."""
     if source.l != target.l:
-        raise PrimeMismatch("module hom across different primes")
+        raise PrimeMismatch(f"{what} across different primes")
     if mat.rows != target.rank or mat.cols != source.rank:
-        raise ValueError("module hom has wrong shape")
+        raise ValueError(f"{what} has wrong shape")
     l = source.l
     kt = len(target.torsion_exponents)
     for j, aj in enumerate(source.torsion_exponents):
@@ -241,9 +228,9 @@ def check_module_hom(mat: IntMatrix, source: ZlModule, target: ZlModule):
             if i < kt:
                 need = target.torsion_exponents[i] - aj
                 if need > 0 and mat.entries[i][j] % l ** need != 0:
-                    raise ValueError(f"module hom not well-defined at ({i},{j})")
+                    raise ValueError(f"{what} not well-defined at ({i},{j})")
             elif mat.entries[i][j] != 0:
-                raise ValueError("module hom maps torsion into the free part")
+                raise ValueError(f"{what} maps torsion into the free part")
 
 
 def zl_canonicalize(relations: IntMatrix, l: int) -> tuple[ZlModule, IntMatrix, IntMatrix]:

@@ -7,6 +7,7 @@ from arl.intmat import (
     IntMatrix,
     hermite_normal_form,
     modular_kernel,
+    modular_smith,
     modular_solve,
     smith_normal_form,
     snf_with_inverses,
@@ -84,6 +85,19 @@ def test_solve_and_kernel():
     assert tuple(x % 8 for x in m.apply(solvable)) == (6, 0)
     k = modular_kernel(m, 8)
     assert all(x % 8 == 0 for col in (m @ k).columns() for x in col)
+
+
+def test_modulus_zero_presents_over_z():
+    # Z^2 / span((2, 0), (4, 0)) = Z/2 + Z: the factor 0 is the free generator
+    m = IntMatrix.from_rows([[2, 4], [0, 0]])
+    factors, u, ui = modular_smith(m, 0)
+    assert factors == (2, 0)
+    assert (u @ ui).is_identity() and (ui @ u).is_identity()
+    # solving and kernels need a finite modulus
+    with pytest.raises(ValueError, match="modulus 0"):
+        modular_solve(m, 0, IntMatrix.from_columns([(2, 0)]))
+    with pytest.raises(ValueError, match="modulus 0"):
+        modular_kernel(m, 0)
 
 
 def test_lattice_membership():

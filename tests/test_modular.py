@@ -1,6 +1,6 @@
-"""Linear algebra modulo the exponent: solve_mod, preimage_lattice and
-presentation_with_maps against brute force, and inputs whose integer
-normal forms used to blow up, under a time budget."""
+"""Linear algebra modulo the exponent: solve_mod, preimage_lattice,
+presentation_with_maps and zl_canonicalize against brute force, and inputs
+whose integer normal forms used to blow up or stall, under a time budget."""
 
 import itertools
 import math
@@ -12,9 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 from arl.cli import main
 from arl.groups import presentation_with_maps, preimage_lattice, solve_mod
-from arl.intmat import IntMatrix
+from arl.intmat import IntMatrix, smith_normal_form
+from arl.zlmod import ZlModule, zl_canonicalize
 
-from oracles import group_elements, hom_apply, quotient_invariants
+from oracles import elementary_divisors_by_minors, group_elements, hom_apply, quotient_invariants
 
 
 DATA = Path(__file__).parent / "data"
@@ -72,6 +73,22 @@ def test_solve_mod_non_chain_factors_against_brute_force():
         assert (x is not None) == (y in image)
         if x is not None:
             assert hom_apply(mat, factors, x) == y
+
+
+def test_integer_smith_form_of_small_matrix_is_fast():
+    # an integer Smith form that reduced by Euclidean remainders on the whole
+    # matrix ran for 54 s on this 5x5 input with entries below 21
+    m = IntMatrix.from_rows([[-15, -20, -14, 15, 4], [10, 18, -4, -9, -15],
+                             [-16, -3, -16, -13, -17], [7, 9, -15, 10, 0],
+                             [16, -12, -15, -2, 19]])
+    start = time.perf_counter()
+    u, d, v = smith_normal_form(m)
+    module, _, _ = zl_canonicalize(m, 2)
+    assert time.perf_counter() - start < 0.5
+    assert d.diagonal_values() == [1, 1, 1, 1, 2755976]
+    assert u @ m @ v == d
+    # 2755976 = 2^3 * 344497
+    assert module == ZlModule(2, (3,))
 
 
 def test_coupled_draw5_normalize_and_limit_are_fast(capsys, monkeypatch):
@@ -179,3 +196,33 @@ def test_presentation_matches_brute_force(case, cokernel):
 def test_presentation_merges_coprime_parts(factors):
     # mixed primes: the Bezout steps and the divisibility-chain pass both run
     check_presentation(IntMatrix.diagonal(factors), math.lcm(*factors), None)
+
+
+def _lval(n, l):
+    v = 0
+    while n % l == 0:
+        n //= l
+        v += 1
+    return v
+
+
+integer_matrices = st.integers(0, 4).flatmap(lambda r: st.integers(0, 4).flatmap(
+    lambda c: st.lists(st.lists(st.integers(-12, 12), min_size=c, max_size=c),
+                       min_size=r, max_size=r).map(lambda m: IntMatrix.from_rows(m, cols=c))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_matrices, st.sampled_from([2, 3, 5]))
+def test_zl_canonicalize_matches_minors(rel, l):
+    module, proj, lift = zl_canonicalize(rel, l)
+    divisors = elementary_divisors_by_minors([list(r) for r in rel.entries])
+    assert module.l == l
+    assert module.torsion_exponents == tuple(sorted(v for v in (_lval(d, l) for d in divisors) if v))
+    assert module.free_rank == rel.rows - len(divisors)
+    assert (proj @ lift).is_identity()
+    # proj kills the relations modulo l^a on a torsion generator of exponent
+    # a, and exactly on a free one
+    k = len(module.torsion_exponents)
+    for i, row in enumerate((proj @ rel).entries):
+        modulus = l ** module.torsion_exponents[i] if i < k else 0
+        assert all((x % modulus if modulus else x) == 0 for x in row)
