@@ -17,17 +17,20 @@ from .errors import CompositionMismatch, NotARladic, PreconditionViolated
 from .groups import (
     GroupHom,
     element_in_multiples,
+    hom_kernel,
+    image_lattice,
+    is_exact_at,
+    is_injective,
     is_surjective,
+    kills_multiples,
     quotient_with_maps,
     solve_mod,
-    sublattice_basis,
     subgroup_from_lattice,
 )
 from .intmat import IntMatrix
 from .towers import (
     HomTruncated,
     MLBound,
-    TailShape,
     Tower,
     TowerHom,
     Truncated,
@@ -61,9 +64,6 @@ class ARMor:
             raise ValueError("negative shift")
         if self.rep.target is not self.target and not self.rep.target.levelwise_equal(self.target):
             raise ValueError("representative target does not match")
-
-    def level(self, n: int) -> GroupHom:
-        return self.rep.level(n)
 
 
 def ar_from_tower_hom(f: TowerHom) -> ARMor:
@@ -178,10 +178,6 @@ def ar_is_isomorphism(f: ARMor, bound: Optional[int] = None) -> Verdict:
 
 # -- stable images and the canonical l-adic replacement -----------------------
 
-def _stable_reference_shift(f: Tower, shape: TailShape, m: int) -> int:
-    return max(0, shape.start - m)
-
-
 def stable_image_bound(f: Tower, bound: Optional[int] = None) -> Verdict:
     """The smallest s with im(F[s+n] -> F) = im(F[s] -> F) on all represented levels."""
     bound = resolve_bound(f, bound)
@@ -191,15 +187,10 @@ def stable_image_bound(f: Tower, bound: Optional[int] = None) -> Verdict:
         if shape is not None:
             # the true stable image is im(F_max(m, start) -> F_m); find the
             # least s whose images already agree with it
-            targets = []
-            for m in range(f.top + 1):
-                e_ref = _stable_reference_shift(f, shape, m)
-                targets.append(sublattice_basis(f.level(m), f.composite(m, e_ref).matrix))
+            targets = [image_lattice(f.composite(m, max(0, shape.start - m)))
+                       for m in range(f.top + 1)]
             for s in range(bound + 1):
-                if all(
-                    sublattice_basis(f.level(m), f.composite(m, s).matrix) == targets[m]
-                    for m in range(f.top + 1)
-                ):
+                if all(image_lattice(f.composite(m, s)) == targets[m] for m in range(f.top + 1)):
                     return Verdict.yes(MLBound(s, scope="tail"))
             return Verdict.unknown(note=f"images do not stabilize within bound {bound}")
         # truncated: require two consecutive confirming shifts inside the prefix
@@ -208,9 +199,7 @@ def stable_image_bound(f: Tower, bound: Optional[int] = None) -> Verdict:
             for m in range(f.top + 1):
                 if m + s + 1 > f.top:
                     break
-                a = sublattice_basis(f.level(m), f.composite(m, s).matrix)
-                b = sublattice_basis(f.level(m), f.composite(m, s + 1).matrix)
-                if a != b:
+                if image_lattice(f.composite(m, s)) != image_lattice(f.composite(m, s + 1)):
                     ok = False
                     break
             if ok and s + 1 <= f.top:
@@ -232,12 +221,9 @@ def stable_image_tower(f: Tower, s: Optional[int] = None,
     hi = f.top if f.can_extend() else f.top - s
     if hi < 0:
         raise NotARladic("prefix too short for the requested stabilization shift")
-    data = []
-    for m in range(hi + 1):
-        comp = f.composite(m, s)
-        labels = tuple(lab for lab, _ in f.level(m).operators)
-        sub, incl = subgroup_from_lattice(f.level(m), comp.matrix, transport_labels=labels)
-        data.append((sub, incl))
+    data = [subgroup_from_lattice(f.level(m), f.composite(m, s).matrix,
+                                  transport_labels=f.level(m).operator_labels())
+            for m in range(hi + 1)]
     tail = f.tail if shape is not None else Truncated()
     return induced_subtower(f, data, tail)
 
@@ -369,20 +355,9 @@ def _factorization_radius(f: Tower, bound: int) -> Verdict:
         for r in range(bound + 1):
             if shape is not None and shape.module is not None and r < shape.offset:
                 continue  # tail levels keep torsion above l^{m+1} until r >= offset
-            ok = True
-            for m in range(r, hi + 1):
-                power = f.l ** (m + 1)
-                mat = f.composite(m - r, r).matrix.scale(power)
-                target = f.level(m - r)
-                if not all(
-                    all(x % d == 0 for x, d in zip(mat.column(j), target.invariant_factors))
-                    for j in range(mat.cols)
-                ):
-                    ok = False
-                    break
-            if ok:
-                scope = "tail" if shape is not None else "prefix"
-                return Verdict.yes(r, note=scope)
+            if all(kills_multiples(f.composite(m - r, r), f.l ** (m + 1))
+                   for m in range(r, hi + 1)):
+                return Verdict.yes(r, note="tail" if shape is not None else "prefix")
         return Verdict.unknown(note=f"no factorization radius up to {bound}")
 
     return f.cached(("factorization_radius", bound), compute)
@@ -409,21 +384,18 @@ def certify_ar_l_adic(f: Tower, bound: Optional[int] = None) -> Verdict:
             return Verdict.yes(ARWitness(0, identity_tower_hom(f), f,
                                          ZeroCertificate(0, scope="tail")))
         sb = stable_image_bound(f, bound)
-        if not sb:
-            shape = classify_tail(f)
-            if shape is None and _images_strictly_decreasing(f):
-                return Verdict.no(witness=("non-stabilizing-images", f.top),
-                                  note="images still shrinking at the prefix edge")
-            return Verdict.unknown(note=sb.note)
-        try:
-            c = canonical_l_adic(f, bound)
-        except NotARladic as exc:
-            shape = classify_tail(f)
-            if shape is None and _images_strictly_decreasing(f):
-                return Verdict.no(witness=("non-stabilizing-images", f.top),
-                                  note="images still shrinking at the prefix edge")
-            return Verdict.unknown(note=str(exc))
-        return Verdict.yes(ARWitness(c.shift + c.ml_bound, c.iso.rep, c.tower, c.kernel_cert))
+        note = sb.note
+        if sb:
+            try:
+                c = canonical_l_adic(f, bound)
+                return Verdict.yes(ARWitness(c.shift + c.ml_bound, c.iso.rep, c.tower,
+                                             c.kernel_cert))
+            except NotARladic as exc:
+                note = str(exc)
+        if classify_tail(f) is None and _images_strictly_decreasing(f):
+            return Verdict.no(witness=("non-stabilizing-images", f.top),
+                              note="images still shrinking at the prefix edge")
+        return Verdict.unknown(note=note)
 
     return f.cached(("ar_l_adic", bound), compute)
 
@@ -434,8 +406,7 @@ def _images_strictly_decreasing(f: Tower) -> bool:
         depth = f.top - m
         if depth < 2:
             continue
-        chain = [sublattice_basis(f.level(m), f.composite(m, s).matrix)
-                 for s in range(depth + 1)]
+        chain = [image_lattice(f.composite(m, s)) for s in range(depth + 1)]
         if all(chain[i] != chain[i + 1] for i in range(len(chain) - 1)):
             return True
     return False
@@ -456,7 +427,6 @@ def kernel_bound_check(n_tower: Tower, f_tower: Tower, g_tower: Tower,
     for lvl in (0, min(top_needed, f_tower.top)):
         fl = incl.level(lvl)
         gl = proj.level(lvl)
-        from .groups import is_injective, is_exact_at
         if not is_injective(fl):
             raise PreconditionViolated(f"inclusion not injective at level {lvl}")
         if not is_surjective(gl):
@@ -468,13 +438,9 @@ def kernel_bound_check(n_tower: Tower, f_tower: Tower, g_tower: Tower,
     if not n_tower.composite(0, r).is_zero():
         raise PreconditionViolated(f"claimed zero radius {r} fails at level 0")
 
-    from .groups import hom_kernel
     big = f_tower.composite(n, r + m)          # F_{r+m+n} -> F_n
     kernel, kincl = hom_kernel(big)
     drop = f_tower.composite(m + n, r).matrix @ kincl.matrix   # kernel -> F_{m+n}
     target = f_tower.level(m + n)
     power = f_tower.l ** (n + 1)
-    for j in range(kernel.rank):
-        if not element_in_multiples(target, drop.column(j), power):
-            return False
-    return True
+    return all(element_in_multiples(target, drop.column(j), power) for j in range(kernel.rank))

@@ -78,12 +78,13 @@ def _cmd_normalize(ns, argv) -> int:
     tf = load_tower_file(ns.file)
     tower = tf.tower(ns.tower)
     print(_echo(argv))
-    cert = certify_ar_l_adic(tower)
-    if not cert:
+    try:
+        c = canonical_l_adic(tower)
+    except NotARladic:
+        # the certifier names the refusal: a witness, or why its search stopped
+        cert = certify_ar_l_adic(tower)
         print(f"not-ar-l-adic: {cert.status} ({cert.note or cert.witness})")
         return EXIT_NOT_AR_L_ADIC
-    c = canonical_l_adic(tower)
-    witness = cert.certificate
     print(f"tower: {ns.tower}")
     print(f"prime: {tower.l}")
     print(f"shift: r={c.shift}")
@@ -91,8 +92,8 @@ def _cmd_normalize(ns, argv) -> int:
     hi = c.tower.top if ns.levels is None else min(ns.levels - 1, c.tower.top)
     for n in range(hi + 1):
         print(f"level {n}: {c.tower.level(n).describe()}")
-    print(f"witness: epi-shift={witness.shift} kernel-radius={witness.kernel_cert.radius} "
-          f"kernel-scope={witness.kernel_cert.scope}")
+    print(f"witness: epi-shift={c.iso.shift_amount} kernel-radius={c.kernel_cert.radius} "
+          f"kernel-scope={c.kernel_cert.scope}")
     v = ar_is_isomorphism(c.iso)
     print(f"iso-check: {v.status}")
     return EXIT_OK if v else EXIT_PROPERTY

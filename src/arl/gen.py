@@ -33,7 +33,7 @@ from .towers import (
     shift,
     sum_embeddings,
 )
-from .zlmod import ZlModule, check_module_hom
+from .zlmod import ZlModule, check_module_hom, module_cokernel
 
 
 @dataclass(frozen=True)
@@ -70,13 +70,10 @@ def random_prime(rng: random.Random, params: GenParams) -> int:
     return rng.choice(list(params.primes))
 
 
-def random_zl_module(rng: random.Random, l: int, params: GenParams,
-                     allow_rank: bool | None = None) -> ZlModule:
+def random_zl_module(rng: random.Random, l: int, params: GenParams) -> ZlModule:
     k = rng.randint(0, params.max_torsion_factors)
     exps = tuple(sorted(rng.randint(1, params.max_exponent) for _ in range(k)))
-    rank_cap = params.max_rank if (allow_rank is None or allow_rank) else 0
-    rho = rng.randint(0, rank_cap)
-    module = ZlModule(l, exps, rho)
+    module = ZlModule(l, exps, rng.randint(0, params.max_rank))
     if params.operators and module.rank:
         unit = rng.randrange(1, l ** max(params.max_exponent, 2))
         while unit % l == 0:
@@ -86,9 +83,8 @@ def random_zl_module(rng: random.Random, l: int, params: GenParams,
     return module
 
 
-def random_l_adic(rng: random.Random, l: int, params: GenParams,
-                  allow_rank: bool | None = None) -> Tower:
-    return to_tower(random_zl_module(rng, l, params, allow_rank), params.levels)
+def random_l_adic(rng: random.Random, l: int, params: GenParams) -> Tower:
+    return to_tower(random_zl_module(rng, l, params), params.levels)
 
 
 def random_group(rng: random.Random, l: int, params: GenParams) -> FinAbGroup:
@@ -153,12 +149,11 @@ def random_extension(rng: random.Random, n_tower: Tower, g_tower: Tower,
     return twisted, incl, proj
 
 
-def random_ar_l_adic(rng: random.Random, l: int, params: GenParams,
-                     allow_rank: bool | None = None) -> Tower:
+def random_ar_l_adic(rng: random.Random, l: int, params: GenParams) -> Tower:
     """An AR-l-adic tower: an l-adic core with zero-system noise attached by
     sums, extensions, and shifts."""
     kind = rng.choice(["ladic", "sum", "shift", "extension", "shift-sum"])
-    core = random_l_adic(rng, l, params, allow_rank)
+    core = random_l_adic(rng, l, params)
     if kind == "ladic":
         return core
     if kind == "sum":
@@ -240,8 +235,6 @@ def random_exact_triple(rng: random.Random, l: int, params: GenParams,
                         ) -> tuple[ARMor, ARMor]:
     """An AR-exact sequence F -> G -> H -> 0 built from a module hom and its
     cokernel, with optional zero-system noise on the source."""
-    from .zlmod import module_cokernel
-
     src_mod = random_zl_module(rng, l, params)
     tgt_mod = random_zl_module(rng, l, params)
     mat = random_module_hom(rng, src_mod, tgt_mod)

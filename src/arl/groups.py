@@ -13,6 +13,10 @@ intersected and presented over Z/e with entries kept in [0, e) (see
 basis of their preimage lattice, which makes every computed object canonical:
 two different generating sets of the same subgroup give the same
 presentation.
+
+Every lattice question of the layers above is answered here, in closed form
+where the invariant-factor form gives one: images, membership in n*G, whether
+a hom kills n*A or given generators, and whether a matrix is a hom's.
 """
 
 from __future__ import annotations
@@ -290,9 +294,6 @@ class GroupHom:
         return GroupHom._of(self.source, self.target, _reduce_matrix(
             self.matrix - other.matrix, self.target.invariant_factors))
 
-    def scale(self, c: int) -> "GroupHom":
-        return GroupHom(self.source, self.target, self.matrix.scale(c))
-
 
 def identity_hom(g: FinAbGroup) -> GroupHom:
     # every invariant factor is >= 2, so the identity matrix is already reduced
@@ -481,7 +482,7 @@ def hom_on_quotients(f: GroupHom, n_source: int, n_target: int) -> GroupHom:
     return GroupHom._of(qs, qt, _reduce_matrix(mat, qt.invariant_factors))
 
 
-# -- predicates ---------------------------------------------------------------
+# -- lattice questions: the layers above ask these, never the matrix entries --
 
 def image_lattice(f: GroupHom) -> IntMatrix:
     return sublattice_basis(f.target, f.matrix)
@@ -497,7 +498,8 @@ def is_surjective(f: GroupHom) -> bool:
 def is_injective(f: GroupHom) -> bool:
     if f.source.rank == 0:
         return True
-    return kernel_lattice(f) == hermite_normal_form(f.source.relation_matrix())
+    # diag(d_1, ..., d_k) is its own Hermite normal form
+    return kernel_lattice(f) == f.source.relation_matrix()
 
 
 def hom_is_isomorphism(f: GroupHom) -> bool:
@@ -513,9 +515,28 @@ def is_exact_at(f: GroupHom, g: GroupHom) -> bool:
 
 
 def element_in_multiples(g: FinAbGroup, coords: Sequence[int], n: int) -> bool:
-    """Whether the element lies in n*g."""
-    scaled = IntMatrix.diagonal([n] * g.rank)
-    return solve_mod(scaled, g.invariant_factors, IntMatrix.from_columns([coords]))[0] is not None
+    """Whether the element lies in n*g: n*(Z/d) = gcd(n, d)*(Z/d) summand by summand."""
+    return all(x % math.gcd(n, d) == 0 for x, d in zip(coords, g.invariant_factors))
+
+
+def kills(f: GroupHom, gens: IntMatrix) -> bool:
+    """Whether f vanishes on every column of gens (source coordinates)."""
+    return all(x % d == 0 for row, d in zip((f.matrix @ gens).entries, f.target.invariant_factors)
+               for x in row)
+
+
+def kills_multiples(f: GroupHom, n: int) -> bool:
+    """Whether f vanishes on n*f.source: d_i | n*m_ij for every entry."""
+    return all(n * x % d == 0 for row, d in zip(f.matrix.entries, f.target.invariant_factors)
+               for x in row)
+
+
+def is_matrix_of(f: GroupHom, mat: IntMatrix) -> bool:
+    """Whether mat, read modulo the target factors, is f's matrix.  f is a valid
+    hom, so when it is, mat defines that same hom."""
+    return (mat.rows, mat.cols) == (f.matrix.rows, f.matrix.cols) and all(
+        x % d == y for row, f_row, d in zip(mat.entries, f.matrix.entries, f.target.invariant_factors)
+        for x, y in zip(row, f_row))
 
 
 # Direct sums are pure functions of frozen values, and the levels of a sum

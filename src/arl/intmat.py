@@ -1,11 +1,12 @@
 """Exact integer matrices and their normal forms.
 
 All arithmetic is over arbitrary-precision Python integers; nothing here is
-ever rounded.  One Smith-form elimination serves every modulus e
-(:func:`modular_smith`).  The lattices of finite-group arithmetic all contain
-e*Z^n for a known e, so they are solved, intersected and presented over Z/e,
-with every entry kept in [0, e).  The modulus e = 0 is Z itself: the
-integer Smith form (:func:`smith_normal_form`) is that elimination, unreduced.
+ever rounded.  One Smith-form elimination serves every modulus e, and
+:func:`modular_smith` is the one routine that presents a quotient Z^n / L.
+The lattices of finite-group arithmetic all contain e*Z^n for a known e, so
+they are solved, intersected and presented over Z/e, with every entry kept
+in [0, e).  The modulus e = 0 is Z itself: Z_l-module presentations and the
+integer Smith form (:func:`smith_normal_form`) run that elimination unreduced.
 Its pivot rule is fixed (the nonzero entry of least absolute value, ties
 broken by lowest (row, col)), so every result is bit-for-bit reproducible.
 """
@@ -478,14 +479,13 @@ def modular_smith(m: IntMatrix, e: int) -> tuple[tuple[int, ...], IntMatrix, Int
 
 
 @lru_cache(maxsize=8192)
-def _snf_cached(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
-    st = _ModSmith(m, 0, IntMatrix.identity(m.rows), track_ui=True)
+def _snf_cached(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    st = _ModSmith(m, 0, IntMatrix.identity(m.rows))
     rows, cols = m.rows, m.cols
     return (
         IntMatrix._of(rows, rows, tuple(tuple(row[cols:]) for row in st.d)),
         IntMatrix._of(rows, cols, tuple(tuple(row[:cols]) for row in st.d)),
         IntMatrix._of(cols, cols, tuple(tuple(row) for row in st.v)),
-        IntMatrix._of(rows, rows, tuple(tuple(row) for row in st.ui)),
     )
 
 
@@ -496,12 +496,6 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     entries come last.  This is the Smith form modulo e = 0 (see
     :func:`modular_smith`).
     """
-    u, d, v, _ = _snf_cached(m)
-    return u, d, v
-
-
-def snf_with_inverses(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
-    """Like :func:`smith_normal_form` but also returns U^-1."""
     return _snf_cached(m)
 
 

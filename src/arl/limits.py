@@ -12,8 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
+from .arcat import canonical_l_adic
 from .errors import NonStabilizing, NotLAdic
 from .groups import FinAbGroup, GroupHom, trivial_group, zero_hom
+from .hypernat import HyperNat
 from .intmat import IntMatrix
 from .towers import (
     EventuallyLAdic,
@@ -23,7 +25,8 @@ from .towers import (
     direct_sum,
     is_l_adic,
 )
-from .zlmod import ZlModule, _lval
+from .upsilon import psi, upsilon
+from .zlmod import ZlModule, valuation
 
 
 DEFAULT_PREFIX_LEVELS = 8
@@ -58,8 +61,8 @@ def limit(tower: Tower) -> ZlModule:
     top = tower.top
     if top < 1:
         raise NonStabilizing("need at least two represented levels", top)
-    top_exps = [_lval(d, tower.l) for d in tower.level(top).invariant_factors]
-    prev_exps = [_lval(d, tower.l) for d in tower.level(top - 1).invariant_factors]
+    top_exps = [valuation(d, tower.l) for d in tower.level(top).invariant_factors]
+    prev_exps = [valuation(d, tower.l) for d in tower.level(top - 1).invariant_factors]
     torsion = []
     rho = 0
     for v in top_exps:
@@ -83,8 +86,6 @@ def limit(tower: Tower) -> ZlModule:
 def tensor_zl(upsilon_obj) -> ZlModule:
     """The external Z_l-module carried by an image-quotient object at an
     infinite index: the limit of its tower of finite quotients."""
-    from .upsilon import psi
-
     return limit(psi(upsilon_obj))
 
 
@@ -128,10 +129,6 @@ def comparison_check(data: CohomologyTowerInput, degree: int,
     theorem says they agree; the report records whether the canonical forms
     (and operator actions, when present) are equal.
     """
-    from .arcat import canonical_l_adic
-    from .hypernat import HyperNat
-    from .upsilon import upsilon
-
     t = data.tower(degree)
     h = HyperNat.symbol("h")
     left = tensor_zl(upsilon(t, h, bound=bound))

@@ -52,7 +52,9 @@ from .groups import (
     hom_kernel,
     hom_on_quotients,
     identity_hom,
+    is_matrix_of,
     is_surjective,
+    kills_multiples,
     quotient_with_maps,
     solve_mod,
     trivial_group,
@@ -553,13 +555,13 @@ class HomZeroTail(HomTail):
         return HomTruncated()
 
     def kernel_tail(self, hom):
-        return hom.source.tail
+        return _tail_from(hom.source, self.start, hom.top)
 
     def image_tail(self, hom, onto):
         return ZeroTail(min(self.start, hom.top + 1))
 
     def cokernel_tail(self, hom, route):
-        return hom.target.tail
+        return _tail_from(hom.target, self.start, hom.top)
 
 
 @dataclass(frozen=True)
@@ -572,7 +574,7 @@ class HomCanonicalTail(HomTail):
     def check(self, hom):
         for n in range(self.start, len(hom.levels)):
             f = hom.levels[n]
-            if not _has_matrix(f, IntMatrix.identity(f.source.rank)):
+            if not is_matrix_of(f, IntMatrix.identity(f.source.rank)):
                 raise ValueError(f"HomCanonicalTail(start={self.start}) contradicted at level {n}: "
                                  f"the level map is not induced by the identity matrix")
 
@@ -617,7 +619,7 @@ class HomModuleTail(HomTail):
             raise ValueError("module hom tail requires eventually-l-adic towers")
         check_module_hom(self.matrix, sm, tm)
         for n in range(self.start, len(hom.levels)):
-            if not _has_matrix(hom.levels[n], self.matrix):
+            if not is_matrix_of(hom.levels[n], self.matrix):
                 raise ValueError(f"HomModuleTail(start={self.start}) contradicted at level {n}: "
                                  f"the level map is not induced by the tail's module matrix")
 
@@ -655,12 +657,17 @@ class HomModuleTail(HomTail):
         return EventuallyLAdic(start, coker_mod) if start <= hom.top else Truncated()
 
 
-def _has_matrix(f: GroupHom, mat: IntMatrix) -> bool:
-    """Whether mat, read modulo the target factors, is f's matrix.  f is a valid
-    hom, so when it is, mat defines that same hom."""
-    return (mat.rows, mat.cols) == (f.matrix.rows, f.matrix.cols) and all(
-        x % d == y for row, f_row, d in zip(mat.entries, f.matrix.entries, f.target.invariant_factors)
-        for x, y in zip(row, f_row))
+def _tail_from(f: Tower, start: int, top: int) -> TailRule:
+    """The tail of a kernel or cokernel with levels 0..top that equals f from level
+    start on: f's verified tail re-anchored at start, as ``ladic_truncation`` does."""
+    shape = classify_tail(f)
+    if shape is None or shape.offset:
+        # no normal form to re-anchor; f's own rule fits where every level agrees
+        return f.tail if start == 0 else Truncated()
+    start = max(start, shape.start)
+    if shape.module is None:
+        return ZeroTail(min(start, top + 1))
+    return EventuallyLAdic(start, shape.module) if start <= top else Truncated()
 
 
 def _eventually_module(tower: Tower) -> Optional[ZlModule]:
@@ -898,31 +905,20 @@ def _induce_quot_transitions(parent: Tower, data: list[tuple[FinAbGroup, GroupHo
 
 def levelwise_kernel(f: TowerHom) -> tuple[Tower, TowerHom]:
     """(K, incl) with K_n = ker(f_n) and the induced transitions."""
-    data = []
-    for n in range(f.top + 1):
-        fn = f.level(n)
-        if fn.is_zero():
-            data.append((fn.source, identity_hom(fn.source)))
-        else:
-            data.append(hom_kernel(fn))
+    data = [(fn.source, identity_hom(fn.source)) if fn.is_zero() else hom_kernel(fn)
+            for fn in f.levels]
     return induced_subtower(f.source, data, f.tail.kernel_tail(f))
 
 
 def levelwise_image(f: TowerHom) -> tuple[Tower, TowerHom]:
     """(I, incl) with I_n = im(f_n) inside the target."""
-    data = []
-    surjective_everywhere = True
-    for n in range(f.top + 1):
-        fn = f.level(n)
-        if fn.is_zero():
-            surjective_everywhere = surjective_everywhere and fn.target.is_trivial()
-            data.append((trivial_group(f.source.l), zero_hom(trivial_group(f.source.l), fn.target)))
-        elif is_surjective(fn):
-            data.append((fn.target, identity_hom(fn.target)))
-        else:
-            surjective_everywhere = False
-            data.append(hom_image(fn))
-    return induced_subtower(f.target, data, f.tail.image_tail(f, surjective_everywhere))
+    zero = trivial_group(f.source.l)
+    # a zero map's image is trivial, where hom_image would attach the map's
+    # operators; an image that is the whole target comes back as its identity
+    data = [(zero, zero_hom(zero, fn.target)) if fn.is_zero() else hom_image(fn)
+            for fn in f.levels]
+    onto = all(incl.matrix.is_identity() for _, incl in data)
+    return induced_subtower(f.target, data, f.tail.image_tail(f, onto))
 
 
 def levelwise_cokernel(f: TowerHom) -> tuple[Tower, TowerHom]:
@@ -979,16 +975,15 @@ def is_zero_system(f: Tower, bound: Optional[int] = None) -> Verdict:
 def _induced_quotient_map(f: Tower, n: int) -> Optional[GroupHom]:
     """The map F_{n+1}/l^{n+1} -> F_n induced by the transition, or None when
     the transition does not kill l^{n+1} F_{n+1}."""
-    u, target = f.transition(n + 1), f.level(n)
-    power = f.l ** (n + 1)
-    if any(power * x % d for row, d in zip(u.matrix.entries, target.invariant_factors) for x in row):
+    u, power = f.transition(n + 1), f.l ** (n + 1)
+    if not kills_multiples(u, power):
         return None
     qs, _, lift = quotient_with_maps(f.level(n + 1), power)
     # u kills the kernel l^{n+1} F_{n+1} of the projection p onto qs, so it
     # induces the hom i with i.p = u; its matrix is u's on the generators that
     # lift selects, already reduced.  For an operator s of both ends,
     # i.s.p = i.p.s = u.s = s.u = s.i.p, and p is onto, so i commutes with s.
-    return GroupHom._of(qs, target, u.matrix @ lift)
+    return GroupHom._of(qs, f.level(n), u.matrix @ lift)
 
 
 def is_l_adic(f: Tower) -> Verdict:

@@ -19,6 +19,9 @@ from .arcat import (
     ARMor,
     CanonicalLAdic,
     ar_compose,
+    ar_equal,
+    ar_is_isomorphism,
+    ar_zero,
     canonical_l_adic,
 )
 from .errors import FiniteIndex, PreconditionViolated
@@ -28,7 +31,9 @@ from .groups import (
     hom_is_isomorphism,
     is_exact_at,
     is_surjective,
+    kills,
     preimage_lattice,
+    quotient_by_integer,
     solve_mod,
 )
 from .hypernat import HyperNat
@@ -38,6 +43,7 @@ from .towers import (
     TowerHom,
     classify_tail,
     is_l_adic,
+    shift,
 )
 
 
@@ -62,7 +68,6 @@ class StarLevel:
         if power < 1:
             raise ValueError("quotient power must be >= 1")
         if not self.index.is_infinite:
-            from .groups import quotient_by_integer
             return quotient_by_integer(self.base.level(self.index.offset),
                                        self.base.l ** power)
         return self.base.level(power - 1)
@@ -167,12 +172,9 @@ def ar_canonical_rep(f: ARMor) -> TowerHom:
     for n in range(hi + 1):
         comp = f.source.composite(n, rho)
         rep_n = f.rep.level(n)
-        kgens = preimage_lattice(comp.matrix, comp.target.invariant_factors)
-        for j in range(kgens.cols):
-            image = rep_n.matrix.apply(kgens.column(j))
-            if any(x % d != 0 for x, d in zip(image, rep_n.target.invariant_factors)):
-                raise PreconditionViolated(
-                    f"representative does not factor through the shift at level {n}")
+        if not kills(rep_n, preimage_lattice(comp.matrix, comp.target.invariant_factors)):
+            raise PreconditionViolated(
+                f"representative does not factor through the shift at level {n}")
         src = f.source.level(n)
         lifts = solve_mod(comp.matrix, src.invariant_factors, IntMatrix.identity(src.rank))
         if None in lifts:
@@ -211,25 +213,20 @@ def phi_iso(f: Tower, h: HyperNat, bound: Optional[int] = None) -> tuple[ARMor, 
     left = psi(u)
     right = star_tower(f)
     fwd_rep = TowerHom(
-        _reshift_source(c.inverse.rep, left, c.inverse.shift_amount),
+        shift(left, c.inverse.shift_amount),
         right,
         c.inverse.rep.levels,
         tail=c.inverse.rep.tail,
     )
     iso = ARMor(left, right, c.inverse.shift_amount, fwd_rep)
     bwd_rep = TowerHom(
-        _reshift_source(c.iso.rep, right, c.iso.shift_amount),
+        shift(right, c.iso.shift_amount),
         left,
         c.iso.rep.levels,
         tail=c.iso.rep.tail,
     )
     inverse = ARMor(right, left, c.iso.shift_amount, bwd_rep)
     return iso, inverse
-
-
-def _reshift_source(rep: TowerHom, new_base: Tower, amount: int) -> Tower:
-    from .towers import shift
-    return shift(new_base, amount) if amount else new_base
 
 
 def check_right_exact(f: ARMor, g: ARMor, h: HyperNat,
@@ -243,8 +240,6 @@ def check_right_exact(f: ARMor, g: ARMor, h: HyperNat,
     every represented finite quotient, exactness at the middle and
     surjectivity at the end of the induced sequence.
     """
-    from .arcat import ar_equal, ar_zero
-
     comp = ar_compose(g, f)
     vanishes = ar_equal(comp, ar_zero(f.source, g.target), bound)
     if not vanishes:
@@ -271,8 +266,6 @@ def faithfulness_check(f: ARMor, h: HyperNat, bound: Optional[int] = None) -> bo
     shift-class category, and if the induced morphism is an isomorphism then
     f is a shift-class isomorphism.
     """
-    from .arcat import ar_equal, ar_is_isomorphism, ar_zero
-
     u = upsilon_mor(f, h, bound=bound)
     f_zero = ar_equal(f, ar_zero(f.source, f.target), bound)
     if u.is_zero():

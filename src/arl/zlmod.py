@@ -7,6 +7,7 @@ literally canonical level by level.
 
 The textual form used in tower files is ``Zl^2 + Z/l^3 + Z/l`` with ``0`` for
 the trivial module; the prime l is bound by the surrounding context.
+Presentations go through ``intmat.modular_smith`` at modulus 0 (over Z).
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ from typing import Mapping, Sequence
 
 from .errors import PrimeMismatch
 from .groups import FinAbGroup, GroupHom
-from .intmat import IntMatrix, exact_int, snf_with_inverses
+from .intmat import IntMatrix, exact_int, modular_smith
 
 
-def _lval(n: int, l: int) -> int:
+def valuation(n: int, l: int) -> int:
+    """The exponent of l in the nonzero integer n."""
     v = 0
     while n % l == 0:
         n //= l
@@ -242,16 +244,13 @@ def zl_canonicalize(relations: IntMatrix, l: int) -> tuple[ZlModule, IntMatrix, 
     coordinates to module coordinates (torsion generators first, then free),
     and proj @ lift is the identity.
     """
-    n = relations.rows
-    u, d, _, ui = snf_with_inverses(relations)
-    k = min(n, relations.cols)
-    diag = [d.entries[i][i] for i in range(k)] + [0] * (n - k)
+    factors, u, ui = modular_smith(relations, 0)
     torsion, free = [], []
-    for i, val in enumerate(diag):
+    for i, val in enumerate(factors):
         if val == 0:
             free.append(i)
             continue
-        v = _lval(val, l)
+        v = valuation(val, l)
         if v > 0:
             torsion.append((v, i))
     torsion.sort()

@@ -103,6 +103,7 @@ class TestNormalize:
         path.write_text(json.dumps(doc))
         code, out, err = run(capsys, "normalize", "--file", str(path), "--tower", "bad")
         assert code == 3
+        assert "not-ar-l-adic: no (images still shrinking at the prefix edge)" in out.splitlines()
         code2, _, err2 = run(capsys, "limit", "--file", str(path), "--tower", "bad")
         assert code2 == 3
         code3, _, err3 = run(capsys, "upsilon", "--file", str(path), "--tower", "bad", "--h", "h")

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arl.arcat import ar_from_tower_hom, ar_is_isomorphism
 from arl.errors import PreconditionViolated, PrimeMismatch, TruncatedTower
 from arl.gen import (
     GenParams,
@@ -27,6 +28,9 @@ from arl.towers import (
     EventuallyLAdic,
     HomCanonicalTail,
     HomModuleTail,
+    HomTruncated,
+    HomZeroTail,
+    TailShape,
     Tower,
     TowerHom,
     Truncated,
@@ -461,6 +465,96 @@ class TestHomTailContradictions:
             TowerHom(s, t, levels, HomModuleTail(1, one))
         assert TowerHom(s, t, levels, HomModuleTail(1, IntMatrix.from_rows([[2]]))).top == 1
 
+
+
+class TestHomTailAlgebra:
+    """Differences of hom tails, their levels beyond the represented ones, and
+    the tails that the levelwise image and cokernel of a zero tail inherit."""
+
+    def test_identity_minus_identity_has_zero_tail(self):
+        t = zl_tower(5)
+        d = identity_tower_hom(t) - identity_tower_hom(t)
+        assert d.tail == HomZeroTail(0)
+        assert d.is_levelwise_zero()
+
+    def test_zero_minus_zero_keeps_the_later_start(self):
+        s, t = zl_tower(4), zl_tower(4)
+        levels = tuple(zero_hom(s.level(n), t.level(n)) for n in range(5))
+        d = TowerHom(s, t, levels, HomZeroTail(1)) - zero_tower_hom(s, t)
+        assert d.tail == HomZeroTail(1)
+        assert (zero_tower_hom(s, t) - identity_tower_hom(zl_tower(4))).tail == HomTruncated()
+
+    def test_canonical_minus_other_kind_is_truncated(self):
+        t = zl_tower(4)
+        assert (identity_tower_hom(t) - zero_tower_hom(t, t)).tail == HomTruncated()
+
+    def test_module_tail_difference_carries_the_matrix_difference(self):
+        src, tgt = ZlModule(3, (2,), 1), ZlModule(3, (1,), 1)
+        a = IntMatrix.from_rows([[1, 2], [0, 4]])
+        b = IntMatrix.from_rows([[2, 1], [0, 1]])
+        f, g = (module_hom_tower_map(m, src, tgt, 4) for m in (a, b))
+        d = f - g
+        assert d.tail == HomModuleTail(0, a - b)
+        assert d.tail.minus(HomZeroTail(0)) == HomTruncated()
+        for n in range(4):
+            assert d.level(n) == f.level(n) - g.level(n)
+        # HomModuleTail.level, beyond the represented levels
+        for n in (4, 7):
+            assert d.level(n) == GroupHom(d.source.level(n), d.target.level(n), a - b)
+            assert d.level(n) == f.level(n) - g.level(n)
+
+    def test_zero_tail_levels_beyond_the_prefix(self):
+        s, t = zl_tower(3), zero_tail_tower(2, 3)
+        z = zero_tower_hom(s, t)
+        for n in (3, 6):
+            assert z.level(n) == zero_hom(s.level(n), t.level(n))
+        levels = tuple(zero_hom(s.level(n), t.level(n)) for n in range(2))
+        late = TowerHom(s, t, levels, HomZeroTail(4))
+        with pytest.raises(TruncatedTower):
+            late.level(3)
+        assert late.level(4).is_zero()
+
+    def test_image_of_zero_hom_is_zero_system(self):
+        i, _ = levelwise_image(zero_tower_hom(zl_tower(5), zl_tower(5)))
+        assert i.tail == ZeroTail(0)
+        assert all(i.level(n).is_trivial() for n in range(i.top + 2))
+
+    def test_cokernel_of_zero_hom_is_target(self):
+        t = zl_tower(5)
+        c, _ = levelwise_cokernel(zero_tower_hom(zl_tower(5), t))
+        assert c.levelwise_equal(t)
+        assert classify_tail(c) == classify_tail(t)
+
+    def test_zero_tail_above_a_nonzero_level(self):
+        # level 0 is the identity of Z/2, later levels are zero: below the
+        # hom tail's start the cokernel is a proper quotient of the target,
+        # so the target's tail is re-anchored where the maps vanish
+        target = zl_tower(6)
+        z2 = FinAbGroup((2,), prime_support=L)
+        source = Tower(L, (z2,) * 6, (zero_hom(z2, z2),) * 5)
+        levels = (identity_hom(z2),) + tuple(zero_hom(z2, target.level(n)) for n in range(1, 6))
+        f = TowerHom(source, target, levels, tail=HomZeroTail(1))
+        c, _ = levelwise_cokernel(f)
+        assert c.describe_levels() == ["0", "Z/4", "Z/8", "Z/16", "Z/32", "Z/64"]
+        assert classify_tail(c) == TailShape(1, ZL)
+        v = ar_is_isomorphism(ar_from_tower_hom(f))
+        assert v.is_no and v.witness == ("cokernel", ("level", 1))
+
+    def test_zero_tail_past_the_prefix_over_derived_tails(self):
+        # the sum tower's rule matches its top level only; a kernel or
+        # cokernel that differs there must not inherit it
+        z2 = FinAbGroup((2,), prime_support=L)
+        one = constant_tower(L, z2, 3)
+        both = direct_sum(constant_tower(L, z2, 3), constant_tower(L, z2, 3))
+        first = IntMatrix.from_rows([[1, 0]])
+        proj = TowerHom(both, one, tuple(GroupHom(both.level(n), z2, first) for n in range(3)),
+                        tail=HomZeroTail(3))
+        k, _ = levelwise_kernel(proj)
+        assert k.describe_levels() == ["Z/2"] * 3 and k.tail == Truncated()
+        incl = TowerHom(one, both, tuple(GroupHom(z2, both.level(n), first.transpose())
+                                         for n in range(3)), tail=HomZeroTail(3))
+        c, _ = levelwise_cokernel(incl)
+        assert c.describe_levels() == ["Z/2"] * 3 and c.tail == Truncated()
 
 def _brute_is_l_adic_witness(t):
     """The first failure of the l-adic conditions on a truncated tower, by
