@@ -15,19 +15,18 @@ from typing import Optional
 
 from .errors import CompositionMismatch, NotARladic, PreconditionViolated
 from .groups import (
-    GroupHom,
+    corestrict,
     element_in_multiples,
     hom_kernel,
     image_lattice,
+    induced_on_quotient,
     is_exact_at,
     is_injective,
     is_surjective,
     kills_multiples,
     quotient_with_maps,
-    solve_mod,
     subgroup_from_lattice,
 )
-from .intmat import IntMatrix
 from .towers import (
     HomTruncated,
     MLBound,
@@ -242,18 +241,6 @@ class CanonicalLAdic:
     kernel_cert: Optional[ZeroCertificate] = None
 
 
-def _epi_onto_stable(f: Tower, stable: Tower, incl: TowerHom, s: int, upto: int) -> list[GroupHom]:
-    levels = []
-    for m in range(upto + 1):
-        comp = f.composite(m, s)
-        cols = solve_mod(incl.levels[m].matrix, f.level(m).invariant_factors, comp.matrix)
-        if None in cols:
-            raise PreconditionViolated("transition image escapes the stable subgroup")
-        levels.append(GroupHom(comp.source, stable.level(m),
-                               IntMatrix.from_columns(cols, rows=stable.level(m).rank)))
-    return levels
-
-
 def canonical_l_adic(f: Tower, bound: Optional[int] = None,
                      ml_bound: Optional[int] = None,
                      with_morphisms: bool = True) -> CanonicalLAdic:
@@ -295,13 +282,11 @@ def canonical_l_adic(f: Tower, bound: Optional[int] = None,
     hi = min(g.top, incl.top - r)
     if hi < 0:
         raise NotARladic("prefix too short to present the forward morphism")
-    epi_levels = _epi_onto_stable(f, stable, incl, s, hi + r)
-    fwd_levels = []
-    for n in range(hi + 1):
-        e_level = epi_levels[n + r]
-        q, proj, _ = quotient_with_maps(stable.level(n + r), f.l ** (n + 1))
-        fwd_levels.append(proj.compose(e_level))
-    fwd = TowerHom(shift(f, r + s), g, tuple(fwd_levels))
+    # the stable level n+r is the image of F_{n+r+s} -> F_{n+r}, so each
+    # corestriction exists; G_n is its quotient by l^{n+1}
+    fwd_levels = tuple(quotient_with_maps(stable.level(n + r), f.l ** (n + 1))[1].compose(
+        corestrict(incl.levels[n + r], f.composite(n + r, s))) for n in range(hi + 1))
+    fwd = TowerHom(shift(f, r + s), g, fwd_levels)
     iso = ARMor(f, g, r + s, fwd)
 
     # backward: G[r2] -> F via mod-l^{m+1} factorization of the transitions
@@ -309,21 +294,15 @@ def canonical_l_adic(f: Tower, bound: Optional[int] = None,
     if not fr:
         raise NotARladic(f"no factorization radius: {fr.note}")
     r2 = fr.certificate
-    bwd_levels = []
     bwd_top = min(g.top - r2, incl.top - r - r2, f.top)
     if bwd_top < 0:
         raise NotARladic("prefix too short to present the backward morphism")
-    for n in range(bwd_top + 1):
-        m = n + r2
-        # G_m -> F_m / l^{m+1}, induced by inclusion of the stable image
-        g_level = g.level(m)
-        into_f = f.composite(m, r).matrix @ incl.levels[m + r].matrix
-        qf, projf, liftf = quotient_with_maps(f.level(m), f.l ** (m + 1))
-        to_quot = GroupHom(g_level, qf, projf.matrix @ into_f)
-        # F_m / l^{m+1} -> F_n by the factorization property
-        fact = GroupHom(qf, f.level(n), f.composite(n, r2).matrix @ liftf)
-        bwd_levels.append(fact.compose(to_quot))
-    bwd = TowerHom(shift(g, r2), f, tuple(bwd_levels))
+    # G_m = stable_{m+r} / l^{m+1} for m = n + r2, and stable_{m+r} -> F_{m+r}
+    # -> F_n kills l^{m+1}-multiples because F_m -> F_n does (the factorization
+    # radius), so each induced map exists
+    bwd_levels = tuple(induced_on_quotient(f.composite(n, r2 + r).compose(
+        incl.levels[n + r2 + r]), f.l ** (n + r2 + 1)) for n in range(bwd_top + 1))
+    bwd = TowerHom(shift(g, r2), f, bwd_levels)
     inverse = ARMor(g, f, r2, bwd)
 
     # the construction is only a shift-class isomorphism when the kernel of

@@ -13,8 +13,7 @@ import sys
 import time
 
 from .arcat import ar_is_isomorphism, canonical_l_adic, certify_ar_l_adic
-from .errors import FiniteIndex, NotARladic, NotLAdic, TowerFileError
-from .hypernat import HyperNat
+from .errors import FiniteIndex, NotARladic, NotLAdic, TowerFileError, UndeclaredSymbol
 from .limits import limit
 from .suites import SUITES, parse_report, replay_report, run_suite
 from .towerfile import load_tower_file
@@ -112,17 +111,10 @@ def _cmd_limit(ns, argv) -> int:
     return EXIT_OK
 
 
-def _parse_index(text: str) -> HyperNat:
-    try:
-        return HyperNat.parse(text)
-    except ValueError as exc:
-        raise TowerFileError(f"index term: {exc}") from exc
-
-
 def _cmd_upsilon(ns, argv) -> int:
     tf = load_tower_file(ns.file)
     tower = tf.tower(ns.tower)
-    h = _parse_index(ns.h)
+    h = tf.index(ns.h)
     print(_echo(argv))
     u = upsilon(tower, h)
     print(f"tower: {ns.tower}")
@@ -138,7 +130,7 @@ def _cmd_upsilon(ns, argv) -> int:
 def _cmd_psi(ns, argv) -> int:
     tf = load_tower_file(ns.file)
     tower = tf.tower(ns.tower)
-    h = _parse_index(ns.h)
+    h = tf.index(ns.h)
     print(_echo(argv))
     p = psi(upsilon(tower, h))
     print(f"tower: {ns.tower}")
@@ -159,6 +151,10 @@ def _cmd_verify(ns, argv) -> int:
                 recorded = parse_report(fh.read())
         except (OSError, ValueError, KeyError) as exc:
             print(f"error: cannot load report: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        if recorded.suite != ns.suite:
+            print(f"error: --suite {ns.suite} but the report is of suite {recorded.suite}",
+                  file=sys.stderr)
             return EXIT_USAGE
         report = replay_report(recorded)
     else:
@@ -196,7 +192,7 @@ def main(argv=None) -> int:
     except (NotARladic, NotLAdic) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_AR_L_ADIC
-    except FiniteIndex as exc:
+    except (FiniteIndex, UndeclaredSymbol) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INDEX
     except ValueError as exc:

@@ -44,6 +44,10 @@ class FiniteIndex(ArlError):
     """A hypernatural index was required to be infinite but is finite."""
 
 
+class UndeclaredSymbol(ArlError):
+    """An index term names a symbol that its tower file does not declare."""
+
+
 class NegativeResult(ArlError):
     """Hypernatural subtraction left the valid term domain."""
 

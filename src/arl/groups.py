@@ -14,9 +14,11 @@ basis of their preimage lattice, which makes every computed object canonical:
 two different generating sets of the same subgroup give the same
 presentation.
 
-Every lattice question of the layers above is answered here, in closed form
-where the invariant-factor form gives one: images, membership in n*G, whether
-a hom kills n*A or given generators, and whether a matrix is a hom's.
+Every lattice question and linear system of the layers above is answered
+here: images, membership in n*G, whether a hom kills n*A, whether a matrix is
+a hom's, and three universal properties -- ``corestrict`` (maps into a
+subgroup), ``induced_on_quotient`` (maps out of A/nA) and ``section`` (lifts
+along a surjection) -- each built by construction under one proof.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import CompositionMismatch, InfiniteGroup, PrimeMismatch
@@ -76,7 +78,7 @@ class FinAbGroup:
         for label, mat in sorted(self.operators, key=lambda kv: kv[0]):
             if mat.rows != self.rank or mat.cols != self.rank:
                 raise ValueError(f"operator {label!r} has wrong shape")
-            ops.append((label, _reduce_matrix(mat, factors)))
+            ops.append((label, reduce_matrix(mat, factors)))
         object.__setattr__(self, "operators", tuple(ops))
         for label, mat in ops:
             _check_well_defined(mat, factors, factors, what=f"operator {label!r}")
@@ -186,7 +188,8 @@ class Element:
         return all(c == 0 for c in self.coords)
 
 
-def _reduce_matrix(mat: IntMatrix, target_factors: Sequence[int]) -> IntMatrix:
+def reduce_matrix(mat: IntMatrix, target_factors: Sequence[int]) -> IntMatrix:
+    """mat with row i reduced modulo target_factors[i]: how a hom matrix is stored."""
     return IntMatrix._of(len(target_factors), mat.cols, tuple(
         tuple([x % d for x in row]) for row, d in zip(mat.entries, target_factors)
     ))
@@ -242,11 +245,11 @@ class GroupHom:
             )
         _check_well_defined(self.matrix, self.source.invariant_factors,
                             self.target.invariant_factors)
-        object.__setattr__(self, "matrix", _reduce_matrix(self.matrix, self.target.invariant_factors))
+        object.__setattr__(self, "matrix", reduce_matrix(self.matrix, self.target.invariant_factors))
         for label in common_labels(self.source, self.target):
-            left = _reduce_matrix(self.target.operator(label) @ self.matrix,
+            left = reduce_matrix(self.target.operator(label) @ self.matrix,
                                   self.target.invariant_factors)
-            right = _reduce_matrix(self.matrix @ self.source.operator(label),
+            right = reduce_matrix(self.matrix @ self.source.operator(label),
                                    self.target.invariant_factors)
             if left != right:
                 raise ValueError(f"hom does not commute with operator {label!r}")
@@ -272,27 +275,32 @@ class GroupHom:
         """self after first."""
         if first.target != self.source:
             raise CompositionMismatch("hom composition endpoints do not match")
-        matrix = _reduce_matrix(self.matrix @ first.matrix, self.target.invariant_factors)
-        # The composite commutes with every operator both factors commute with.
-        # An operator of source and target that the middle group lacks binds
-        # neither factor, so the composite must be checked against it.
-        labels = common_labels(first.source, self.target)
-        if labels and not set(labels) <= set(common_labels(first.source, first.target)) \
-                & set(common_labels(self.source, self.target)):
-            return GroupHom(first.source, self.target, matrix)
-        return GroupHom._of(first.source, self.target, matrix)
+        matrix = reduce_matrix(self.matrix @ first.matrix, self.target.invariant_factors)
+        # the composite commutes with every operator both factors commute with
+        return _through(first.source, first.target, self.target, matrix)
 
     def __add__(self, other: "GroupHom") -> "GroupHom":
         if (other.source, other.target) != (self.source, self.target):
             raise ValueError("hom addition endpoints do not match")
-        return GroupHom._of(self.source, self.target, _reduce_matrix(
+        return GroupHom._of(self.source, self.target, reduce_matrix(
             self.matrix + other.matrix, self.target.invariant_factors))
 
     def __sub__(self, other: "GroupHom") -> "GroupHom":
         if (other.source, other.target) != (self.source, self.target):
             raise ValueError("hom subtraction endpoints do not match")
-        return GroupHom._of(self.source, self.target, _reduce_matrix(
+        return GroupHom._of(self.source, self.target, reduce_matrix(
             self.matrix - other.matrix, self.target.invariant_factors))
+
+
+def _through(source: FinAbGroup, middle: FinAbGroup, target: FinAbGroup,
+             matrix: IntMatrix) -> GroupHom:
+    """The hom source -> target with a reduced, well-defined matrix known to commute
+    with the operators of all three groups; one that middle lacks is checked."""
+    labels = common_labels(source, target)
+    if labels and not set(labels) <= set(common_labels(source, middle)) \
+            & set(common_labels(middle, target)):
+        return GroupHom(source, target, matrix)
+    return GroupHom._of(source, target, matrix)
 
 
 def identity_hom(g: FinAbGroup) -> GroupHom:
@@ -382,27 +390,27 @@ def subgroup_from_lattice(ambient: FinAbGroup, gens: IntMatrix,
         return ambient, identity_hom(ambient)
     rel = preimage_lattice(h, ambient.invariant_factors)
     sub, _, lift = presentation_with_maps(rel, ambient.exponent(), prime=ambient.prime_support)
-    incl_matrix = h @ lift
     # normalize generator signs: of g and -g keep the lexicographically
     # smaller reduced embedding, so equal subgroups embed identically
-    cols = []
-    for j in range(sub.rank):
-        col = tuple(x % d for x, d in zip(incl_matrix.column(j), ambient.invariant_factors))
-        neg = tuple((-x) % d for x, d in zip(incl_matrix.column(j), ambient.invariant_factors))
-        cols.append(min(col, neg))
-    incl_matrix = IntMatrix.from_columns(cols, rows=ambient.rank)
+    incl_matrix = _reduced_columns([
+        min(col, tuple(-x % d for x, d in zip(col, ambient.invariant_factors)))
+        for col in reduce_matrix(h @ lift, ambient.invariant_factors).columns()],
+        ambient.invariant_factors)
+    # sub = Z^k / (preimage of the relations under h), read through lift, so
+    # incl is a well-defined injective hom whatever the generator signs
+    incl = GroupHom._of(sub, ambient, incl_matrix)
     if transport_labels:
-        images = reduce(IntMatrix.hstack, [ambient.operator(label) @ incl_matrix
-                                           for label in transport_labels])
-        cols = solve_mod(incl_matrix, ambient.invariant_factors, images)
         ops = []
-        for k, label in enumerate(transport_labels):
-            block = cols[k * sub.rank:(k + 1) * sub.rank]
-            if None in block:
+        for label in transport_labels:
+            moved = GroupHom._of(sub, ambient, reduce_matrix(ambient.operator(label) @ incl_matrix,
+                                                             ambient.invariant_factors))
+            restricted = corestrict(incl, moved)
+            if restricted is None:
                 raise ValueError(f"operator {label!r} does not preserve the subgroup")
-            ops.append((label, IntMatrix.from_columns(block, rows=sub.rank)))
+            ops.append((label, restricted.matrix))
         sub = sub.with_operators(ops)
-    incl = GroupHom(sub, ambient, incl_matrix)
+        # each restriction solves incl.s_sub = s.incl: incl commutes with them
+        incl = GroupHom._of(sub, ambient, incl_matrix)
     return sub, incl
 
 
@@ -426,11 +434,8 @@ def hom_cokernel(f: GroupHom) -> tuple[FinAbGroup, GroupHom]:
                                                prime=f.target.prime_support)
     labels = common_labels(f.source, f.target)
     if labels:
-        ops = []
-        for label in labels:
-            tau = f.target.operator(label)
-            ops.append((label, proj @ tau @ lift))
-        coker = coker.with_operators(ops)
+        coker = coker.with_operators([(label, proj @ f.target.operator(label) @ lift)
+                                      for label in labels])
     return coker, GroupHom(f.target, coker, proj)
 
 
@@ -465,21 +470,62 @@ def quotient_by_integer(g: FinAbGroup, n: int) -> FinAbGroup:
 
 
 def hom_on_quotients(f: GroupHom, n_source: int, n_target: int) -> GroupHom:
-    """The map source/n_source -> target/n_target induced by f.
+    """The map source/n_source -> target/n_target induced by f.  f must carry
+    n_source-multiples into n_target-multiples, as it does when n_target | n_source."""
+    _, proj_t, _ = quotient_with_maps(f.target, n_target)
+    induced = induced_on_quotient(proj_t.compose(f), n_source)
+    if induced is None:
+        raise ValueError(f"hom does not carry {n_source}-multiples into {n_target}-multiples")
+    return induced
 
-    Requires f to carry n_source-multiples into n_target-multiples, which is
-    automatic when n_target | n_source.
+
+# -- universal properties: maps into a subgroup, out of a quotient, and lifts --
+# each owner builds its hom by construction under the proof in its body
+
+def _reduced_columns(cols: Sequence[Sequence[int]], factors: Sequence[int]) -> IntMatrix:
+    """The matrix with the given columns, row i reduced modulo factors[i]."""
+    return IntMatrix._of(len(factors), len(cols), tuple(
+        tuple([c[i] % d for c in cols]) for i, d in enumerate(factors)))
+
+
+def corestrict(incl: GroupHom, f: GroupHom) -> Optional[GroupHom]:
+    """The unique g with incl.g = f, or None when im f does not lie in im incl.
+
+    incl must be injective; that is not checked.
     """
-    qs, _, lift_s = quotient_with_maps(f.source, n_source)
-    qt, proj_t, _ = quotient_with_maps(f.target, n_target)
-    mat = proj_t.matrix @ f.matrix @ lift_s
-    if n_source % n_target:
-        return GroupHom(qs, qt, mat)
-    # f carries n_source*source into n_source*target, inside n_target*target,
-    # so it induces a hom i with i.proj_s = proj_t.f.  For an operator s of
-    # both ends, i.s.proj_s = proj_t.f.s = s.proj_t.f = s.i.proj_s, and proj_s
-    # is onto, so i commutes with s too.
-    return GroupHom._of(qs, qt, _reduce_matrix(mat, qt.invariant_factors))
+    if f.target != incl.target:
+        raise CompositionMismatch("corestriction: f and incl have different targets")
+    cols = solve_mod(incl.matrix, incl.target.invariant_factors, f.matrix)
+    if None in cols:
+        return None
+    # For a generator a of order s, incl(s.g(a)) = s.f(a) = 0 and incl is
+    # injective, so s.g(a) = 0: g is well defined.  For an operator t of
+    # g's ends that incl's target shares, incl.g.t = f.t = t.f = t.incl.g =
+    # incl.t.g, so g.t = t.g by injectivity.
+    return _through(f.source, incl.target, incl.source,
+                    _reduced_columns(cols, incl.source.invariant_factors))
+
+
+def induced_on_quotient(f: GroupHom, n: int) -> Optional[GroupHom]:
+    """The map source/n*source -> target that f induces, or None when f does
+    not kill n*source."""
+    if not kills_multiples(f, n):
+        return None
+    q, _, lift = quotient_with_maps(f.source, n)
+    # f kills the kernel n*source of the projection p onto q, so it induces
+    # the hom i with i.p = f; its matrix is f's on the generators that lift
+    # selects, already reduced.  For an operator s of both ends,
+    # i.s.p = i.p.s = f.s = s.f = s.i.p, and p is onto, so i commutes with s.
+    return GroupHom._of(q, f.target, f.matrix @ lift)
+
+
+def section(p: GroupHom) -> Optional[IntMatrix]:
+    """Lifts of the target's generators along p: column j, reduced modulo the
+    source factors, is sent by p to generator j.  None when p is not onto."""
+    cols = solve_mod(p.matrix, p.target.invariant_factors, IntMatrix.identity(p.target.rank))
+    if None in cols:
+        return None
+    return _reduced_columns(cols, p.source.invariant_factors)
 
 
 # -- lattice questions: the layers above ask these, never the matrix entries --
@@ -517,12 +563,6 @@ def is_exact_at(f: GroupHom, g: GroupHom) -> bool:
 def element_in_multiples(g: FinAbGroup, coords: Sequence[int], n: int) -> bool:
     """Whether the element lies in n*g: n*(Z/d) = gcd(n, d)*(Z/d) summand by summand."""
     return all(x % math.gcd(n, d) == 0 for x, d in zip(coords, g.invariant_factors))
-
-
-def kills(f: GroupHom, gens: IntMatrix) -> bool:
-    """Whether f vanishes on every column of gens (source coordinates)."""
-    return all(x % d == 0 for row, d in zip((f.matrix @ gens).entries, f.target.invariant_factors)
-               for x in row)
 
 
 def kills_multiples(f: GroupHom, n: int) -> bool:
@@ -577,17 +617,14 @@ def direct_sum_with_maps(g: FinAbGroup, h: FinAbGroup,
         factors = g.invariant_factors + h.invariant_factors
         s, proj, lift = presentation_with_maps(IntMatrix.diagonal(factors), math.lcm(*factors),
                                                prime=prime)
-        mg = _reduce_matrix(proj.take_columns(range(g.rank)), s.invariant_factors)
-        mh = _reduce_matrix(proj.take_columns(range(g.rank, g.rank + h.rank)), s.invariant_factors)
-        pg = _reduce_matrix(lift.take_rows(range(g.rank)), g.invariant_factors)
-        ph = _reduce_matrix(lift.take_rows(range(g.rank, g.rank + h.rank)), h.invariant_factors)
+        mg = reduce_matrix(proj.take_columns(range(g.rank)), s.invariant_factors)
+        mh = reduce_matrix(proj.take_columns(range(g.rank, g.rank + h.rank)), s.invariant_factors)
+        pg = reduce_matrix(lift.take_rows(range(g.rank)), g.invariant_factors)
+        ph = reduce_matrix(lift.take_rows(range(g.rank, g.rank + h.rank)), h.invariant_factors)
     labels = common_labels(g, h)
     if labels:
-        ops = []
-        for label in labels:
-            mat = mg @ g.operator(label) @ pg + mh @ h.operator(label) @ ph
-            ops.append((label, mat))
-        s = s.with_operators(ops)
+        s = s.with_operators([(label, mg @ g.operator(label) @ pg + mh @ h.operator(label) @ ph)
+                              for label in labels])
     # The selections, or the presentation's isomorphism g + h -> S and its
     # inverse, are homs with pg.mg = id_g and ph.mg = 0 (likewise for h).  An
     # operator s of S is mg.s_g.pg + mh.s_h.ph, so s.mg = mg.s_g and
@@ -605,4 +642,4 @@ def direct_sum_hom(f: GroupHom, g: GroupHom) -> GroupHom:
     mat = incl_f.matrix @ f.matrix @ pf.matrix + incl_g.matrix @ g.matrix @ pg.matrix
     # a sum of composites of valid homs; an operator of both s and t is one of
     # every nontrivial summand group, so f and g commute with it
-    return GroupHom._of(s, t, _reduce_matrix(mat, t.invariant_factors))
+    return GroupHom._of(s, t, reduce_matrix(mat, t.invariant_factors))

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from .errors import NegativeResult
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<sym>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[+-]))")
+SYMBOL = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_TOKEN = re.compile(rf"\s*(?:(?P<num>\d+)|(?P<sym>{SYMBOL.pattern})|(?P<op>[+-]))")
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import TowerFileError
+from .errors import TowerFileError, UndeclaredSymbol
 from .groups import FinAbGroup, GroupHom
+from .hypernat import SYMBOL, HyperNat
 from .intmat import IntMatrix
 from .towers import EventuallyLAdic, Tower, Truncated, ZeroTail
 from .zlmod import ZlModule
@@ -50,6 +51,18 @@ class TowerFile:
             raise TowerFileError(
                 f"no tower named {name!r}; available: {sorted(self.towers)}")
         return self.towers[name]
+
+    def index(self, text: str) -> HyperNat:
+        """The index term text, over the symbols this file declares."""
+        try:
+            h = HyperNat.parse(text)
+        except ValueError as exc:
+            raise TowerFileError(f"index term: {exc}") from exc
+        for name in h.symbols():
+            if name not in self.symbols:
+                raise UndeclaredSymbol(f"index term {text!r}: symbol {name!r} is not declared; "
+                                       f"declared: {list(self.symbols)}")
+        return h
 
 
 def _require(cond: bool, message: str):
@@ -102,7 +115,9 @@ def load_tower_data(data: dict) -> TowerFile:
     tf = TowerFile(l=l)
     if "symbols" in data:
         _require(isinstance(data["symbols"], list), "'symbols' must be a list")
-        tf.symbols = tuple(str(s) for s in data["symbols"])
+        for s in data["symbols"]:
+            _require(isinstance(s, str) and SYMBOL.fullmatch(s), f"symbol {s!r}: not an identifier")
+        tf.symbols = tuple(data["symbols"])
 
     for name, spec in _section(data, "modules").items():
         try:

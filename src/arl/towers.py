@@ -44,6 +44,7 @@ from .errors import (
 from .groups import (
     FinAbGroup,
     GroupHom,
+    corestrict,
     direct_sum_hom,
     direct_sum_with_maps,
     hom_cokernel,
@@ -52,11 +53,12 @@ from .groups import (
     hom_kernel,
     hom_on_quotients,
     identity_hom,
+    induced_on_quotient,
     is_matrix_of,
     is_surjective,
-    kills_multiples,
     quotient_with_maps,
-    solve_mod,
+    reduce_matrix,
+    section,
     trivial_group,
     zero_hom,
 )
@@ -866,41 +868,24 @@ def sum_embeddings(f: Tower, g: Tower, summed: Tower) -> tuple[TowerHom, TowerHo
 def induced_subtower(parent: Tower, data: list[tuple[FinAbGroup, GroupHom]],
                      tail: TailRule) -> tuple[Tower, TowerHom]:
     """The sub-tower with levels and inclusions ``data`` inside ``parent``,
-    its transitions restricted from the parent's, carrying ``tail``.  Each
-    inclusion of ``data`` maps into the parent's level of the same index."""
+    its transitions restricted from the parent's, carrying ``tail``.
+
+    Each inclusion of ``data`` maps into the parent's level of the same index
+    and must be injective, which is not checked: every caller passes one from
+    ``subgroup_from_lattice``, ``hom_kernel`` or ``hom_image``, an identity,
+    or the zero map out of the trivial group.
+    """
     groups = tuple(g for g, _ in data)
     incls = tuple(i for _, i in data)
     maps = []
     for n in range(1, len(data)):
-        images = parent.transition(n).matrix @ incls[n].matrix
-        cols = solve_mod(incls[n - 1].matrix, parent.level(n - 1).invariant_factors, images)
-        if None in cols:
+        u = corestrict(incls[n - 1], parent.transition(n).compose(incls[n]))
+        if u is None:
             raise PreconditionViolated(f"sub-tower not closed under transition at level {n}")
-        maps.append(GroupHom(groups[n], groups[n - 1],
-                             IntMatrix.from_columns(cols, rows=groups[n - 1].rank)))
+        maps.append(u)
     tower = Tower(parent.l, groups, tuple(maps), tail=tail)
-    # each transition was solved so that incl_{n-1}.u_n = u^parent_n.incl_n
+    # each transition is the corestriction with incl_{n-1}.u_n = u^parent_n.incl_n
     return tower, TowerHom._of(tower, parent, incls, HomTruncated())
-
-
-def _induce_quot_transitions(parent: Tower, data: list[tuple[FinAbGroup, GroupHom, IntMatrix]],
-                             tail: TailRule) -> tuple[Tower, TowerHom]:
-    """The quotient tower of ``parent`` with levels, projections and sections
-    ``data``, where projection n kills exactly im(f_n) for a tower hom f into
-    ``parent`` (``levelwise_cokernel``)."""
-    groups = tuple(g for g, _, _ in data)
-    projs = tuple(p for _, p, _ in data)
-    maps = []
-    for n in range(1, len(data)):
-        u = parent.transition(n)
-        section = data[n][2]
-        mat = projs[n - 1].matrix @ u.matrix @ section
-        maps.append(GroupHom(groups[n], groups[n - 1], mat))
-    tower = Tower(parent.l, groups, tuple(maps), tail=tail)
-    # projs[n] kills exactly im(f_n), and naturality of f gives
-    # u^parent_n(im f_n) <= im f_{n-1}; section_n.projs[n] moves a point by an
-    # element of im f_n, so u_n.projs[n] = projs[n-1].u^parent_n
-    return tower, TowerHom._of(parent, tower, projs, HomTruncated())
 
 
 def levelwise_kernel(f: TowerHom) -> tuple[Tower, TowerHom]:
@@ -935,10 +920,18 @@ def levelwise_cokernel(f: TowerHom) -> tuple[Tower, TowerHom]:
             data.append((fn.target, identity_hom(fn.target), IntMatrix.identity(fn.target.rank)))
         else:
             coker, proj = hom_cokernel(fn)
-            # a section of proj: any integer preimages of the generators
-            cols = solve_mod(proj.matrix, coker.invariant_factors, IntMatrix.identity(coker.rank))
-            data.append((coker, proj, IntMatrix.from_columns(cols, rows=fn.target.rank)))
-    return _induce_quot_transitions(f.target, data, f.tail.cokernel_tail(f, route))
+            data.append((coker, proj, section(proj)))
+    groups, projs, lifts = zip(*data)
+    # projs[n] kills exactly im(f_n) and f is natural, so u^target_n(im f_n) <=
+    # im f_{n-1} and projs[n-1].u^target_n = u_n.projs[n] for one hom u_n, which
+    # sends generator j to the image of its lift: these are the squares.  For
+    # an operator s of both ends, u_n.s.projs[n] = projs[n-1].u^target_n.s =
+    # s.u_n.projs[n], and projs[n] is onto, so u_n commutes with s.
+    maps = tuple(GroupHom._of(groups[n], groups[n - 1], reduce_matrix(
+        projs[n - 1].matrix @ f.target.transition(n).matrix @ lifts[n],
+        groups[n - 1].invariant_factors)) for n in range(1, len(data)))
+    tower = Tower(f.target.l, groups, maps, tail=f.tail.cokernel_tail(f, route))
+    return tower, TowerHom._of(f.target, tower, projs, HomTruncated())
 
 
 # -- predicates -------------------------------------------------------------------
@@ -972,20 +965,6 @@ def is_zero_system(f: Tower, bound: Optional[int] = None) -> Verdict:
     return f.cached(key, compute)
 
 
-def _induced_quotient_map(f: Tower, n: int) -> Optional[GroupHom]:
-    """The map F_{n+1}/l^{n+1} -> F_n induced by the transition, or None when
-    the transition does not kill l^{n+1} F_{n+1}."""
-    u, power = f.transition(n + 1), f.l ** (n + 1)
-    if not kills_multiples(u, power):
-        return None
-    qs, _, lift = quotient_with_maps(f.level(n + 1), power)
-    # u kills the kernel l^{n+1} F_{n+1} of the projection p onto qs, so it
-    # induces the hom i with i.p = u; its matrix is u's on the generators that
-    # lift selects, already reduced.  For an operator s of both ends,
-    # i.s.p = i.p.s = u.s = s.u = s.i.p, and p is onto, so i commutes with s.
-    return GroupHom._of(qs, f.level(n), u.matrix @ lift)
-
-
 def is_l_adic(f: Tower) -> Verdict:
     """Annihilation l^{n+1} F_n = 0 plus induced isomorphisms F_{n+1}/l^{n+1} ~ F_n."""
 
@@ -993,19 +972,16 @@ def is_l_adic(f: Tower) -> Verdict:
         shape = classify_tail(f)
         # With a certified tail, check levels up to where the tail's normal
         # form takes over (plus one square tying the prefix to the tail).
-        if shape is not None:
-            hi = max(f.top + 1, shape.start)
-        else:
-            hi = f.top
+        hi = f.top if shape is None else max(f.top + 1, shape.start)
         for n in range(hi + 1):
             e = f.level(n).exponent()
             if e != 1 and (f.l ** (n + 1)) % e != 0:
                 return Verdict.no(witness=("annihilator", n),
                                   note=f"l^{n + 1} does not kill level {n}")
         # l^{n+1} F_n = 0 now holds, so u_{n+1}(l^{n+1} F_{n+1}) = 0 and each
-        # transition induces its quotient map
+        # transition induces its quotient map F_{n+1}/l^{n+1} -> F_n
         for n in range(hi):
-            if not hom_is_isomorphism(_induced_quotient_map(f, n)):
+            if not hom_is_isomorphism(induced_on_quotient(f.transition(n + 1), f.l ** (n + 1))):
                 return Verdict.no(witness=("induced-map", n),
                                   note=f"induced map at level {n} is not an isomorphism")
         if shape is None:

@@ -31,13 +31,11 @@ from .groups import (
     hom_is_isomorphism,
     is_exact_at,
     is_surjective,
-    kills,
-    preimage_lattice,
+    kills_multiples,
     quotient_by_integer,
-    solve_mod,
+    section,
 )
 from .hypernat import HyperNat
-from .intmat import IntMatrix
 from .towers import (
     Tower,
     TowerHom,
@@ -145,9 +143,7 @@ class UpsilonHom:
         return self.tower_hom.is_levelwise_zero()
 
     def is_iso(self) -> bool:
-        ok = all(hom_is_isomorphism(self.tower_hom.levels[n])
-                 for n in range(self.tower_hom.top + 1))
-        return ok
+        return all(hom_is_isomorphism(f) for f in self.tower_hom.levels)
 
     def compose(self, first: "UpsilonHom") -> "UpsilonHom":
         return UpsilonHom(first.source, self.target,
@@ -168,20 +164,16 @@ def ar_canonical_rep(f: ARMor) -> TowerHom:
     if rho == 0:
         return f.rep
     levels = []
-    hi = f.rep.top
-    for n in range(hi + 1):
+    for n in range(f.rep.top + 1):
         comp = f.source.composite(n, rho)
         rep_n = f.rep.level(n)
-        if not kills(rep_n, preimage_lattice(comp.matrix, comp.target.invariant_factors)):
+        # the source is l-adic, so comp is onto (it has a section) with kernel
+        # l^{n+1} F_{n+rho}
+        if not kills_multiples(rep_n, f.source.l ** (n + 1)):
             raise PreconditionViolated(
                 f"representative does not factor through the shift at level {n}")
-        src = f.source.level(n)
-        lifts = solve_mod(comp.matrix, src.invariant_factors, IntMatrix.identity(src.rank))
-        if None in lifts:
-            raise PreconditionViolated(f"transitions not surjective at level {n}")
-        cols = [rep_n.apply(z) for z in lifts]
-        levels.append(GroupHom(src, f.target.level(n),
-                               IntMatrix.from_columns(cols, rows=f.target.level(n).rank)))
+        # so rep_n = g.comp for one hom g, which sends generator j to rep_n of its lift
+        levels.append(GroupHom(comp.target, f.target.level(n), rep_n.matrix @ section(comp)))
     return TowerHom(f.source, f.target, tuple(levels))
 
 

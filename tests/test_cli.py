@@ -190,6 +190,23 @@ class TestUpsilonPsi:
         code, _, _ = run(capsys, "upsilon", "--file", sample, "--tower", "zl", "--h", "h*2")
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["upsilon", "psi"])
+    def test_undeclared_symbol_exit_4(self, capsys, sample, command):
+        code, out, err = run(capsys, command, "--file", sample, "--tower", "zl", "--h", "h+zzz")
+        assert code == 4
+        assert "'zzz'" in err and "['h', 'd1', 'd2']" in err
+        assert out == ""
+
+    def test_non_identifier_symbol_exit_2(self, capsys, sample, tmp_path):
+        with open(sample, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["symbols"] = ["h", {"a": 2}]
+        path = tmp_path / "bad.arl.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "upsilon", "--file", str(path), "--tower", "zl", "--h", "h")
+        assert code == 2
+        assert "{'a': 2}" in err
+
 
 class TestVerify:
     def test_small_suite_passes(self, capsys):
@@ -219,6 +236,15 @@ class TestVerify:
         code2, out2, _ = run(capsys, "verify", "--suite", "faithful", "--replay", str(path))
         assert code2 == 0
         assert "summary: pass=4 fail=0 unknown=0" in out2
+
+    def test_replay_of_another_suite_exit_2(self, capsys, tmp_path):
+        _, out, _ = run(capsys, "verify", "--suite", "ml", "--seed", "2", "--cases", "2")
+        path = tmp_path / "report.txt"
+        path.write_text(out)
+        code, out2, err = run(capsys, "verify", "--suite", "phi", "--replay", str(path))
+        assert code == 2
+        assert "phi" in err and "ml" in err
+        assert "summary:" not in out2
 
     def test_replay_detects_tampering(self, capsys, tmp_path):
         code, out, _ = run(capsys, "verify", "--suite", "ml", "--seed", "2", "--cases", "3")

@@ -70,3 +70,28 @@ def test_an_unused_import_is_caught():
     tree = ast.parse("from .groups import FinAbGroup, GroupHom\n"
                      "def f(x: 'GroupHom') -> int:\n    return 1\n")
     assert set(imported_names(tree)) - used_names(tree) == {"FinAbGroup"}
+
+
+# groups owns every linear system and lattice: the layers above ask it for
+# corestrictions, induced maps and sections instead of solving for them
+ABOVE_GROUPS = ("towers", "arcat", "upsilon", "limits", "gen", "suites", "cli", "towerfile")
+SOLVERS = {"solve_mod", "preimage_lattice", "sublattice_basis"}
+
+
+def solver_uses(tree: ast.Module) -> set[str]:
+    """The solver names a module imports or reaches as an attribute."""
+    names = set(imported_names(tree))
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return names & SOLVERS
+
+
+@pytest.mark.parametrize("name", ABOVE_GROUPS)
+def test_no_solver_above_groups(name):
+    tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
+    assert not solver_uses(tree), f"{name}.py solves for itself: {sorted(solver_uses(tree))}"
+
+
+def test_a_solver_above_groups_is_caught():
+    tree = ast.parse("from .groups import corestrict, solve_mod\n"
+                     "from . import groups\nx = groups.preimage_lattice\n")
+    assert solver_uses(tree) == {"solve_mod", "preimage_lattice"}

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from arl.errors import TowerFileError
+from arl.errors import TowerFileError, UndeclaredSymbol
 from arl.towers import is_l_adic
 from arl.towerfile import load_tower_data, load_tower_file
 
@@ -177,3 +177,33 @@ class TestDiagnostics:
         tf = load_tower_data(base_doc())
         with pytest.raises(TowerFileError, match="available"):
             tf.tower("nope")
+
+    @pytest.mark.parametrize("entry", [1, None, {"a": 2}, "1h", "h-1", "h d", "", " h", "_h"])
+    def test_symbols_must_be_identifiers(self, entry):
+        doc = base_doc()
+        doc["symbols"] = ["h", entry]
+        with pytest.raises(TowerFileError, match="symbol") as exc:
+            load_tower_data(doc)
+        assert repr(entry) in str(exc.value)
+
+
+class TestIndex:
+    def test_declared_symbols(self):
+        tf = load_tower_data(base_doc())
+        assert tf.index("h+d1-1").symbols() == ("d1", "h")
+
+    def test_default_symbols(self):
+        doc = base_doc()
+        del doc["symbols"]
+        tf = load_tower_data(doc)
+        assert tf.symbols == ("h", "d1", "d2")
+        assert tf.index("d2").symbols() == ("d2",)
+
+    def test_undeclared_symbol_names_it_and_the_declared_set(self):
+        tf = load_tower_data(base_doc())
+        with pytest.raises(UndeclaredSymbol, match=r"'d2'.*\['h', 'd1'\]"):
+            tf.index("h+d2")
+
+    def test_bad_syntax(self):
+        with pytest.raises(TowerFileError, match="index term"):
+            load_tower_data(base_doc()).index("h*2")

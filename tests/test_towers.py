@@ -18,6 +18,7 @@ from arl.groups import (
     FinAbGroup,
     GroupHom,
     identity_hom,
+    induced_on_quotient,
     is_exact_at,
     trivial_group,
     zero_hom,
@@ -51,7 +52,6 @@ from arl.towers import (
     shift,
     sum_embeddings,
     zero_tower_hom,
-    _induced_quotient_map,
 )
 from arl.zlmod import ZlModule
 
@@ -624,7 +624,7 @@ def test_induced_quotient_map_against_brute_force(t):
         rows = [list(r) for r in u.matrix.entries]
         factors = any(any(hom_apply(rows, tgt, tuple(l ** (n + 1) * x for x in e)))
                       for e in group_elements(src)) is False
-        induced = _induced_quotient_map(t, n)
+        induced = induced_on_quotient(u, l ** (n + 1))
         assert (induced is not None) == factors
         if induced is None:
             continue

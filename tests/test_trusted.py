@@ -90,7 +90,8 @@ def test_full_checks_reject_an_invalid_derived_value(full_checks):
         FinAbGroup._of((4, 2), 2)
 
 
-@pytest.mark.parametrize("suite, cases", [("torsionfree", 300), ("comparison", 10)])
+@pytest.mark.parametrize("suite, cases", [("torsionfree", 300), ("comparison", 10),
+                                          ("upsilon", 8), ("phi", 8), ("faithful", 8)])
 def test_suite_reports_equal_under_full_checks(full_checks, suite, cases):
     clear_memos()
     trusted = run_suite(suite, 0, cases)
@@ -102,10 +103,10 @@ def test_suite_reports_equal_under_full_checks(full_checks, suite, cases):
 def _cli_outputs():
     out = []
     for tower in ("zl", "noisy", "flat"):
-        for command in ("normalize", "limit"):
+        for command in (["normalize"], ["limit"], ["upsilon", "--h", "h"], ["psi", "--h", "h"]):
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
-                code = main([command, "--file", SAMPLE, "--tower", tower])
+                code = main(command + ["--file", SAMPLE, "--tower", tower])
             body = [line for line in buf.getvalue().splitlines() if not line.startswith("timing:")]
             out.append((command, tower, code, body))
     return out
