@@ -25,7 +25,6 @@ from .errors import (
 )
 from .intmat import IntMatrix, hermite_normal_form, smith_normal_form
 from .groups import (
-    Element,
     FinAbGroup,
     GroupHom,
     canonicalize,
@@ -63,7 +62,6 @@ from .towers import (
     is_zero_system,
     ladic_truncation,
     levelwise_cokernel,
-    levelwise_image,
     levelwise_kernel,
     mod_power,
     natural_map,

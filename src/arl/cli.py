@@ -3,7 +3,8 @@
 Reports are deterministic for a fixed input and seed; the trailing
 ``timing:`` line is the only part excluded from that contract.  Exit codes:
 0 success, 1 property failure, 2 parse or usage error, 3 not AR-l-adic,
-4 bad index.
+4 bad index, 70 internal error (any other exception; its traceback goes to
+stderr).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 import time
 
 from .arcat import ar_is_isomorphism, canonical_l_adic, certify_ar_l_adic
-from .errors import FiniteIndex, NotARladic, NotLAdic, TowerFileError, UndeclaredSymbol
+from .errors import BadSetting, FiniteIndex, NotARladic, NotLAdic, TowerFileError, UndeclaredSymbol
 from .limits import limit
 from .suites import SUITES, parse_report, replay_report, run_suite
 from .towerfile import load_tower_file
@@ -25,6 +26,7 @@ EXIT_PROPERTY = 1
 EXIT_USAGE = 2
 EXIT_NOT_AR_L_ADIC = 3
 EXIT_BAD_INDEX = 4
+EXIT_SOFTWARE = 70  # sysexits.h EX_SOFTWARE: an internal error, not a usage error
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -58,10 +60,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run a randomized verification suite")
     p_ver.add_argument("--suite", required=True, choices=sorted(SUITES))
-    p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--cases", type=int, default=100)
+    p_ver.add_argument("--seed", type=int, default=None, help="default 0")
+    p_ver.add_argument("--cases", type=int, default=None, help="default 100")
     p_ver.add_argument("--replay", default=None,
-                       help="path to a saved report; re-check its certificates")
+                       help="path to a saved report; re-check its certificates "
+                            "(--seed and --cases, when given, must match the report)")
     return parser
 
 
@@ -141,7 +144,7 @@ def _cmd_psi(ns, argv) -> int:
 
 
 def _cmd_verify(ns, argv) -> int:
-    if ns.cases < 1:
+    if ns.cases is not None and ns.cases < 1:
         print("error: --cases must be >= 1", file=sys.stderr)
         return EXIT_USAGE
     print(_echo(argv))
@@ -152,13 +155,17 @@ def _cmd_verify(ns, argv) -> int:
         except (OSError, ValueError, KeyError) as exc:
             print(f"error: cannot load report: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        if recorded.suite != ns.suite:
-            print(f"error: --suite {ns.suite} but the report is of suite {recorded.suite}",
-                  file=sys.stderr)
-            return EXIT_USAGE
+        given = (("--suite", ns.suite, recorded.suite), ("--seed", ns.seed, recorded.seed),
+                 ("--cases", ns.cases, recorded.cases))
+        for flag, value, found in given:
+            if value is not None and value != found:
+                print(f"error: {flag} {value} but the report has {flag[2:]} {found}",
+                      file=sys.stderr)
+                return EXIT_USAGE
         report = replay_report(recorded)
     else:
-        report = run_suite(ns.suite, ns.seed, ns.cases)
+        report = run_suite(ns.suite, 0 if ns.seed is None else ns.seed,
+                           100 if ns.cases is None else ns.cases)
     for line in report.body_lines():
         print(line)
     return EXIT_OK if report.all_pass() else EXIT_PROPERTY
@@ -195,9 +202,13 @@ def main(argv=None) -> int:
     except (FiniteIndex, UndeclaredSymbol) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INDEX
-    except ValueError as exc:
+    except BadSetting as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        import traceback  # only on this path: it would add to every run's memory
+        traceback.print_exc()
+        return EXIT_SOFTWARE
     _print_timing(start)
     return code
 

@@ -58,3 +58,7 @@ class PreconditionViolated(ArlError):
 
 class TowerFileError(ArlError):
     """A tower description file failed to parse or validate."""
+
+
+class BadSetting(ArlError, ValueError):
+    """An environment setting, such as ARL_DEFAULT_BOUND, has an invalid value."""

@@ -23,11 +23,10 @@ along a surjection) -- each built by construction under one proof.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import CompositionMismatch, InfiniteGroup, PrimeMismatch
 from .intmat import (
@@ -130,16 +129,6 @@ class FinAbGroup:
     def without_operators(self) -> "FinAbGroup":
         return replace(self, operators=())
 
-    def reduce(self, coords: Sequence[int]) -> tuple[int, ...]:
-        if len(coords) != self.rank:
-            raise ValueError("coordinate length mismatch")
-        return tuple(c % d for c, d in zip(coords, self.invariant_factors))
-
-    def elements(self) -> Iterator[tuple[int, ...]]:
-        """All elements as reduced coordinate tuples (for small groups)."""
-        ranges = [range(d) for d in self.invariant_factors]
-        return (tuple(t) for t in itertools.product(*ranges))
-
     def relation_matrix(self) -> IntMatrix:
         """diag(d_1, ..., d_k), built once per group: a constant of a frozen value."""
         mat = self.__dict__.get("_relation_matrix")
@@ -164,28 +153,6 @@ def cyclic(n: int, prime: Optional[int] = None) -> FinAbGroup:
     if n == 1:
         return trivial_group(prime)
     return FinAbGroup((n,), prime_support=prime)
-
-
-@dataclass(frozen=True)
-class Element:
-    """An element of a FinAbGroup, coordinates reduced mod the factors."""
-
-    group: FinAbGroup
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", self.group.reduce(self.coords))
-
-    def __add__(self, other: "Element") -> "Element":
-        if other.group != self.group:
-            raise ValueError("elements of different groups")
-        return Element(self.group, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "Element":
-        return Element(self.group, tuple(-a for a in self.coords))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
 
 
 def reduce_matrix(mat: IntMatrix, target_factors: Sequence[int]) -> IntMatrix:
@@ -264,9 +231,6 @@ class GroupHom:
         return hom
 
     # -- basics ------------------------------------------------------------
-
-    def apply(self, coords: Sequence[int]) -> tuple[int, ...]:
-        return self.target.reduce(self.matrix.apply(coords))
 
     def is_zero(self) -> bool:
         return self.matrix.is_zero()

@@ -17,7 +17,7 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 Vector = tuple[int, ...]
@@ -161,9 +161,6 @@ class IntMatrix:
             tuple(-x for x in row) for row in self.entries
         ))
 
-    def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(tuple(c * x for x in row) for row in self.entries))
-
     def transpose(self) -> "IntMatrix":
         return IntMatrix._of(self.cols, self.rows, tuple(self.columns()))
 
@@ -181,11 +178,6 @@ class IntMatrix:
         return IntMatrix._of(self.rows, len(indices), tuple(
             tuple(row[j] for j in indices) for row in self.entries
         ))
-
-    def apply(self, v: Sequence[int]) -> Vector:
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
-        return tuple(sum(row[k] * v[k] for k in range(self.cols)) for row in self.entries)
 
     def det(self) -> int:
         """Determinant by the Bareiss fraction-free algorithm."""
@@ -549,7 +541,3 @@ def modular_kernel(m: IntMatrix, e: int) -> IntMatrix:
             gens.append(col)
     gens += [tuple(e if i == j else 0 for i in range(m.cols)) for j in range(m.cols)]
     return IntMatrix._of(m.cols, len(gens), tuple(zip(*gens)) if m.cols else ())
-
-
-def vector(values: Iterable[int]) -> Vector:
-    return tuple(exact_int(v, "vector entry") for v in values)

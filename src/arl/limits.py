@@ -115,9 +115,6 @@ class ComparisonReport:
     isomorphic: bool
     operators_match: bool
 
-    def ok(self) -> bool:
-        return self.isomorphic and self.operators_match
-
 
 def comparison_check(data: CohomologyTowerInput, degree: int,
                      bound: Optional[int] = None) -> ComparisonReport:

@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import TowerFileError, UndeclaredSymbol
+from .errors import NegativeResult, TowerFileError, UndeclaredSymbol
 from .groups import FinAbGroup, GroupHom
 from .hypernat import SYMBOL, HyperNat
 from .intmat import IntMatrix
@@ -56,7 +56,7 @@ class TowerFile:
         """The index term text, over the symbols this file declares."""
         try:
             h = HyperNat.parse(text)
-        except ValueError as exc:
+        except (ValueError, NegativeResult) as exc:
             raise TowerFileError(f"index term: {exc}") from exc
         for name in h.symbols():
             if name not in self.symbols:

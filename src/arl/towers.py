@@ -21,9 +21,9 @@ form that ``classify_tail`` verifies).  The ``TailRule`` defaults are the
 A tower hom carries a ``HomTail`` the same way.  The ``HomTail`` defaults are
 the ``HomTruncated`` behaviour; ``HomZeroTail`` (zero maps),
 ``HomCanonicalTail`` (identity matrix) and ``HomModuleTail`` (a fixed module
-hom) override ``check`` and ``level``, how they ``compose`` and subtract
-(``minus``), and the tails that the levelwise kernel, image and cokernel
-inherit.
+hom) override ``check`` (the represented levels agree with the rule), how
+they ``compose``, and the tails that the levelwise kernel and cokernel
+inherit.  A tower hom is only ever read on its represented levels.
 
 Levels beyond the prefix of a non-truncated tower can be materialized on
 demand; predicates combine exact prefix computation with tail reasoning and
@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .errors import (
+    BadSetting,
     PreconditionViolated,
     PrimeMismatch,
     TruncatedTower,
@@ -48,7 +49,6 @@ from .groups import (
     direct_sum_hom,
     direct_sum_with_maps,
     hom_cokernel,
-    hom_image,
     hom_is_isomorphism,
     hom_kernel,
     hom_on_quotients,
@@ -447,7 +447,7 @@ def default_bound() -> Optional[int]:
     except ValueError:
         value = -1
     if value < 0:
-        raise ValueError(f"{DEFAULT_BOUND_ENV} must be a non-negative integer, got {env!r}")
+        raise BadSetting(f"{DEFAULT_BOUND_ENV} must be a non-negative integer, got {env!r}")
     return value
 
 
@@ -492,15 +492,12 @@ def classify_tail(tower: Tower) -> Optional[TailShape]:
 # -- tower homomorphisms --------------------------------------------------------
 
 class HomTail:
-    """How a tower hom continues beyond its represented levels, and which
-    tails its composites, differences, kernel, image and cokernel inherit.
-    These defaults are the ``HomTruncated`` behaviour."""
+    """What a tower hom is known to be beyond its represented levels, and
+    which tails its composites, kernel and cokernel inherit.  These defaults
+    are the ``HomTruncated`` behaviour."""
 
     def check(self, hom: "TowerHom") -> None:
         """Raise ValueError when the represented levels contradict the rule."""
-
-    def level(self, hom: "TowerHom", n: int) -> GroupHom:
-        raise TruncatedTower(f"hom level {n} beyond represented data")
 
     def compose(self, inner: "HomTail", inner_shift: int) -> "HomTail":
         """The tail of self after inner; level n of the composite uses
@@ -509,15 +506,7 @@ class HomTail:
             return HomZeroTail(max(0, inner.start - inner_shift))
         return HomTruncated()
 
-    def minus(self, other: "HomTail") -> "HomTail":
-        """The tail of the levelwise difference self - other."""
-        return HomTruncated()
-
     def kernel_tail(self, hom: "TowerHom") -> TailRule:
-        return Truncated()
-
-    def image_tail(self, hom: "TowerHom", onto: bool) -> TailRule:
-        """``onto``: every represented level map is surjective."""
         return Truncated()
 
     def cokernel_route(self, hom: "TowerHom") -> Optional[tuple]:
@@ -543,24 +532,11 @@ class HomZeroTail(HomTail):
             if not hom.levels[n].is_zero():
                 raise ValueError(f"zero hom tail contradicted at level {n}")
 
-    def level(self, hom, n):
-        if n < self.start:
-            return super().level(hom, n)
-        return zero_hom(hom.source.level(n), hom.target.level(n))
-
     def compose(self, inner, inner_shift):
         return HomZeroTail(self.start)
 
-    def minus(self, other):
-        if isinstance(other, HomZeroTail):
-            return HomZeroTail(max(self.start, other.start))
-        return HomTruncated()
-
     def kernel_tail(self, hom):
         return _tail_from(hom.source, self.start, hom.top)
-
-    def image_tail(self, hom, onto):
-        return ZeroTail(min(self.start, hom.top + 1))
 
     def cokernel_tail(self, hom, route):
         return _tail_from(hom.target, self.start, hom.top)
@@ -580,24 +556,10 @@ class HomCanonicalTail(HomTail):
                 raise ValueError(f"HomCanonicalTail(start={self.start}) contradicted at level {n}: "
                                  f"the level map is not induced by the identity matrix")
 
-    def level(self, hom, n):
-        if n < self.start:
-            return super().level(hom, n)
-        src = hom.source.level(n)
-        return GroupHom(src, hom.target.level(n), IntMatrix.identity(src.rank))
-
     def compose(self, inner, inner_shift):
         if isinstance(inner, HomCanonicalTail):
             return HomCanonicalTail(max(self.start, inner.start - inner_shift, 0))
         return super().compose(inner, inner_shift)
-
-    def minus(self, other):
-        if isinstance(other, HomCanonicalTail):
-            return HomZeroTail(max(self.start, other.start))
-        return HomTruncated()
-
-    def image_tail(self, hom, onto):
-        return hom.target.tail if onto else Truncated()
 
     def cokernel_tail(self, hom, route):
         # canonical projections are surjective, so the cokernel dies
@@ -625,21 +587,11 @@ class HomModuleTail(HomTail):
                 raise ValueError(f"HomModuleTail(start={self.start}) contradicted at level {n}: "
                                  f"the level map is not induced by the tail's module matrix")
 
-    def level(self, hom, n):
-        if n < self.start:
-            return super().level(hom, n)
-        return GroupHom(hom.source.level(n), hom.target.level(n), self.matrix)
-
     def compose(self, inner, inner_shift):
         if isinstance(inner, HomModuleTail):
             return HomModuleTail(max(self.start, inner.start - inner_shift, 0),
                                  self.matrix @ inner.matrix)
         return super().compose(inner, inner_shift)
-
-    def minus(self, other):
-        if isinstance(other, HomModuleTail):
-            return HomModuleTail(max(self.start, other.start), self.matrix - other.matrix)
-        return HomTruncated()
 
     def cokernel_route(self, hom):
         sm = _eventually_module(hom.source)
@@ -684,11 +636,11 @@ class TowerHom:
     """A morphism of towers, given on its represented levels plus a tail rule.
 
     The public constructor checks the endpoints and every naturality square.
-    Composites, differences, identities and zeros of valid tower homs, the
-    natural maps F[r] -> F, the embeddings of a direct sum and the inclusions
-    and projections of induced sub- and quotient towers are natural by
-    construction and use the trusted :meth:`_of`, which still runs the tail
-    check.
+    Identities and zeros, the natural maps F[r] -> F, the embeddings of a
+    direct sum and the inclusions and projections of induced sub- and
+    quotient towers are natural by construction and use the trusted
+    :meth:`_of`, which still runs the tail check.  Only the represented
+    levels can be read: the tail records what is known beyond them.
     """
 
     source: Tower
@@ -729,35 +681,10 @@ class TowerHom:
     def level(self, n: int) -> GroupHom:
         if n <= self.top:
             return self.levels[n]
-        return self.tail.level(self, n)
+        raise TruncatedTower(f"hom level {n} beyond represented data (top={self.top})")
 
     def is_levelwise_zero(self) -> bool:
         return all(f.is_zero() for f in self.levels)
-
-    def compose(self, first: "TowerHom") -> "TowerHom":
-        if first.target is not self.source and not first.target.levelwise_equal(self.source):
-            raise PreconditionViolated("tower hom composition endpoints do not match")
-        k = min(first.top, self.top)
-        levels = tuple(self.levels[n].compose(first.levels[n]) for n in range(k + 1))
-        tail = self.tail.compose(first.tail, 0)
-        if _same_transitions(first.target, self.source, k):
-            return TowerHom._of(first.source, self.target, levels, tail)
-        return TowerHom(first.source, self.target, levels, tail=tail)
-
-    def __sub__(self, other: "TowerHom") -> "TowerHom":
-        k = min(self.top, other.top)
-        levels = tuple(self.levels[n] - other.levels[n] for n in range(k + 1))
-        tail = self.tail.minus(other.tail)
-        if _same_transitions(self.source, other.source, k) and \
-                _same_transitions(self.target, other.target, k):
-            return TowerHom._of(self.source, self.target, levels, tail)
-        return TowerHom(self.source, self.target, levels, tail=tail)
-
-
-def _same_transitions(f: Tower, g: Tower, k: int) -> bool:
-    """Whether f and g have the same represented levels and transitions up to
-    level k, so that squares natural for one are natural for the other."""
-    return f is g or (k <= min(f.top, g.top) and f.levelwise_equal(g, upto=k))
 
 
 def identity_tower_hom(f: Tower) -> TowerHom:
@@ -863,7 +790,7 @@ def sum_embeddings(f: Tower, g: Tower, summed: Tower) -> tuple[TowerHom, TowerHo
             TowerHom._of(summed, g, proj_g, HomTruncated()))
 
 
-# -- levelwise kernels, images, cokernels -----------------------------------------
+# -- levelwise kernels and cokernels ------------------------------------------------
 
 def induced_subtower(parent: Tower, data: list[tuple[FinAbGroup, GroupHom]],
                      tail: TailRule) -> tuple[Tower, TowerHom]:
@@ -872,8 +799,7 @@ def induced_subtower(parent: Tower, data: list[tuple[FinAbGroup, GroupHom]],
 
     Each inclusion of ``data`` maps into the parent's level of the same index
     and must be injective, which is not checked: every caller passes one from
-    ``subgroup_from_lattice``, ``hom_kernel`` or ``hom_image``, an identity,
-    or the zero map out of the trivial group.
+    ``subgroup_from_lattice`` or ``hom_kernel``, or an identity.
     """
     groups = tuple(g for g, _ in data)
     incls = tuple(i for _, i in data)
@@ -893,17 +819,6 @@ def levelwise_kernel(f: TowerHom) -> tuple[Tower, TowerHom]:
     data = [(fn.source, identity_hom(fn.source)) if fn.is_zero() else hom_kernel(fn)
             for fn in f.levels]
     return induced_subtower(f.source, data, f.tail.kernel_tail(f))
-
-
-def levelwise_image(f: TowerHom) -> tuple[Tower, TowerHom]:
-    """(I, incl) with I_n = im(f_n) inside the target."""
-    zero = trivial_group(f.source.l)
-    # a zero map's image is trivial, where hom_image would attach the map's
-    # operators; an image that is the whole target comes back as its identity
-    data = [(zero, zero_hom(zero, fn.target)) if fn.is_zero() else hom_image(fn)
-            for fn in f.levels]
-    onto = all(incl.matrix.is_identity() for _, incl in data)
-    return induced_subtower(f.target, data, f.tail.image_tail(f, onto))
 
 
 def levelwise_cokernel(f: TowerHom) -> tuple[Tower, TowerHom]:
@@ -996,28 +911,3 @@ def is_l_adic(f: Tower) -> Verdict:
                           note="tail levels carry l-power torsion above l^{n+1}")
 
     return f.cached(("l_adic",), compute)
-
-
-def epi_forces_trivial(l_adic_tower: Tower, zero_system: Tower,
-                       bound: Optional[int] = None) -> Verdict:
-    """Certify that any levelwise epimorphism from the l-adic tower onto the
-    zero system forces the zero system to vanish levelwise.
-
-    The two computational facts checked per level are: composed transitions
-    of the l-adic tower are surjective, and composed transitions of the zero
-    system vanish at its certified radius.
-    """
-    la = is_l_adic(l_adic_tower)
-    if not la:
-        raise PreconditionViolated("first tower is not certified l-adic")
-    z = is_zero_system(zero_system, bound)
-    if not z:
-        raise PreconditionViolated("second tower is not a certified zero system")
-    r = z.certificate.radius
-    hi = min(l_adic_tower.top, zero_system.top) - r
-    for n in range(max(hi, 0) + 1):
-        if not is_surjective(l_adic_tower.composite(n, r)):
-            return Verdict.no(witness=("not-surjective", n))
-        if not zero_system.composite(n, r).is_zero():
-            return Verdict.no(witness=("not-zero", n))
-    return Verdict.yes(certificate={"radius": r, "levels": max(hi, 0) + 1})

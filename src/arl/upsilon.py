@@ -57,11 +57,6 @@ class StarLevel:
     base: Tower
     index: HyperNat
 
-    def resolve_finite(self) -> Optional[FinAbGroup]:
-        if self.index.is_infinite:
-            return None
-        return self.base.level(self.index.offset)
-
     def finite_quotient(self, power: int) -> FinAbGroup:
         if power < 1:
             raise ValueError("quotient power must be >= 1")
@@ -144,10 +139,6 @@ class UpsilonHom:
 
     def is_iso(self) -> bool:
         return all(hom_is_isomorphism(f) for f in self.tower_hom.levels)
-
-    def compose(self, first: "UpsilonHom") -> "UpsilonHom":
-        return UpsilonHom(first.source, self.target,
-                          self.tower_hom.compose(first.tower_hom))
 
 
 def ar_canonical_rep(f: ARMor) -> TowerHom:

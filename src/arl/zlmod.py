@@ -121,10 +121,6 @@ class ZlModule:
             raise ValueError("projection must decrease the power")
         return _quotient_projection(self, power_src, power_tgt)
 
-    def torsion_window_exponents(self, power: int) -> list[int]:
-        """Exponents of the l^power-torsion subgroup (free part contributes none)."""
-        return [min(a, power) for a in self.torsion_exponents]
-
     def direct_sum(self, other: "ZlModule") -> tuple["ZlModule", list[int], list[int]]:
         """(sum, index_self, index_other): positions of each summand's generators."""
         if other.l != self.l:

@@ -190,6 +190,12 @@ class TestUpsilonPsi:
         code, _, _ = run(capsys, "upsilon", "--file", sample, "--tower", "zl", "--h", "h*2")
         assert code == 2
 
+    @pytest.mark.parametrize("term", ["h-d1", "d1-h"])
+    def test_negative_index_term_exit_2(self, capsys, sample, term):
+        code, _, err = run(capsys, "psi", "--file", sample, "--tower", "zl", "--h", term)
+        assert code == 2
+        assert "index term" in err and "negative coefficient" in err
+
     @pytest.mark.parametrize("command", ["upsilon", "psi"])
     def test_undeclared_symbol_exit_4(self, capsys, sample, command):
         code, out, err = run(capsys, command, "--file", sample, "--tower", "zl", "--h", "h+zzz")
@@ -259,6 +265,27 @@ class TestVerify:
         assert code2 == 1
         assert "replay mismatch" in out2
 
+    def test_replay_with_other_seed_or_cases_exit_2(self, capsys, tmp_path):
+        _, out, _ = run(capsys, "verify", "--suite", "ml", "--seed", "2", "--cases", "2")
+        path = tmp_path / "report.txt"
+        path.write_text(out)
+        for flags, named in ((["--seed", "5"], ("--seed 5", "seed 2")),
+                             (["--cases", "7"], ("--cases 7", "cases 2"))):
+            code, out2, err = run(capsys, "verify", "--suite", "ml", *flags,
+                                  "--replay", str(path))
+            assert code == 2
+            assert all(text in err for text in named)
+            assert "summary:" not in out2
+
+    def test_replay_with_matching_seed_and_cases(self, capsys, tmp_path):
+        _, out, _ = run(capsys, "verify", "--suite", "ml", "--seed", "2", "--cases", "2")
+        path = tmp_path / "report.txt"
+        path.write_text(out)
+        code, out2, _ = run(capsys, "verify", "--suite", "ml", "--seed", "2", "--cases", "2",
+                            "--replay", str(path))
+        assert code == 0
+        assert "summary: pass=2 fail=0 unknown=0" in out2
+
     @pytest.mark.parametrize("value", ["-1", "abc"])
     def test_bad_default_bound_fails_verify_with_exit_2(self, capsys, monkeypatch, value):
         monkeypatch.setenv("ARL_DEFAULT_BOUND", value)
@@ -266,6 +293,18 @@ class TestVerify:
         assert code == 2
         assert "ARL_DEFAULT_BOUND" in err
         assert "case " not in out
+
+
+def test_internal_error_exit_70_not_usage(capsys, sample, monkeypatch):
+    # a bare ValueError from inside the library is a fault, not a bad input
+    def broken(*args, **kwargs):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr("arl.cli.canonical_l_adic", broken)
+    code, out, err = run(capsys, "normalize", "--file", sample, "--tower", "zl")
+    assert code == 70
+    assert "Traceback" in err and "internal fault" in err
+    assert "timing:" not in out
 
 
 def test_timing_line_is_last_and_excluded(capsys):

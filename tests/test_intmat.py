@@ -10,7 +10,6 @@ from arl.intmat import (
     modular_smith,
     modular_solve,
     smith_normal_form,
-    vector,
 )
 
 from oracles import elementary_divisors_by_minors
@@ -84,7 +83,7 @@ def test_solve_and_kernel():
     ys = IntMatrix.from_columns([(6, 0), (3, 0), (0, 1)])
     solvable, odd, off = modular_solve(m, 8, ys)
     assert solvable is not None and off is None and odd is None
-    assert tuple(x % 8 for x in m.apply(solvable)) == (6, 0)
+    assert tuple(x % 8 for x in (m @ IntMatrix.from_columns([solvable])).column(0)) == (6, 0)
     k = modular_kernel(m, 8)
     assert all(x % 8 == 0 for col in (m @ k).columns() for x in col)
 
@@ -161,7 +160,7 @@ def test_matrix_validation():
     lambda: IntMatrix.from_columns([[None]]),
     lambda: IntMatrix(1.0, 1, ((1,),)),
     lambda: IntMatrix(1, True, ((1,),)),
-    lambda: vector([1, 2.0]),
+    lambda: IntMatrix.from_rows([[1, 2.0]]),
 ])
 def test_non_integral_input_rejected_not_truncated(build):
     with pytest.raises(ValueError, match="non-integer"):
@@ -171,7 +170,7 @@ def test_non_integral_input_rejected_not_truncated(build):
 def test_integral_input_accepted():
     assert IntMatrix.diagonal([2, 3]).entries == ((2, 0), (0, 3))
     assert IntMatrix.from_columns([[1], [2]]).entries == ((1, 2),)
-    assert vector([1, -2]) == (1, -2)
+    assert IntMatrix.from_rows([[1, -2]]).entries == ((1, -2),)
 
 
 def test_det_exact():

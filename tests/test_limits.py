@@ -126,7 +126,7 @@ class TestComparison:
         m = ZlModule(L, (), 1, operators=(("frob", IntMatrix.from_rows([[3]])),))
         data = CohomologyTowerInput.from_mapping({0: to_tower(m, 8)})
         rep = comparison_check(data, 0)
-        assert rep.ok()
+        assert rep.isomorphic and rep.operators_match
         assert rep.left == m
 
     def test_noise_ignored(self):
@@ -140,13 +140,13 @@ class TestComparison:
         noise = Tower(L, tuple(groups), tuple(maps), tail=ZeroTail(3))
         data = CohomologyTowerInput.from_mapping({1: direct_sum(t, noise)})
         rep = comparison_check(data, 1)
-        assert rep.ok()
+        assert rep.isomorphic and rep.operators_match
         assert rep.left == ZlModule(L, (2,), 1)
 
     def test_trivial_degree(self):
         data = CohomologyTowerInput.from_mapping({2: to_tower(ZlModule(L, ()), 6)})
         rep = comparison_check(data, 2)
-        assert rep.ok() and rep.left.is_trivial()
+        assert rep.isomorphic and rep.operators_match and rep.left.is_trivial()
 
     def test_missing_degree(self):
         data = CohomologyTowerInput.from_mapping({0: to_tower(ZlModule(L, ()), 6)})

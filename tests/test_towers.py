@@ -3,8 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arl.arcat import ar_from_tower_hom, ar_is_isomorphism
-from arl.errors import PreconditionViolated, PrimeMismatch, TruncatedTower
+from arl.arcat import ar_from_tower_hom, ar_is_isomorphism, stable_image_tower
+from arl.errors import PrimeMismatch, TruncatedTower
 from arl.gen import (
     GenParams,
     module_hom_tower_map,
@@ -20,6 +20,7 @@ from arl.groups import (
     identity_hom,
     induced_on_quotient,
     is_exact_at,
+    is_surjective,
     trivial_group,
     zero_hom,
 )
@@ -29,7 +30,6 @@ from arl.towers import (
     EventuallyLAdic,
     HomCanonicalTail,
     HomModuleTail,
-    HomTruncated,
     HomZeroTail,
     TailShape,
     Tower,
@@ -39,13 +39,11 @@ from arl.towers import (
     classify_tail,
     constant_tower,
     direct_sum,
-    epi_forces_trivial,
     identity_tower_hom,
     is_l_adic,
     is_zero_system,
     ladic_truncation,
     levelwise_cokernel,
-    levelwise_image,
     levelwise_kernel,
     mod_power,
     natural_map,
@@ -211,8 +209,10 @@ class TestLevelwise:
         assert all(k.level(n).is_trivial() for n in range(k.top + 1))
 
     def test_image_of_natural_map_is_everything(self):
+        # level n of the stable image at s = 1 is the image of F_{n+1} -> F_n,
+        # the level map of the natural map F[1] -> F
         t = zl_tower(5)
-        img, incl = levelwise_image(natural_map(t, 1))
+        img, incl = stable_image_tower(t, 1)
         assert img.levelwise_equal(t, upto=img.top)
         assert is_l_adic(img)
 
@@ -331,8 +331,9 @@ class TestDerivedTails:
         assert k.tail == EventuallyLAdic(0, ZL)
 
     def test_image_of_identity_keeps_target_tail(self):
+        # the stable image at s = 0 is the image of the identity
         t = zero_tail_tower(3, 6)
-        i, _ = levelwise_image(identity_tower_hom(t))
+        i, _ = stable_image_tower(t, 0)
         assert i.tail == ZeroTail(3)
 
     @pytest.mark.parametrize("case", range(12))
@@ -348,13 +349,15 @@ class TestDerivedTails:
 
 class TestEpiProperty:
     def test_epi_onto_zero_system_forces_trivial(self):
+        # with r the zero radius of N, f_n.u^L = u^N.f_{n+r} = 0 for a levelwise
+        # epi f : L -> N, and the l-adic composites u^L are onto, so f_n = 0
         t = zl_tower(6)
         n = zero_tail_tower(3, 6)
-        assert epi_forces_trivial(t, n)
-
-    def test_preconditions_enforced(self):
-        with pytest.raises(PreconditionViolated):
-            epi_forces_trivial(zero_tail_tower(2, 6), zero_tail_tower(3, 6))
+        assert is_l_adic(t)
+        r = is_zero_system(n).certificate.radius
+        for m in range(min(t.top, n.top) - r + 1):
+            assert is_surjective(t.composite(m, r))
+            assert n.composite(m, r).is_zero()
 
 
 class TestSingleLevel:
@@ -449,7 +452,8 @@ class TestHomTailContradictions:
     def test_canonical_tail_that_holds(self):
         t = zl_tower(4)
         f = TowerHom(t, t, tuple(identity_hom(t.level(n)) for n in range(5)), HomCanonicalTail(1))
-        assert f.level(6) == identity_hom(t.level(6))
+        assert f.tail == HomCanonicalTail(1)
+        assert all(f.level(n) == identity_hom(t.level(n)) for n in range(f.top + 1))
 
     def test_module_tail_not_defined_on_a_level(self):
         # levels Z/2 -> Z/4 at 0, where the module matrix [1] is no hom
@@ -468,56 +472,37 @@ class TestHomTailContradictions:
 
 
 class TestHomTailAlgebra:
-    """Differences of hom tails, their levels beyond the represented ones, and
-    the tails that the levelwise image and cokernel of a zero tail inherit."""
-
-    def test_identity_minus_identity_has_zero_tail(self):
-        t = zl_tower(5)
-        d = identity_tower_hom(t) - identity_tower_hom(t)
-        assert d.tail == HomZeroTail(0)
-        assert d.is_levelwise_zero()
-
-    def test_zero_minus_zero_keeps_the_later_start(self):
-        s, t = zl_tower(4), zl_tower(4)
-        levels = tuple(zero_hom(s.level(n), t.level(n)) for n in range(5))
-        d = TowerHom(s, t, levels, HomZeroTail(1)) - zero_tower_hom(s, t)
-        assert d.tail == HomZeroTail(1)
-        assert (zero_tower_hom(s, t) - identity_tower_hom(zl_tower(4))).tail == HomTruncated()
-
-    def test_canonical_minus_other_kind_is_truncated(self):
-        t = zl_tower(4)
-        assert (identity_tower_hom(t) - zero_tower_hom(t, t)).tail == HomTruncated()
-
-    def test_module_tail_difference_carries_the_matrix_difference(self):
-        src, tgt = ZlModule(3, (2,), 1), ZlModule(3, (1,), 1)
-        a = IntMatrix.from_rows([[1, 2], [0, 4]])
-        b = IntMatrix.from_rows([[2, 1], [0, 1]])
-        f, g = (module_hom_tower_map(m, src, tgt, 4) for m in (a, b))
-        d = f - g
-        assert d.tail == HomModuleTail(0, a - b)
-        assert d.tail.minus(HomZeroTail(0)) == HomTruncated()
-        for n in range(4):
-            assert d.level(n) == f.level(n) - g.level(n)
-        # HomModuleTail.level, beyond the represented levels
-        for n in (4, 7):
-            assert d.level(n) == GroupHom(d.source.level(n), d.target.level(n), a - b)
-            assert d.level(n) == f.level(n) - g.level(n)
+    """A tower hom is read only on its represented levels, whatever its tail;
+    the tails that the levelwise cokernel of a zero tail inherits."""
 
     def test_zero_tail_levels_beyond_the_prefix(self):
         s, t = zl_tower(3), zero_tail_tower(2, 3)
         z = zero_tower_hom(s, t)
+        assert z.level(2).is_zero()
         for n in (3, 6):
-            assert z.level(n) == zero_hom(s.level(n), t.level(n))
+            with pytest.raises(TruncatedTower, match=f"hom level {n} beyond"):
+                z.level(n)
         levels = tuple(zero_hom(s.level(n), t.level(n)) for n in range(2))
         late = TowerHom(s, t, levels, HomZeroTail(4))
-        with pytest.raises(TruncatedTower):
-            late.level(3)
-        assert late.level(4).is_zero()
+        for n in (2, 4):
+            with pytest.raises(TruncatedTower):
+                late.level(n)
 
-    def test_image_of_zero_hom_is_zero_system(self):
-        i, _ = levelwise_image(zero_tower_hom(zl_tower(5), zl_tower(5)))
-        assert i.tail == ZeroTail(0)
-        assert all(i.level(n).is_trivial() for n in range(i.top + 2))
+    @pytest.mark.parametrize("kind", ["HomTruncated", "HomCanonicalTail", "HomModuleTail"])
+    def test_levels_beyond_the_prefix_raise(self, kind):
+        # zero tails: test_zero_tail_levels_beyond_the_prefix
+        t = zl_tower(3)
+        if kind == "HomTruncated":
+            f = TowerHom(t, t, tuple(identity_hom(t.level(n)) for n in range(3)))
+        elif kind == "HomCanonicalTail":
+            f = identity_tower_hom(t)
+        else:
+            f = module_hom_tower_map(IntMatrix.from_rows([[L]]), ZL, ZL, 3)
+        assert type(f.tail).__name__ == kind
+        assert f.level(f.top) == f.levels[-1]
+        for n in (f.top + 1, f.top + 5):
+            with pytest.raises(TruncatedTower, match=f"hom level {n} beyond"):
+                f.level(n)
 
     def test_cokernel_of_zero_hom_is_target(self):
         t = zl_tower(5)
@@ -603,7 +588,8 @@ def small_towers(draw):
         maps = []
         for _ in range(levels - 1):
             a, b = draw(st.integers(0, 8)), draw(st.integers(0, 8))
-            u = e.compose(e) + GroupHom(g, g, e.matrix.scale(a)) + GroupHom(g, g, IntMatrix.diagonal([b] * g.rank))
+            u = e.compose(e) + GroupHom(g, g, IntMatrix.diagonal([a] * g.rank) @ e.matrix) \
+                + GroupHom(g, g, IntMatrix.diagonal([b] * g.rank))
             maps.append(u)
         return Tower(l, (g,) * levels, tuple(maps))
     groups = [group(n) for n in range(levels)]

@@ -44,7 +44,6 @@ from arl.towers import (
     TowerHom,
     direct_sum,
     levelwise_cokernel,
-    levelwise_image,
     levelwise_kernel,
     natural_map,
     sum_embeddings,
@@ -178,23 +177,6 @@ def test_compose_keeps_operators_common_to_both_factors():
     assert swap.compose(swap) == GroupHom(a, a, IntMatrix.identity(2))
 
 
-def _two_level(maps_matrix):
-    g = FinAbGroup((2,), prime_support=2)
-    return Tower(2, (g, g), (GroupHom(g, g, IntMatrix.from_rows(maps_matrix)),))
-
-
-def test_difference_over_other_transitions_is_checked():
-    s, s_other, t = _two_level([[1]]), _two_level([[0]]), _two_level([[1]])
-    g = s.level(0)
-    one, zero = GroupHom(g, g, IntMatrix.identity(1)), GroupHom(g, g, IntMatrix.zeros(1, 1))
-    f = TowerHom(s, t, (one, one))
-    h = TowerHom(s_other, t, (one, zero))
-    # levels (0, 1) are not natural over the transitions of s
-    with pytest.raises(ValueError, match="commute"):
-        f - h
-    assert (f - f).is_levelwise_zero()
-
-
 @st.composite
 def _factors(draw):
     rows, inner, cols = (draw(st.integers(0, 4)) for _ in range(3))
@@ -321,7 +303,7 @@ def test_derived_tower_homs_pass_the_validating_constructor(seed, l, operators):
         derived += sum_embeddings(a, b, direct_sum(a, b))
     for t in (f.source, f.target, noise, direct_sum(f.target, noise)):
         derived += [natural_map(t, r) for r in range(3)]
-    derived += [levelwise_kernel(f)[1], levelwise_image(f)[1], levelwise_cokernel(f)[1]]
+    derived += [levelwise_kernel(f)[1], levelwise_cokernel(f)[1]]
     derived.append(stable_image_tower(direct_sum(f.target, noise), 1)[1])
     for h in derived:
         assert _checked(h).levels == h.levels

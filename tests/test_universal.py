@@ -71,8 +71,9 @@ def setups(draw):
         def maps(a, b):
             # a polynomial in e, which commutes with e
             x, y, z = (draw(st.integers(0, l ** cap)) for _ in range(3))
-            return GroupHom(g, g, (e.compose(e).matrix.scale(x) + e.matrix.scale(y)
-                                   + IntMatrix.diagonal([z] * g.rank)))
+            scalar = [IntMatrix.diagonal([c] * g.rank) for c in (x, y, z)]
+            return GroupHom(g, g, (scalar[0] @ e.compose(e).matrix + scalar[1] @ e.matrix
+                                   + scalar[2]))
         return l, mode, group, maps
     c = draw(st.integers(0, 6))
 
@@ -162,6 +163,6 @@ def test_section_matches_brute_force(setting, data):
     assert all(0 <= x < d for row, d in zip(lifts.entries, a.invariant_factors) for x in row)
     # p sends the lift of every element back to it
     for t in elements(p.target):
-        lifted = tuple(x % d for x, d in zip(lifts.apply(t), a.invariant_factors))
+        lifted = hom_apply(lifts.entries, a.invariant_factors, t)
         assert apply(p, lifted) == t
     assert GroupHom(p.target, p.target, p.matrix @ lifts) == identity_hom(p.target)

@@ -38,10 +38,6 @@ class TestQuotients:
         assert p.source.invariant_factors == (3, 9, 81)
         assert p.target.invariant_factors == (3, 9, 9)
 
-    def test_torsion_window(self):
-        m = ZlModule(2, (1, 3), 2)
-        assert m.torsion_window_exponents(2) == [1, 2]
-
 
 class TestValidation:
     def test_sorted_exponents_required(self):
