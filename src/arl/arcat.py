@@ -193,15 +193,9 @@ def stable_image_bound(f: Tower, bound: Optional[int] = None) -> Verdict:
                     return Verdict.yes(MLBound(s, scope="tail"))
             return Verdict.unknown(note=f"images do not stabilize within bound {bound}")
         # truncated: require two consecutive confirming shifts inside the prefix
-        for s in range(min(bound, f.top) + 1):
-            ok = True
-            for m in range(f.top + 1):
-                if m + s + 1 > f.top:
-                    break
-                if image_lattice(f.composite(m, s)) != image_lattice(f.composite(m, s + 1)):
-                    ok = False
-                    break
-            if ok and s + 1 <= f.top:
+        for s in range(min(bound, f.top - 1) + 1):
+            if all(image_lattice(f.composite(m, s)) == image_lattice(f.composite(m, s + 1))
+                   for m in range(f.top - s)):
                 return Verdict.yes(MLBound(s, scope="prefix"))
         return Verdict.unknown(note="prefix too short to confirm stabilization")
 
@@ -381,10 +375,8 @@ def certify_ar_l_adic(f: Tower, bound: Optional[int] = None) -> Verdict:
 
 def _images_strictly_decreasing(f: Tower) -> bool:
     # evidence-only: at some level the images shrink at every computable shift
-    for m in range(f.top + 1):
+    for m in range(f.top - 1):
         depth = f.top - m
-        if depth < 2:
-            continue
         chain = [image_lattice(f.composite(m, s)) for s in range(depth + 1)]
         if all(chain[i] != chain[i + 1] for i in range(len(chain) - 1)):
             return True

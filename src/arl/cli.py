@@ -144,9 +144,6 @@ def _cmd_psi(ns, argv) -> int:
 
 
 def _cmd_verify(ns, argv) -> int:
-    if ns.cases is not None and ns.cases < 1:
-        print("error: --cases must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     print(_echo(argv))
     if ns.replay:
         try:
@@ -178,6 +175,10 @@ def main(argv=None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    for flag in ("levels", "cases"):  # counts: a value below 1 is a usage error
+        if getattr(ns, flag, None) is not None and getattr(ns, flag) < 1:
+            print(f"error: --{flag} must be >= 1", file=sys.stderr)
+            return EXIT_USAGE
     start = time.perf_counter()
     try:
         default_bound()  # a bad setting is a usage error, before any verdict

@@ -118,9 +118,7 @@ def random_zero_system(rng: random.Random, l: int, params: GenParams,
         s = rng.randint(1, min(params.max_zero_radius, levels - 1))
         groups = [random_group(rng, l, params) for _ in range(s)]
         groups += [trivial_group(l)] * (levels - s)
-        maps = []
-        for n in range(1, levels):
-            maps.append(random_hom(rng, groups[n], groups[n - 1]))
+        maps = [random_hom(rng, groups[n], groups[n - 1]) for n in range(1, levels)]
         return Tower(l, tuple(groups), tuple(maps), tail=ZeroTail(s))
     k = rng.randint(1, min(params.max_zero_radius, params.max_exponent))
     g = FinAbGroup((l ** k,), prime_support=l)

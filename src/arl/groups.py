@@ -9,10 +9,10 @@ factors so that equal maps have equal matrices.
 Kernels, images and cokernels are computed exactly, modulo the exponent e of
 the groups involved: every lattice they need contains e*Z^n, so it is solved,
 intersected and presented over Z/e with entries kept in [0, e) (see
-``intmat.modular_smith``).  Subgroups are presented on the Hermite-normal-form
-basis of their preimage lattice, which makes every computed object canonical:
-two different generating sets of the same subgroup give the same
-presentation.
+``intmat.modular_smith``).  Subgroups are presented on the Hermite basis of
+their preimage lattice, computed modulo the exponent on the Smith form's
+workspace, which makes every computed object canonical: two generating sets
+of the same subgroup give the same presentation.
 
 Every lattice question and linear system of the layers above is answered
 here: images, membership in n*G, whether a hom kills n*A, whether a matrix is
@@ -39,10 +39,13 @@ from .intmat import (
 )
 
 
-def _is_prime_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
+def valuation(n: int, l: int) -> int:
+    """The exponent of l in the nonzero integer n."""
+    v = 0
+    while n % l == 0:
+        n //= l
+        v += 1
+    return v
 
 
 @dataclass(frozen=True)
@@ -69,7 +72,7 @@ class FinAbGroup:
                 raise ValueError(f"divisibility chain broken: {factors}")
         if self.prime_support is not None:
             for d in factors:
-                if not _is_prime_power(d, self.prime_support):
+                if d != self.prime_support ** valuation(d, self.prime_support):
                     raise ValueError(
                         f"factor {d} is not a power of {self.prime_support} in an l-local group"
                     )
@@ -325,8 +328,9 @@ def preimage_lattice(mat: IntMatrix, target_factors: Sequence[int]) -> IntMatrix
 
 def sublattice_basis(ambient: FinAbGroup, gens: IntMatrix) -> IntMatrix:
     """Canonical HNF basis of span(gens) + relation lattice inside Z^rank."""
+    # every factor divides the exponent, so exponent*Z^rank is in the lattice
     lat = gens.hstack(ambient.relation_matrix())
-    return hermite_normal_form(lat)
+    return hermite_normal_form(lat, ambient.exponent())
 
 
 def solve_mod(mat: IntMatrix, target_factors: Sequence[int], ys: IntMatrix,

@@ -1,14 +1,14 @@
 """Exact integer matrices and their normal forms.
 
 All arithmetic is over arbitrary-precision Python integers; nothing here is
-ever rounded.  One Smith-form elimination serves every modulus e, and
-:func:`modular_smith` is the one routine that presents a quotient Z^n / L.
-The lattices of finite-group arithmetic all contain e*Z^n for a known e, so
-they are solved, intersected and presented over Z/e, with every entry kept
-in [0, e).  The modulus e = 0 is Z itself: Z_l-module presentations and the
-integer Smith form (:func:`smith_normal_form`) run that elimination unreduced.
-Its pivot rule is fixed (the nonzero entry of least absolute value, ties
-broken by lowest (row, col)), so every result is bit-for-bit reproducible.
+ever rounded.  One elimination workspace serves the Smith and Hermite forms
+at every modulus e, and :func:`modular_smith` is the one routine that
+presents a quotient Z^n / L.  The lattices of finite-group arithmetic all
+contain e*Z^n for a known e, so they are solved, presented and put in
+Hermite form over Z/e, with every entry kept in [0, e).  The modulus e = 0
+is Z itself, where Z_l-module presentations and :func:`smith_normal_form`
+run unreduced.  The pivot rule is fixed (least gcd(x, e), over Z least
+absolute value; ties by lowest (row, col)), so results are reproducible.
 """
 
 from __future__ import annotations
@@ -116,11 +116,8 @@ class IntMatrix:
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
 
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
     def is_identity(self) -> bool:
-        return self.is_square() and all(
+        return self.rows == self.cols and all(
             self.entries[i][j] == (1 if i == j else 0)
             for i in range(self.rows) for j in range(self.cols)
         )
@@ -181,7 +178,7 @@ class IntMatrix:
 
     def det(self) -> int:
         """Determinant by the Bareiss fraction-free algorithm."""
-        if not self.is_square():
+        if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         n = self.rows
         if n == 0:
@@ -215,54 +212,7 @@ def _identity(n: int) -> IntMatrix:
     return IntMatrix._of(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
 
-def hermite_normal_form(basis: IntMatrix) -> IntMatrix:
-    """Canonical column-HNF basis of a full-rank lattice in Z^k.
-
-    The input columns must span a rank-k sublattice of Z^k.  The result is
-    the unique k x k lower-triangular basis with positive diagonal and
-    0 <= H[i][j] < H[i][i] for j < i, so equal lattices give equal matrices.
-    """
-    k = basis.rows
-    w = [list(row) for row in basis.entries]
-    ncols = basis.cols
-
-    def col_addmul(j, t, c):
-        for row in w:
-            row[j] += c * row[t]
-
-    def col_swap(j, t):
-        if j != t:
-            for row in w:
-                row[j], row[t] = row[t], row[j]
-
-    pc = 0
-    for r in range(k):
-        while True:
-            best = None
-            for j in range(pc, ncols):
-                v = w[r][j]
-                if v != 0 and (best is None or abs(v) < abs(w[r][best])):
-                    best = j
-            if best is None:
-                raise ValueError("lattice basis does not have full rank")
-            col_swap(pc, best)
-            others = [j for j in range(pc + 1, ncols) if w[r][j] != 0]
-            if not others:
-                break
-            for j in others:
-                q = w[r][j] // w[r][pc]
-                col_addmul(j, pc, -q)
-        if w[r][pc] < 0:
-            for row in w:
-                row[pc] = -row[pc]
-        for j in range(pc):
-            q = w[r][j] // w[r][pc]
-            col_addmul(j, pc, -q)
-        pc += 1
-    return IntMatrix._of(k, k, tuple(tuple(row[:k]) for row in w))
-
-
-# -- Smith forms over Z/e and over Z ------------------------------------------
+# -- Smith and Hermite forms over Z/e and over Z -------------------------------
 #
 # A lattice L with e*Z^n <= L <= Z^n is the preimage of a submodule of
 # (Z/e)^n, so it can be reduced there with every entry kept in [0, e); over Z
@@ -278,6 +228,12 @@ def hermite_normal_form(basis: IntMatrix) -> IntMatrix:
 # least gcd(x, 0) = |x| is the integer Smith form's classic rule.  Each Bezout
 # step replaces the pivot by a proper divisor of it, so clearing a position
 # takes at most log2 |pivot| of them.
+#
+# The Hermite form runs on the same workspace with column steps alone, modulo an
+# e > 0 with e*Z^n inside the lattice (Domich, Kannan & Trotter 1987): the HNF
+# modulo the determinant, computed as a Howell form (Storjohann & Mulders
+# 1998).  Reducing modulo e is exact because every e*e_i lies in the lattice:
+# any integer lift of a column reduced modulo e is still a lattice vector.
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -313,11 +269,12 @@ class _ModSmith:
     and row operations on U^-1 when track_ui is set; an untracked one stays an
     empty list that takes no updates.  For e > 0 all entries stay in [0, e).
     For e = 0 the arithmetic is over Z, U and V are unimodular and the
-    diagonal is made nonnegative.
+    diagonal is made nonnegative.  With hermite set (e > 0), the same pivot
+    rule and column steps bring M to its Hermite form instead (see _hermite).
     """
 
     def __init__(self, m: IntMatrix, e: int, attached: IntMatrix | None = None,
-                 track_v: bool = True, track_ui: bool = False):
+                 track_v: bool = True, track_ui: bool = False, hermite: bool = False):
         if e < 0:
             raise ValueError(f"modulus {e} < 0")
         self.e = e
@@ -328,6 +285,9 @@ class _ModSmith:
         self.d = [[self.red(x) for x in row + tail] for row, tail in zip(m.entries, tails)]
         self.v = _identity_rows(m.cols) if track_v else []
         self.ui = _identity_rows(m.rows) if track_ui else []
+        if hermite:
+            self._hermite()
+            return
         t = 0
         while t < min(self.rows, self.cols) and self._pivot_to(t):
             self._clear(t)
@@ -368,6 +328,8 @@ class _ModSmith:
 
     def _col_sub(self, j: int, t: int, q: int):
         # col_j -= q * col_t
+        if not q:
+            return
         red = self.red
         for rows in (self.d, self.v):
             for row in rows:
@@ -401,11 +363,11 @@ class _ModSmith:
 
     # -- elimination --------------------------------------------------------
 
-    def _pivot_to(self, t: int) -> bool:
-        """Move the entry of least gcd(x, e) in d[t:, t:] (ties by lowest
+    def _pivot_to(self, t: int, rows: int | None = None) -> bool:
+        """Move the entry of least gcd(x, e) in d[t:rows, t:] (ties by lowest
         (row, col)) to (t, t); False when that block is zero."""
         e, best, where = self.e, None, None
-        for i in range(t, self.rows):
+        for i in range(t, self.rows if rows is None else rows):
             row = self.d[i]
             for j in range(t, self.cols):
                 if row[j]:
@@ -430,17 +392,42 @@ class _ModSmith:
                         self._row_bezout(t, i)
                     else:
                         self._row_sub(i, t, _unit_quotient(d[i][t], d[t][t], e))
-            refilled = False
-            for j in range(self.cols):
-                if j != t and d[t][j]:
-                    if d[t][j] % gcd(d[t][t], e):
-                        # the new pivot column takes entries of column j
-                        self._col_bezout(t, j)
-                        refilled = True
-                    else:
-                        self._col_sub(j, t, _unit_quotient(d[t][j], d[t][t], e))
-            if not refilled:
+            if not self._clear_row(t):
                 return
+
+    def _clear_row(self, t: int) -> bool:
+        """Zero row t right of the pivot d[t][t] by column steps (left of it the
+        row is zero or final); True when a Bezout step refilled column t."""
+        d, e = self.d, self.e
+        refilled = False
+        for j in range(t + 1, self.cols):
+            if d[t][j]:
+                if d[t][j] % gcd(d[t][t], e):
+                    # the new pivot column takes entries of column j
+                    self._col_bezout(t, j)
+                    refilled = True
+                else:
+                    self._col_sub(j, t, _unit_quotient(d[t][j], d[t][t], e))
+        return refilled
+
+    def _hermite(self):
+        # Row t is cleared onto column t (no row moves), whose pivot x becomes
+        # g = gcd(x, e), or e kept as 0 when row t is zero.  Scaling column t
+        # by a unit modulo e/g loses (e/g) col_t, a lattice vector with row t
+        # zero, so it is appended for the rows below (Howell's step).  Last,
+        # the entries left of the pivot are reduced into [0, g).
+        d, e = self.d, self.e
+        for t in range(self.rows):
+            if self._pivot_to(t, t + 1):
+                self._clear_row(t)
+            x = d[t][t]
+            g = gcd(x, e)
+            for row in d:
+                row.append(e // g * row[t] % e)
+            self.cols += 1
+            self._col_sub(t, t, 1 - _unit_quotient(g, x, e))  # col_t *= q
+            for j in range(t):
+                self._col_sub(j, t, d[t][j] // g)
 
     def _chain(self, rank: int):
         # make gcd(d_i, e) divide gcd(d_j, e) for i < j: adding column j to
@@ -489,6 +476,29 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     :func:`modular_smith`).
     """
     return _snf_cached(m)
+
+
+def hermite_normal_form(basis: IntMatrix, modulus: int = 0) -> IntMatrix:
+    """Canonical column-HNF basis of L = col-span(basis) + modulus*Z^k.
+
+    The result is the unique k x k lower-triangular basis of L with positive
+    diagonal and 0 <= H[i][j] < H[i][i] for j < i, so equal lattices give
+    equal matrices.  modulus e means what it means in :func:`modular_smith`;
+    each diagonal entry divides it.  With e = 0 the columns must span a
+    rank-k lattice, and e is the last invariant factor of Z^k / L.
+    """
+    k = basis.rows
+    if not modulus:
+        factors = modular_smith(basis, 0)[0]
+        modulus = factors[-1] if factors else 1
+        if not modulus:
+            raise ValueError("lattice basis does not have full rank")
+    if not basis.cols:  # L = e*Z^k: start from a zero column
+        basis = IntMatrix.zeros(k, 1)
+    st = _ModSmith(basis, modulus, track_v=False, hermite=True)
+    # a diagonal entry e is kept as 0 modulo e
+    return IntMatrix._of(k, k, tuple(
+        (*row[:i], row[i] or modulus, *row[i + 1:k]) for i, row in enumerate(st.d)))
 
 
 def modular_solve(m: IntMatrix, e: int, ys: IntMatrix) -> list[Vector | None]:

@@ -14,7 +14,7 @@ from typing import Mapping, Optional
 
 from .arcat import canonical_l_adic
 from .errors import NonStabilizing, NotLAdic
-from .groups import FinAbGroup, GroupHom, trivial_group, zero_hom
+from .groups import FinAbGroup, GroupHom, trivial_group, valuation, zero_hom
 from .hypernat import HyperNat
 from .intmat import IntMatrix
 from .towers import (
@@ -26,7 +26,7 @@ from .towers import (
     is_l_adic,
 )
 from .upsilon import psi, upsilon
-from .zlmod import ZlModule, valuation
+from .zlmod import ZlModule
 
 
 DEFAULT_PREFIX_LEVELS = 8
@@ -63,13 +63,8 @@ def limit(tower: Tower) -> ZlModule:
         raise NonStabilizing("need at least two represented levels", top)
     top_exps = [valuation(d, tower.l) for d in tower.level(top).invariant_factors]
     prev_exps = [valuation(d, tower.l) for d in tower.level(top - 1).invariant_factors]
-    torsion = []
-    rho = 0
-    for v in top_exps:
-        if v == top + 1:
-            rho += 1
-        else:
-            torsion.append(v)
+    torsion = [v for v in top_exps if v != top + 1]
+    rho = len(top_exps) - len(torsion)
     expected_prev = sorted([min(v, top) for v in torsion] + [top] * rho)
     if expected_prev != sorted(prev_exps):
         raise NonStabilizing("invariant factors have not stabilized", top)

@@ -764,14 +764,9 @@ def direct_sum(f: Tower, g: Tower) -> Tower:
     """Levelwise direct sum with componentwise transitions."""
     if f.l != g.l:
         raise PrimeMismatch("direct sum of towers over different primes")
-    if f.can_extend() and g.can_extend():
-        hi = max(f.top, g.top)
-    elif f.can_extend():
-        hi = g.top
-    elif g.can_extend():
-        hi = f.top
-    else:
-        hi = min(f.top, g.top)
+    # a truncated summand caps the prefix; two extendable ones fill the longer
+    truncated_tops = [t.top for t in (f, g) if not t.can_extend()]
+    hi = min(truncated_tops) if truncated_tops else max(f.top, g.top)
     return _read_off(f.l, SumOf(f, g), hi)
 
 

@@ -251,13 +251,8 @@ def faithfulness_check(f: ARMor, h: HyperNat, bound: Optional[int] = None) -> bo
     """
     u = upsilon_mor(f, h, bound=bound)
     f_zero = ar_equal(f, ar_zero(f.source, f.target), bound)
-    if u.is_zero():
-        if not f_zero:
-            return False
-    else:
-        if bool(f_zero):
-            return False
-    if u.is_iso():
-        if not ar_is_isomorphism(f, bound):
-            return False
+    if u.is_zero() != bool(f_zero):
+        return False
+    if u.is_iso() and not ar_is_isomorphism(f, bound):
+        return False
     return True

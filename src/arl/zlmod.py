@@ -18,17 +18,8 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .errors import PrimeMismatch
-from .groups import FinAbGroup, GroupHom
+from .groups import FinAbGroup, GroupHom, valuation
 from .intmat import IntMatrix, exact_int, modular_smith
-
-
-def valuation(n: int, l: int) -> int:
-    """The exponent of l in the nonzero integer n."""
-    v = 0
-    while n % l == 0:
-        n //= l
-        v += 1
-    return v
 
 
 @dataclass(frozen=True)
@@ -99,13 +90,7 @@ class ZlModule:
 
     def relation_matrix(self) -> IntMatrix:
         """Relations of the module as a Z-module presentation (torsion columns only)."""
-        k = len(self.torsion_exponents)
-        cols = []
-        for j, a in enumerate(self.torsion_exponents):
-            col = [0] * self.rank
-            col[j] = self.l ** a
-            cols.append(col)
-        return IntMatrix.from_columns(cols, rows=self.rank)
+        return IntMatrix.diagonal([self.l ** a for a in self.torsion_exponents], rows=self.rank)
 
     # -- finite quotients ------------------------------------------------------
 

@@ -162,3 +162,19 @@ def quotient_invariants(factors: tuple[int, ...],
             k += 1
         per_prime[p] = _exponents_from_counts(logs)
     return _invariants_from_torsion_logs(per_prime)
+
+
+def span_mod(columns, k: int, e: int) -> set[tuple[int, ...]]:
+    """The subgroup of (Z/e)^k that the columns generate, by closure under
+    adding each generator (in a finite group that reaches the negatives)."""
+    gens = [tuple(x % e for x in col) for col in columns]
+    seen = {(0,) * k}
+    frontier = list(seen)
+    while frontier:
+        v = frontier.pop()
+        for g in gens:
+            w = tuple((a + b) % e for a, b in zip(v, g))
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return seen

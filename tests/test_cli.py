@@ -214,6 +214,17 @@ class TestUpsilonPsi:
         assert "{'a': 2}" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["normalize"], ["upsilon", "--h", "h"], ["psi", "--h", "h"]])
+@pytest.mark.parametrize("levels", ["0", "-2"])
+def test_levels_below_one_usage_error(capsys, sample, command, levels):
+    code, out, err = run(capsys, command[0], "--file", sample, "--tower", "zl",
+                         *command[1:], "--levels", levels)
+    assert code == 2
+    assert "--levels" in err
+    assert out == ""
+
+
 class TestVerify:
     def test_small_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "phi", "--seed", "7", "--cases", "5")

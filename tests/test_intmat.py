@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,7 @@ from arl.intmat import (
     smith_normal_form,
 )
 
-from oracles import elementary_divisors_by_minors
+from oracles import elementary_divisors_by_minors, span_mod
 
 
 def rows(m):
@@ -144,6 +145,98 @@ def test_hnf_shape():
 def test_hnf_rejects_rank_deficient():
     with pytest.raises(ValueError):
         hermite_normal_form(IntMatrix.from_rows([[1, 2], [0, 0]]))
+
+
+# -- the Hermite form modulo e ---------------------------------------------------
+
+
+def assert_hnf_shape(h: IntMatrix):
+    for i in range(h.rows):
+        assert h.entries[i][i] > 0
+        for j in range(h.cols):
+            if j > i:
+                assert h.entries[i][j] == 0
+            elif j < i:
+                assert 0 <= h.entries[i][j] < h.entries[i][i]
+
+
+def test_hnf_modular_carries_the_howell_column():
+    # span((2, 1)) + 4Z^2 holds 2*(2, 1) - (4, 0) = (0, 2); without the column
+    # carried below row 0 the second diagonal entry would read 4
+    assert hermite_normal_form(IntMatrix.from_columns([(2, 1)]), 4).entries == ((2, 0), (1, 2))
+
+
+def test_hnf_modular_zero_row_gives_diagonal_e():
+    # row 1 is zero modulo 9 in every generator, so its diagonal entry is 9
+    h = hermite_normal_form(IntMatrix.from_columns([(3, 9), (6, 18)]), 9)
+    assert h.entries == ((3, 0), (0, 9))
+    assert hermite_normal_form(IntMatrix.zeros(2, 0), 6).entries == ((6, 0), (0, 6))
+
+
+def test_hnf_modular_mixed_modulus():
+    # row 0 holds 4 and 6 modulo 12: neither divides the other, so the pivot
+    # takes a Bezout step
+    m = IntMatrix.from_columns([(4, 1, 0), (6, 0, 1), (0, 3, 2)])
+    h = hermite_normal_form(m, 12)
+    assert h.entries == ((2, 0, 0), (2, 3, 0), (1, 0, 2))
+    assert h == hermite_normal_form(m.hstack(IntMatrix.diagonal([12] * 3)))
+
+
+@st.composite
+def lattices_containing_e(draw):
+    """(generators, e) with k <= 3 rows and e <= 16; the lattice is the
+    span of the generators plus e*Z^k."""
+    e = draw(st.sampled_from([2, 3, 4, 5, 6, 8, 9, 10, 12, 16]))
+    k = draw(st.integers(1, 3))
+    cols = draw(st.lists(st.lists(st.integers(-2 * e, 2 * e), min_size=k, max_size=k),
+                         max_size=4))
+    return IntMatrix.from_columns(cols, rows=k), e
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattices_containing_e())
+def test_hnf_modular_property(case):
+    gens, e = case
+    k = gens.rows
+    full = gens.hstack(IntMatrix.diagonal([e] * k))
+    h = hermite_normal_form(gens, e)
+    assert h == hermite_normal_form(full, e) == hermite_normal_form(full)
+    assert_hnf_shape(h)
+    assert all(e % h.entries[i][i] == 0 for i in range(k))
+    assert span_mod(h.columns(), k, e) == span_mod(gens.columns(), k, e)
+
+
+def in_lower_triangular_span(h: IntMatrix, v) -> bool:
+    # forward substitution over Z: each step must divide exactly
+    v = list(v)
+    for i in range(h.rows):
+        q, r = divmod(v[i], h.entries[i][i])
+        if r:
+            return False
+        v = [x - q * h.entries[j][i] for j, x in enumerate(v)]
+    return True
+
+
+@pytest.mark.parametrize("rows, cols", [(5, 5), (7, 7), (6, 12), (10, 10), (12, 24)])
+def test_hnf_integer_sweep_within_budget(rows, cols):
+    # at modulus 0 the Hermite form runs modulo the last invariant factor;
+    # random full-rank integer matrices must not make it blow up
+    rng = random.Random(rows * 100 + cols)
+    for _ in range(4):
+        m = IntMatrix.from_rows([[rng.randint(-40, 40) for _ in range(cols)]
+                                 for _ in range(rows)])
+        start = time.perf_counter()
+        h = hermite_normal_form(m)
+        assert time.perf_counter() - start < 0.5
+        assert_hnf_shape(h)
+        # span(m) lies in span(h), and both have the index of the Smith form
+        assert all(in_lower_triangular_span(h, col) for col in m.columns())
+        index = 1
+        for d in smith_normal_form(m)[1].diagonal_values():
+            index *= d
+        assert h.det() == index
+        if rows == cols:
+            assert abs(m.det()) == index
 
 
 def test_matrix_validation():

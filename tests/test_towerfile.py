@@ -4,7 +4,7 @@ import pytest
 
 from arl.errors import TowerFileError, UndeclaredSymbol
 from arl.towers import is_l_adic
-from arl.towerfile import load_tower_data, load_tower_file
+from arl.towerfile import PRIME_LIMIT, is_prime, load_tower_data, load_tower_file
 
 
 def base_doc():
@@ -78,6 +78,32 @@ class TestLoad:
             load_tower_data(doc)
 
 
+def doc_for_prime(l):
+    """base_doc with its groups rescaled to l-groups: Z/l and Z/l^2."""
+    doc = base_doc()
+    doc["l"] = l
+    doc["groups"]["A0"]["factors"] = [l]
+    doc["groups"]["A1"]["factors"] = [l * l]
+    return doc
+
+
+def test_large_prime_l_accepted():
+    tf = load_tower_data(doc_for_prime(2**61 - 1))
+    assert tf.l == 2**61 - 1
+    assert is_l_adic(tf.tower("T"))
+
+
+def test_is_prime_matches_trial_division():
+    def by_trial_division(n):
+        return n >= 2 and all(n % p for p in range(2, int(n ** 0.5) + 1))
+    assert all(is_prime(n) == by_trial_division(n) for n in range(5000))
+    # strong pseudoprimes to the first 1, 2, ..., 11 prime bases
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 3825123056546413051):
+        assert not is_prime(n)
+    assert is_prime(2**61 - 1) and is_prime(2**31 - 1)
+
+
 class TestDiagnostics:
     def test_malformed_matrix_row_col(self):
         doc = base_doc()
@@ -115,6 +141,20 @@ class TestDiagnostics:
         del doc["l"]
         with pytest.raises(TowerFileError, match="'l'"):
             load_tower_data(doc)
+
+    @pytest.mark.parametrize("l", [4, 6, 9, 2**61 + 1, 318665857834031151167461],
+                             ids=["4", "6", "9", "2^61+1", "psi12"])
+    def test_non_prime_l_rejected(self, l):
+        # 318665857834031151167461 passes Miller-Rabin on the first 12 primes
+        doc = doc_for_prime(l)
+        with pytest.raises(TowerFileError, match=rf"'l' = {l} is not a prime"):
+            load_tower_data(doc)
+
+    def test_prime_beyond_the_exact_test_rejected_by_name(self):
+        with pytest.raises(TowerFileError, match="'l' = .* too large"):
+            load_tower_data(doc_for_prime(2**89 - 1))
+        with pytest.raises(TowerFileError, match="too large"):
+            load_tower_data(doc_for_prime(PRIME_LIMIT))
 
     def test_bad_format_version(self):
         doc = base_doc()
