@@ -39,6 +39,37 @@ from .intmat import (
 )
 
 
+# Miller-Rabin on the first 13 primes as bases decides primality exactly below
+# PRIME_LIMIT (Sorenson & Webster 2017); a larger prime is refused, not guessed.
+# The first 12 alone are fooled by 318665857834031151167461.
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def is_prime(n: int) -> bool:
+    """Whether n is prime; exact for n < PRIME_LIMIT, and two tuple lookups
+    for the small primes every validated group carries."""
+    if n < 2 or n in PRIME_BASES or any(n % p == 0 for p in PRIME_BASES):
+        return n in PRIME_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in PRIME_BASES:
+        x = pow(a, d, n)
+        # a witnesses that n is composite unless a^d = 1 or a^(d 2^r) = -1
+        if x != 1 and all(pow(x, 2 ** r, n) != n - 1 for r in range(s)):
+            return False
+    return True
+
+
+def check_prime(p: int) -> int:
+    """p as an int, or a ValueError naming it unless it is a certified prime."""
+    p = exact_int(p, "prime")
+    if not (is_prime(p) and p < PRIME_LIMIT):
+        raise ValueError(f"prime {p} is not a certified prime (a prime below {PRIME_LIMIT})")
+    return p
+
+
 def valuation(n: int, l: int) -> int:
     """The exponent of l in the nonzero integer n."""
     v = 0
@@ -71,6 +102,7 @@ class FinAbGroup:
             if i > 0 and d % factors[i - 1] != 0:
                 raise ValueError(f"divisibility chain broken: {factors}")
         if self.prime_support is not None:
+            object.__setattr__(self, "prime_support", check_prime(self.prime_support))
             for d in factors:
                 if d != self.prime_support ** valuation(d, self.prime_support):
                     raise ValueError(
@@ -328,6 +360,8 @@ def preimage_lattice(mat: IntMatrix, target_factors: Sequence[int]) -> IntMatrix
 
 def sublattice_basis(ambient: FinAbGroup, gens: IntMatrix) -> IntMatrix:
     """Canonical HNF basis of span(gens) + relation lattice inside Z^rank."""
+    if not ambient.rank:
+        return IntMatrix.zeros(0, 0)
     # every factor divides the exponent, so exponent*Z^rank is in the lattice
     lat = gens.hstack(ambient.relation_matrix())
     return hermite_normal_form(lat, ambient.exponent())

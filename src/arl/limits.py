@@ -10,6 +10,7 @@ functor sending a module M to the tower (M/l^{n+1})_n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Optional
 
 from .arcat import canonical_l_adic
@@ -30,8 +31,13 @@ from .zlmod import ZlModule
 
 
 DEFAULT_PREFIX_LEVELS = 8
+# to_tower and the torsion windows are pure functions of frozen values, so
+# equal modules share one Tower and with it the verdicts cached on it; 64
+# entries hold the 30 modules per prime of the exhaustive torsion grid.
+TOWER_MEMO_SIZE = 64
 
 
+@lru_cache(maxsize=TOWER_MEMO_SIZE)
 def to_tower(module: ZlModule, levels: int = DEFAULT_PREFIX_LEVELS) -> Tower:
     """The l-adic tower with level n equal to module / l^{n+1}."""
     if levels < 1:
@@ -134,6 +140,7 @@ def comparison_check(data: CohomologyTowerInput, degree: int,
     )
 
 
+@lru_cache(maxsize=TOWER_MEMO_SIZE)
 def _torsion_window_tower(module: ZlModule, l: int, levels: int) -> Tower:
     """The tower of l^{n+1}-torsion subgroups of module with multiplication
     by l as transitions (the free part contributes nothing)."""

@@ -30,7 +30,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import NegativeResult, TowerFileError, UndeclaredSymbol
-from .groups import FinAbGroup, GroupHom
+from .groups import PRIME_LIMIT, FinAbGroup, GroupHom, is_prime
 from .hypernat import SYMBOL, HyperNat
 from .intmat import IntMatrix
 from .towers import EventuallyLAdic, Tower, Truncated, ZeroTail
@@ -63,28 +63,6 @@ class TowerFile:
                 raise UndeclaredSymbol(f"index term {text!r}: symbol {name!r} is not declared; "
                                        f"declared: {list(self.symbols)}")
         return h
-
-
-# Miller-Rabin on the first 13 primes as bases decides primality exactly below
-# PRIME_LIMIT (Sorenson & Webster 2017); a larger 'l' is refused, not guessed.
-# The first 12 alone are fooled by 318665857834031151167461.
-PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
-
-
-def is_prime(n: int) -> bool:
-    """Whether n is prime; exact for n < PRIME_LIMIT."""
-    if n < 2 or any(n % p == 0 for p in PRIME_BASES):
-        return n in PRIME_BASES
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in PRIME_BASES:
-        x = pow(a, d, n)
-        # a witnesses that n is composite unless a^d = 1 or a^(d 2^r) = -1
-        if x != 1 and all(pow(x, 2 ** r, n) != n - 1 for r in range(s)):
-            return False
-    return True
 
 
 def _require(cond: bool, message: str):

@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .errors import PrimeMismatch
-from .groups import FinAbGroup, GroupHom, valuation
+from .groups import FinAbGroup, GroupHom, check_prime, valuation
 from .intmat import IntMatrix, exact_int, modular_smith
 
 
@@ -33,8 +33,7 @@ class ZlModule:
         exps = tuple(exact_int(a, "torsion exponent") for a in self.torsion_exponents)
         object.__setattr__(self, "torsion_exponents", exps)
         exact_int(self.free_rank, "free rank")
-        if self.l < 2:
-            raise ValueError("prime must be >= 2")
+        object.__setattr__(self, "l", check_prime(self.l))
         if any(a < 1 for a in exps):
             raise ValueError("torsion exponents must be >= 1")
         if list(exps) != sorted(exps):

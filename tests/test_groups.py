@@ -1,8 +1,12 @@
+import signal
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from arl.errors import CompositionMismatch, InfiniteGroup
 from arl.groups import (
+    PRIME_LIMIT,
     FinAbGroup,
     GroupHom,
     canonicalize,
@@ -22,6 +26,7 @@ from arl.groups import (
     zero_hom,
 )
 from arl.intmat import IntMatrix
+from arl.zlmod import ZlModule
 
 from oracles import (
     group_elements,
@@ -83,6 +88,55 @@ class TestGroupBasics:
     def test_non_integral_factor_rejected(self, factor):
         with pytest.raises(ValueError, match="non-integer invariant factor"):
             FinAbGroup((factor,))
+
+
+@contextmanager
+def time_budget(seconds):
+    """Interrupt the block with TimeoutError once it runs past seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"over its {seconds}-s budget")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestPrimeRule:
+    """Both public constructors take a prime only if ``is_prime`` certifies it."""
+
+    # 318665857834031151167461 passes Miller-Rabin on the first 12 primes;
+    # 2^89 - 1 is prime but beyond PRIME_LIMIT, so it is refused, not guessed
+    BAD = [1, 0, -2, 4, 6, 9, 318665857834031151167461, 2**89 - 1, PRIME_LIMIT]
+
+    @pytest.mark.parametrize("p", BAD)
+    def test_group_rejects_non_prime_by_name(self, p):
+        # prime_support=1 used to loop forever in valuation(d, 1)
+        with time_budget(2), pytest.raises(ValueError, match=rf"prime {p} "):
+            FinAbGroup((2,), prime_support=p)
+        with time_budget(2), pytest.raises(ValueError, match=rf"prime {p} "):
+            FinAbGroup((), prime_support=p)
+
+    @pytest.mark.parametrize("p", BAD)
+    def test_module_rejects_non_prime_by_name(self, p):
+        # ZlModule(6, (1,), 1).quotient_group(2) used to give Z/6 + Z/36
+        with time_budget(2), pytest.raises(ValueError, match=rf"prime {p} "):
+            ZlModule(p, (1,), 1).quotient_group(2)
+
+    @pytest.mark.parametrize("p", [2.0, "2"])
+    def test_non_integral_prime_rejected(self, p):
+        with pytest.raises(ValueError, match="non-integer prime"):
+            FinAbGroup((2,), prime_support=p)
+        with pytest.raises(ValueError, match="non-integer prime"):
+            ZlModule(p, (1,))
+
+    def test_large_certified_prime_accepted(self):
+        p = 2**61 - 1
+        with time_budget(2):
+            assert FinAbGroup((p, p * p), prime_support=p).order() == p ** 3
+            assert ZlModule(p, (1,), 1).quotient_group(2).invariant_factors == (p, p * p)
 
 
 class TestKernelImageCokernel:

@@ -4,6 +4,7 @@ injectivity -- against brute force on small groups."""
 
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from arl.groups import (
@@ -14,8 +15,9 @@ from arl.groups import (
     is_injective,
     is_matrix_of,
     kills_multiples,
+    sublattice_basis,
 )
-from arl.intmat import IntMatrix
+from arl.intmat import IntMatrix, hermite_normal_form
 
 from oracles import group_elements, hom_apply
 
@@ -90,3 +92,19 @@ def test_is_matrix_of_matches_brute_force(f, data):
 def test_is_injective_matches_brute_force(f):
     kernel = [x for x in group_elements(f.source.invariant_factors) if is_zero(apply(f, x))]
     assert is_injective(f) == (len(kernel) == 1)
+
+
+@pytest.mark.parametrize("prime", [None, 2, 5])
+@pytest.mark.parametrize("cols", [0, 1, 3])
+def test_rank_zero_sublattice_is_the_empty_basis_without_elimination(prime, cols, monkeypatch):
+    trivial = FinAbGroup((), prime_support=prime)
+    gens = IntMatrix.zeros(0, cols)
+    # the Hermite form of Z^0 that the general path computes
+    expected = hermite_normal_form(gens.hstack(trivial.relation_matrix()), trivial.exponent())
+    assert expected == IntMatrix.zeros(0, 0)
+
+    def no_elimination(*args):
+        raise AssertionError("rank-0 lattice sent to the Hermite workspace")
+
+    monkeypatch.setattr("arl.groups.hermite_normal_form", no_elimination)
+    assert sublattice_basis(trivial, gens) == expected

@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arl import groups, intmat, zlmod
+from arl import groups, intmat, limits, zlmod
 from arl.errors import PrimeMismatch
 from arl.gen import random_hom
 from arl.groups import (
@@ -20,7 +20,10 @@ from arl.groups import (
     identity_hom,
 )
 from arl.intmat import IntMatrix
+from arl.limits import limit, to_tower
 from arl.suites import SuiteReport, default_params, run_case, run_suite
+from arl.towers import Tower, classify_tail, is_l_adic
+from arl.zlmod import ZlModule
 
 
 MEMOS = (
@@ -28,6 +31,8 @@ MEMOS = (
     groups.direct_sum_hom,
     zlmod._quotient_group,
     zlmod._quotient_projection,
+    limits.to_tower,
+    limits._torsion_window_tower,
 )
 
 
@@ -40,12 +45,17 @@ def clear_memos():
         memo.cache_clear()
 
 
-@pytest.mark.parametrize("suite, cases", [("torsionfree", 300), ("comparison", 10)])
-def test_reports_equal_with_memos_cleared_before_each_case(suite, cases):
+# the comparison suite builds no torsion window, every other memo gets hits
+@pytest.mark.parametrize("suite, cases, unused", [
+    pytest.param("torsionfree", 300, (), id="torsionfree-300"),
+    pytest.param("comparison", 10, (limits._torsion_window_tower,), id="comparison-10"),
+])
+def test_reports_equal_with_memos_cleared_before_each_case(suite, cases, unused):
     clear_memos()
     warm = run_suite(suite, 0, cases)
     assert warm.all_pass()
-    assert all(memo.cache_info().hits > 0 for memo in MEMOS + CONSTANTS)
+    assert all(memo.cache_info().hits > 0 for memo in MEMOS + CONSTANTS if memo not in unused)
+    assert all(memo.cache_info().currsize == 0 for memo in unused)
     params = default_params(suite)
     cold = []
     for index in range(cases):
@@ -54,13 +64,20 @@ def test_reports_equal_with_memos_cleared_before_each_case(suite, cases):
     assert SuiteReport(suite, 0, cases, tuple(cold)).body_lines() == warm.body_lines()
 
 
+def _levelwise(tower):
+    """A tower's data as a value: towers compare by identity."""
+    return tower.l, tower.groups, tower.maps, tower.tail
+
+
 def _memo_work(modules):
     out = []
     for m in modules:
         for p in range(2, 5):
             u = m.quotient_projection(p, p - 1)
             out.append((m.quotient_group(p), u, direct_sum_hom(u, u),
-                        direct_sum_with_maps(u.source, u.target)))
+                        direct_sum_with_maps(u.source, u.target),
+                        _levelwise(to_tower(m, p)),
+                        _levelwise(limits._torsion_window_tower(m, m.l, p))))
     return out
 
 
@@ -86,6 +103,40 @@ def test_memos_agree_under_concurrent_callers():
         shift = 3 * i
         assert got == expected[shift:] + expected[:shift]
     assert all(0 < memo.cache_info().currsize <= memo.cache_info().maxsize for memo in MEMOS)
+
+
+MODULES = [ZlModule(2, (), 1), ZlModule(3, (1, 2)), ZlModule(2, (1, 3), 2),
+           ZlModule(5, (2,), 1, operators=(("frob", IntMatrix.diagonal([2, 3])),))]
+
+
+@pytest.mark.parametrize("m", MODULES, ids=lambda m: f"l={m.l}:{m.describe()}")
+def test_equal_modules_share_one_tower(m):
+    twin = ZlModule(m.l, tuple(m.torsion_exponents), m.free_rank, tuple(m.operators))
+    assert twin == m and twin is not m
+    assert to_tower(twin) is to_tower(m)
+    assert to_tower(twin, 5) is to_tower(m, 5) is not to_tower(m)
+    window = limits._torsion_window_tower
+    assert window(twin, m.l, 4) is window(m, m.l, 4)
+
+
+@pytest.mark.parametrize("m", MODULES, ids=lambda m: f"l={m.l}:{m.describe()}")
+@pytest.mark.parametrize("levels", [1, 3, 8])
+def test_shared_tower_answers_as_a_fresh_one(m, levels):
+    clear_memos()
+    # ask twice: the second answers come from the verdicts cached on the tower
+    for _ in range(2):
+        shared = to_tower(m, levels)
+        fresh = Tower(shared.l, shared.groups, shared.maps, shared.tail)
+        assert fresh is not shared
+        assert is_l_adic(shared) == is_l_adic(fresh)
+        assert classify_tail(shared) == classify_tail(fresh)
+        assert limit(shared) == limit(fresh) == m
+    assert to_tower.cache_info().hits >= 1
+    for w in (limits._torsion_window_tower(m, m.l, levels),) * 2:
+        fresh = Tower(w.l, w.groups, w.maps, w.tail)
+        assert is_l_adic(w) == is_l_adic(fresh)
+        assert classify_tail(w) == classify_tail(fresh)
+        assert bool(is_l_adic(w)) == (levels == 1 or m.is_torsion_free())
 
 
 @st.composite

@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from arl.arcat import canonical_l_adic, stable_image_bound
 from arl.gen import GenParams, random_ar_l_adic, random_prime, rng_for
-from arl.limits import limit
+from arl.limits import limit, to_tower
 from arl.towers import is_l_adic, is_zero_system
 
 
@@ -29,7 +29,9 @@ def test_concurrent_predicate_evaluation_matches_sequential():
         towers.append(random_ar_l_adic(rng, random_prime(rng, params), params))
 
     baseline = [_facts(t) for t in towers]
-    # fresh, cache-cold copies of the same instances, queried concurrently
+    # fresh, cache-cold copies of the same instances, queried concurrently;
+    # the tower memo is cleared, or equal modules would hand back warm towers
+    to_tower.cache_clear()
     fresh = []
     for case in range(12):
         rng = rng_for(71, case)

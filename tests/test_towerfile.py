@@ -3,8 +3,9 @@ import json
 import pytest
 
 from arl.errors import TowerFileError, UndeclaredSymbol
+from arl.groups import PRIME_LIMIT, is_prime
+from arl.towerfile import load_tower_data, load_tower_file
 from arl.towers import is_l_adic
-from arl.towerfile import PRIME_LIMIT, is_prime, load_tower_data, load_tower_file
 
 
 def base_doc():
