@@ -45,9 +45,6 @@ from .towers import (
     EventuallyLAdic,
     HomModuleTail,
     HomZeroTail,
-    QuotientOf,
-    ShiftOf,
-    SumOf,
     TailShape,
     Tower,
     TowerHom,

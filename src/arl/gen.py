@@ -25,7 +25,6 @@ from .intmat import IntMatrix
 from .limits import to_tower
 from .towers import (
     HomModuleTail,
-    SumOf,
     Tower,
     TowerHom,
     ZeroTail,
@@ -130,18 +129,18 @@ def random_extension(rng: random.Random, n_tower: Tower, g_tower: Tower,
                      ) -> tuple[Tower, TowerHom, TowerHom]:
     """A levelwise extension 0 -> N -> F -> G -> 0 with random twisting maps.
 
-    Twists into trivial levels vanish automatically, so towers with a
-    ZeroTail kernel stay consistent with the SumOf tail rule.
+    F carries the tail of the untwisted sum N + G.  Twists into trivial levels
+    vanish automatically, so with a ZeroTail kernel the transitions past the
+    tail start are untwisted; the tail check on F's prefix proves it.
     """
-    base = direct_sum(n_tower, g_tower)
-    incl_n, incl_g, proj_n, proj_g = sum_embeddings(n_tower, g_tower, base)
+    base, incl_n, _, _, proj_g = sum_embeddings(n_tower, g_tower)
     maps = []
     for n in range(1, base.top + 1):
         c = random_hom(rng, g_tower.level(n), n_tower.level(n - 1))
         mat = base.transition(n).matrix + \
             (incl_n.levels[n - 1].matrix @ c.matrix @ proj_g.levels[n].matrix)
         maps.append(GroupHom(base.level(n), base.level(n - 1), mat))
-    twisted = Tower(base.l, base.groups, tuple(maps), tail=SumOf(n_tower, g_tower))
+    twisted = Tower(base.l, base.groups, tuple(maps), tail=base.tail)
     incl = TowerHom(n_tower, twisted, incl_n.levels)
     proj = TowerHom(twisted, g_tower, proj_g.levels)
     return twisted, incl, proj
@@ -218,13 +217,11 @@ def random_armor(rng: random.Random, l: int, params: GenParams) -> ARMor:
     f = core
     if rng.random() < 0.4:
         noise = random_zero_system(rng, l, params)
-        summed = direct_sum(f.source, noise)
-        _, _, proj_f, _ = sum_embeddings(f.source, noise, summed)
+        _, _, _, proj_f, _ = sum_embeddings(f.source, noise)
         f = ar_compose(f, ar_from_tower_hom(proj_f))
     if rng.random() < 0.4:
         noise = random_zero_system(rng, l, params)
-        summed = direct_sum(f.target, noise)
-        incl_f, _, _, _ = sum_embeddings(f.target, noise, summed)
+        _, incl_f, _, _, _ = sum_embeddings(f.target, noise)
         f = ar_compose(ar_from_tower_hom(incl_f), f)
     return f
 
@@ -241,7 +238,6 @@ def random_exact_triple(rng: random.Random, l: int, params: GenParams,
     g = ar_from_tower_hom(module_hom_tower_map(proj_mat, tgt_mod, coker, params.levels))
     if rng.random() < 0.4:
         noise = random_zero_system(rng, l, params)
-        summed = direct_sum(f.source, noise)
-        _, _, proj_f, _ = sum_embeddings(f.source, noise, summed)
+        _, _, _, proj_f, _ = sum_embeddings(f.source, noise)
         f = ar_compose(f, ar_from_tower_hom(proj_f))
     return f, g

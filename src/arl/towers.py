@@ -4,19 +4,23 @@ A tower is an explicit prefix F_0, ..., F_L with transition maps
 u_n : F_n -> F_{n-1}, together with a tail rule that pins down (or declines
 to pin down) every level beyond L.  A rule owns five methods: ``check`` (the
 prefix agrees with it), ``extends`` (levels beyond L can be built),
-``level`` and ``transition`` (build them) and ``shape`` (the candidate normal
-form that ``classify_tail`` verifies).  The ``TailRule`` defaults are the
-``Truncated`` behaviour; every other kind overrides all five:
+``level`` and ``transition`` (build them) and ``shape`` (the normal form
+that ``classify_tail`` reports).  The ``TailRule`` defaults are the
+``Truncated`` behaviour; the other two kinds override all five:
 
-* ``Truncated``             -- nothing is known beyond L; quantified claims
-                               are checked up to L and search results carry
-                               a "prefix" scope.
-* ``ZeroTail(s)``           -- F_n is trivial for n >= s.
-* ``EventuallyLAdic(s, M)`` -- F_n = M/l^{n+1} with canonical projections
-                               for n >= s, M a finitely generated Z_l-module.
-* ``ShiftOf(F, r)``, ``SumOf(F, G)``, ``QuotientOf(F, k)`` -- F_{n+r},
-  F_n + G_n and F_n / l^k, read off the parents; ``shift``, ``direct_sum``
-  and ``mod_power`` build their prefix through the rule they attach.
+* ``Truncated``                -- nothing is known beyond L; quantified
+                                  claims are checked up to L and search
+                                  results carry a "prefix" scope.
+* ``ZeroTail(s)``              -- F_n is trivial for n >= s.
+* ``EventuallyLAdic(s, M, o)`` -- F_n = M/l^{n+1+o} with canonical
+                                  projections for n >= s, M a finitely
+                                  generated Z_l-module (o = 0 unless M has a
+                                  free part).
+
+A tail is data: no rule refers to another tower.  ``shift``, ``direct_sum``
+and ``mod_power`` read their prefix through their parents, move the parents'
+verified tail by the closed form of the construction and attach it, or
+``Truncated`` where no such form is known or the prefix departs from it.
 
 A tower hom carries a ``HomTail`` the same way.  The ``HomTail`` defaults are
 the ``HomTruncated`` behaviour; ``HomZeroTail`` (zero maps),
@@ -165,8 +169,7 @@ def _lowest_start(level, transition, shape: TailShape, start: int) -> int:
 
 class TailRule:
     """How a tower continues beyond its prefix.  These defaults are the
-    ``Truncated`` behaviour.  The derived kinds read every level off their
-    parents and ignore ``tower``, so their constructors pass None."""
+    ``Truncated`` behaviour."""
 
     def check(self, tower: "Tower") -> None:
         """Raise ValueError when the prefix contradicts the rule."""
@@ -181,7 +184,7 @@ class TailRule:
         raise TruncatedTower(f"transition {n} beyond truncated prefix")
 
     def shape(self, tower: "Tower") -> Optional[TailShape]:
-        """The candidate normal form, which ``classify_tail`` verifies."""
+        """The normal form the rule claims, which ``check`` verified on the prefix."""
         return None
 
 
@@ -219,13 +222,20 @@ class ZeroTail(TailRule):
 class EventuallyLAdic(TailRule):
     start: int
     module: ZlModule
+    offset: int = 0
 
     def check(self, tower):
         if self.module.l != tower.l:
             raise PrimeMismatch("tail module prime differs from tower prime")
+        if self.offset < 0:
+            raise ValueError(f"negative tail offset {self.offset}")
+        if self.offset and not self.module.free_rank:
+            # quotients of a torsion module stabilize, so its tail sits at offset 0
+            raise ValueError(f"tail offset {self.offset} on a module with no free part")
         if not 0 <= self.start <= tower.top:
             raise ValueError("eventually-l-adic tail must overlap the prefix")
-        miss = _departure(tower.level, tower.transition, TailShape(self.start, self.module),
+        miss = _departure(tower.level, tower.transition,
+                          TailShape(self.start, self.module, self.offset),
                           range(self.start, tower.top + 1), range(self.start + 1, tower.top + 1))
         if miss:
             kind, n = miss
@@ -236,117 +246,27 @@ class EventuallyLAdic(TailRule):
         return True
 
     def level(self, tower, n):
-        return self.module.quotient_group(n + 1)
+        return self.module.quotient_group(n + 1 + self.offset)
 
     def transition(self, tower, n):
-        return self.module.quotient_projection(n + 1, n)
+        return self.module.quotient_projection(n + 1 + self.offset, n + self.offset)
 
     def shape(self, tower):
-        return TailShape(self.start, None if self.module.is_trivial() else self.module)
+        return TailShape(self.start, None if self.module.is_trivial() else self.module, self.offset)
 
 
-def _check_derived(tower: "Tower", tail: TailRule, name: str, *parents: "Tower"):
-    if any(p.l != tower.l for p in parents):
-        raise PrimeMismatch(f"{name} parent prime differs")
-    if tower.groups[tower.top] != tail.level(tower, tower.top):
-        raise ValueError(f"{name} tail does not match the last prefix level")
-
-
-@dataclass(frozen=True, eq=False)
-class ShiftOf(TailRule):
-    parent: "Tower"
-    amount: int
-
-    def check(self, tower):
-        if self.amount < 0:
-            raise ValueError("negative shift")
-        _check_derived(tower, self, "shift", self.parent)
-
-    def extends(self):
-        return self.parent.can_extend()
-
-    def level(self, tower, n):
-        return self.parent.level(n + self.amount)
-
-    def transition(self, tower, n):
-        return self.parent.transition(n + self.amount)
-
-    def shape(self, tower):
-        p = classify_tail(self.parent)
-        if p is None:
-            return None
-        start = max(0, p.start - self.amount)
-        if p.module is None:
-            return TailShape(start, None)
-        if p.module.free_rank == 0:
-            # pure torsion: quotients stabilize, re-anchor at offset 0
-            return TailShape(max(start, p.module.max_exponent() - 1), p.module, 0)
-        return TailShape(start, p.module, p.offset + self.amount)
-
-
-@dataclass(frozen=True, eq=False)
-class SumOf(TailRule):
-    left: "Tower"
-    right: "Tower"
-
-    def check(self, tower):
-        _check_derived(tower, self, "sum", self.left, self.right)
-
-    def extends(self):
-        return self.left.can_extend() and self.right.can_extend()
-
-    def level(self, tower, n):
-        return direct_sum_with_maps(self.left.level(n), self.right.level(n))[0]
-
-    def transition(self, tower, n):
-        return direct_sum_hom(self.left.transition(n), self.right.transition(n))
-
-    def shape(self, tower):
-        a, b = classify_tail(self.left), classify_tail(self.right)
-        if a is None or b is None:
-            return None
-        start = max(a.start, b.start)
-        # a module-free shape always has offset 0
-        if a.module is None:
-            return TailShape(start, b.module, b.offset)
-        if b.module is None:
-            return TailShape(start, a.module, a.offset)
-        if a.offset != b.offset:
-            return None
-        m, _, _ = a.module.direct_sum(b.module)
-        return TailShape(start, m, a.offset)
-
-
-@dataclass(frozen=True, eq=False)
-class QuotientOf(TailRule):
-    parent: "Tower"
-    power: int
-
-    def check(self, tower):
-        _check_derived(tower, self, "quotient", self.parent)
-
-    def extends(self):
-        return self.parent.can_extend()
-
-    def level(self, tower, n):
-        return quotient_with_maps(self.parent.level(n), self.parent.l ** self.power)[0]
-
-    def transition(self, tower, n):
-        p = self.parent.l ** self.power
-        return hom_on_quotients(self.parent.transition(n), p, p)
-
-    def shape(self, tower):
-        p = classify_tail(self.parent)
-        if p is None:
-            return None
-        k = self.power
-        if p.module is None or k == 0:
-            return TailShape(p.start, None)
-        exps = sorted([min(a, k) for a in p.module.torsion_exponents] + [k] * p.module.free_rank)
-        m = ZlModule(tower.l, tuple(exps))
-        if m.is_trivial():
-            return TailShape(p.start, None)
-        return TailShape(max(p.start, k - 1 - p.offset, 0), m, 0)
+def _rule_for(shape: Optional[TailShape], top: int) -> TailRule:
+    """The tail rule of a tower with levels 0..top that follows the verified
+    ``shape`` from its start on.  A module shape must start inside the
+    prefix and a zero shape at most one level above it: a later start leaves
+    levels that neither the prefix nor the rule pins down."""
+    if shape is None:
+        return Truncated()
+    if shape.module is None:
+        return ZeroTail(shape.start) if shape.start <= top + 1 else Truncated()
+    if shape.start > top:
+        return Truncated()
+    return EventuallyLAdic(shape.start, shape.module, shape.offset)
 
 
 # -- towers -------------------------------------------------------------------
@@ -471,20 +391,13 @@ def constant_tower(l: int, group: FinAbGroup, levels: int, transition: Optional[
 
 def classify_tail(tower: Tower) -> Optional[TailShape]:
     """The verified normal form of the tower's tail, or None when opaque: the
-    tail rule's candidate shape, checked on the represented levels and one
-    step beyond, with its start walked down as far as the prefix allows."""
+    tail rule's shape, which its check verified on the prefix, with its start
+    walked down as far as the prefix allows."""
     def compute():
         shape = tower.tail.shape(tower)
         if shape is None:
             return None
-        hi = tower.top + 1 if tower.can_extend() else tower.top
-        try:
-            if _departure(tower.level, tower.transition, shape,
-                          range(shape.start, hi + 1), range(shape.start + 1, hi + 1)):
-                return None
-        except TruncatedTower:
-            return None
-        start = _lowest_start(tower.level, tower.transition, shape, min(shape.start, tower.top + 1))
+        start = _lowest_start(tower.level, tower.transition, shape, shape.start)
         return TailShape(start, shape.module, shape.offset)
     return tower.cached(("tail_shape",), compute)
 
@@ -564,7 +477,7 @@ class HomCanonicalTail(HomTail):
     def cokernel_tail(self, hom, route):
         # canonical projections are surjective, so the cokernel dies
         if all(is_surjective(hom.level(n)) for n in range(self.start, hom.top + 1)):
-            return ZeroTail(min(self.start, hom.top + 1))
+            return _rule_for(TailShape(self.start, None), hom.top)
         return Truncated()
 
 
@@ -606,22 +519,16 @@ class HomModuleTail(HomTail):
         if route is None:
             return Truncated()
         start, coker_mod, _, _ = route
-        if coker_mod.is_trivial():
-            return ZeroTail(min(start, hom.top + 1))
-        return EventuallyLAdic(start, coker_mod) if start <= hom.top else Truncated()
+        return _rule_for(TailShape(start, None if coker_mod.is_trivial() else coker_mod), hom.top)
 
 
 def _tail_from(f: Tower, start: int, top: int) -> TailRule:
     """The tail of a kernel or cokernel with levels 0..top that equals f from level
-    start on: f's verified tail re-anchored at start, as ``ladic_truncation`` does."""
+    start on: f's verified tail re-anchored at start."""
     shape = classify_tail(f)
-    if shape is None or shape.offset:
-        # no normal form to re-anchor; f's own rule fits where every level agrees
-        return f.tail if start == 0 else Truncated()
-    start = max(start, shape.start)
-    if shape.module is None:
-        return ZeroTail(min(start, top + 1))
-    return EventuallyLAdic(start, shape.module) if start <= top else Truncated()
+    if shape is None:
+        return Truncated()
+    return _rule_for(TailShape(max(start, shape.start), shape.module, shape.offset), top)
 
 
 def _eventually_module(tower: Tower) -> Optional[ZlModule]:
@@ -702,11 +609,22 @@ def zero_tower_hom(source: Tower, target: Tower) -> TowerHom:
 
 # -- elementary tower operations -------------------------------------------------
 
-def _read_off(l: int, tail: TailRule, hi: int, starred: bool = False) -> Tower:
-    """The tower whose prefix 0..hi is read off the derived tail it carries."""
-    maps = tuple(tail.transition(None, n) for n in range(1, hi + 1))
-    first = maps[0].target if maps else tail.level(None, 0)
-    return Tower(l, (first,) + tuple(u.source for u in maps), maps, tail, starred)
+def _derived(l: int, level: Callable[[int], FinAbGroup], transition: Callable[[int], GroupHom],
+             hi: int, shape: Optional[TailShape], starred: bool = False) -> Tower:
+    """The tower with levels level(0..hi) and transitions transition(1..hi),
+    read through its parents, carrying the tail rule of ``shape``: the
+    parents' verified tail moved by the construction.  The prefix is read
+    further where the rule must meet it, and a prefix that departs from the
+    shape leaves the tower truncated."""
+    if shape is not None:
+        # a module rule starts inside the prefix, a zero rule at most one level above it
+        hi = max(hi, shape.start if shape.module is not None else shape.start - 1)
+    maps = tuple(transition(n) for n in range(1, hi + 1))
+    groups = (maps[0].target if maps else level(0),) + tuple(u.source for u in maps)
+    if shape is not None and _departure(groups.__getitem__, lambda n: maps[n - 1], shape,
+                                        range(shape.start, hi + 1), range(shape.start + 1, hi + 1)):
+        shape = None
+    return Tower(l, groups, maps, _rule_for(shape, hi), starred)
 
 
 def shift(f: Tower, r: int) -> Tower:
@@ -717,8 +635,18 @@ def shift(f: Tower, r: int) -> Tower:
         return f
     if not f.can_extend() and r > f.top:
         raise TruncatedTower("shift exceeds the represented prefix")
+    p = classify_tail(f)
+    shape = None
+    if p is not None and p.module is None:
+        shape = TailShape(max(0, p.start - r), None)
+    elif p is not None and p.module.free_rank == 0:
+        # pure torsion: quotients stabilize, re-anchor at offset 0
+        shape = TailShape(max(0, p.start - r, p.module.max_exponent() - 1), p.module)
+    elif p is not None:
+        shape = TailShape(max(0, p.start - r), p.module, p.offset + r)
     hi = f.top if f.can_extend() else f.top - r
-    return _read_off(f.l, ShiftOf(f, r), hi, starred=f.starred)
+    return _derived(f.l, lambda n: f.level(n + r), lambda n: f.transition(n + r), hi, shape,
+                    f.starred)
 
 
 def natural_map(f: Tower, r: int) -> TowerHom:
@@ -741,7 +669,17 @@ def mod_power(f: Tower, k: int) -> Tower:
     """Levelwise quotient by l^k with the induced transitions."""
     if k < 0:
         raise ValueError("power must be >= 0")
-    return _read_off(f.l, QuotientOf(f, k), f.top)
+    p = classify_tail(f)
+    shape = None if p is None else TailShape(p.start, None)
+    if p is not None and p.module is not None and k > 0:
+        # F_n / l^k = M / l^{min(n+1+offset, k)} is m / l^{n+1} for the m below;
+        # at offset 0 from the tail start on, else (M has a free part) once n + 1 >= k
+        m = ZlModule(f.l, tuple(sorted([min(a, k) for a in p.module.torsion_exponents]
+                                       + [k] * p.module.free_rank)))
+        shape = TailShape(max(p.start, k - 1 if p.offset else 0), m)
+    q = f.l ** k
+    return _derived(f.l, lambda n: quotient_with_maps(f.level(n), q)[0],
+                    lambda n: hom_on_quotients(f.transition(n), q, q), f.top, shape)
 
 
 def ladic_truncation(f: Tower) -> Tower:
@@ -750,13 +688,8 @@ def ladic_truncation(f: Tower) -> Tower:
     maps = tuple(hom_on_quotients(f.transition(n), f.l ** (n + 1), f.l ** n)
                  for n in range(1, f.top + 1))
     shape = classify_tail(f)
-    tail: TailRule = Truncated()
-    if shape is not None and shape.module is None:
-        tail = ZeroTail(min(shape.start, f.top + 1))
-    elif shape is not None:
-        start = _lowest_start(groups.__getitem__, lambda n: maps[n - 1],
-                              TailShape(0, shape.module), min(shape.start, f.top))
-        tail = EventuallyLAdic(start, shape.module)
+    # M / l^{n+1+offset} truncates to M / l^{n+1} from the same start on
+    tail = _rule_for(None if shape is None else TailShape(shape.start, shape.module), f.top)
     return Tower(f.l, groups, maps, tail=tail)
 
 
@@ -764,22 +697,34 @@ def direct_sum(f: Tower, g: Tower) -> Tower:
     """Levelwise direct sum with componentwise transitions."""
     if f.l != g.l:
         raise PrimeMismatch("direct sum of towers over different primes")
+    a, b = classify_tail(f), classify_tail(g)
+    shape = None
+    if a is not None and b is not None:
+        start = max(a.start, b.start)
+        # a module-free shape always has offset 0
+        if a.module is None:
+            shape = TailShape(start, b.module, b.offset)
+        elif b.module is None:
+            shape = TailShape(start, a.module, a.offset)
+        elif a.offset == b.offset:
+            shape = TailShape(start, a.module.direct_sum(b.module)[0], a.offset)
     # a truncated summand caps the prefix; two extendable ones fill the longer
     truncated_tops = [t.top for t in (f, g) if not t.can_extend()]
     hi = min(truncated_tops) if truncated_tops else max(f.top, g.top)
-    return _read_off(f.l, SumOf(f, g), hi)
+    return _derived(f.l, lambda n: direct_sum_with_maps(f.level(n), g.level(n))[0],
+                    lambda n: direct_sum_hom(f.transition(n), g.transition(n)), hi, shape)
 
 
-def sum_embeddings(f: Tower, g: Tower, summed: Tower) -> tuple[TowerHom, TowerHom, TowerHom, TowerHom]:
-    """(incl_f, incl_g, proj_f, proj_g) for summed = direct_sum(f, g)."""
-    if not (isinstance(summed.tail, SumOf) and summed.tail.left is f and summed.tail.right is g):
-        raise ValueError("summed is not the tower direct_sum(f, g) built")
+def sum_embeddings(f: Tower, g: Tower) -> tuple[Tower, TowerHom, TowerHom, TowerHom, TowerHom]:
+    """(summed, incl_f, incl_g, proj_f, proj_g) for summed = direct_sum(f, g)."""
+    summed = direct_sum(f, g)
     # summed has level n = f_n + g_n and transition u^f_n + u^g_n, so with
     # incl_f.proj_f = id, incl_g.proj_f = 0 (and the same for g) every square
     # commutes: (u^f + u^g).incl_f = incl_f.u^f, proj_f.(u^f + u^g) = u^f.proj_f
     incl_f, incl_g, proj_f, proj_g = zip(*(direct_sum_with_maps(f.level(n), g.level(n))[1:]
                                            for n in range(summed.top + 1)))
-    return (TowerHom._of(f, summed, incl_f, HomTruncated()),
+    return (summed,
+            TowerHom._of(f, summed, incl_f, HomTruncated()),
             TowerHom._of(g, summed, incl_g, HomTruncated()),
             TowerHom._of(summed, f, proj_f, HomTruncated()),
             TowerHom._of(summed, g, proj_g, HomTruncated()))

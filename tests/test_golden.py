@@ -6,10 +6,15 @@ The files under ``data/golden`` hold, without their ``timing:`` line:
   for every suite;
 - ``cli-<command>-<tower>.txt``: ``normalize``, ``limit``, ``upsilon --h h``
   and ``psi --h h`` on the towers ``zl``, ``noisy`` and ``flat`` of
-  ``demos/data/sample.arl.json``, run from the root of the checkout.
+  ``demos/data/sample.arl.json``, run from the root of the checkout;
+- ``verify-<suite>-seed<s>.txt``: ``arl verify --suite <suite> --seed <s>
+  --cases 100`` for the six random suites (every suite but ``torsionfree``)
+  at seeds 1 and 7.  They take about 17 s, so no test here reads them; the
+  "Fixed-seed reports" step of ``.github/workflows/tier1.yml`` regenerates
+  each one and diffs it against its file.
 
-A change that alters any other line of a report fails here; regenerate a
-golden file only for an intended change of output.
+A change that alters any other line of a report fails here (or in that
+step); regenerate a golden file only for an intended change of output.
 """
 
 from pathlib import Path

@@ -246,6 +246,22 @@ def test_matrix_validation():
         IntMatrix(1, 2, ((1,),))
 
 
+@pytest.mark.parametrize("rows, cols", [(0, -1), (-1, 0)])
+def test_negative_dimension_rejected_beside_a_zero_one(rows, cols):
+    # no entries to contradict it: only the dimension check can catch this
+    with pytest.raises(ValueError, match="negative"):
+        IntMatrix(rows, cols, ())
+
+
+def test_modulus_one_is_the_whole_lattice():
+    # modulo 1 every x solves m @ x = y, so the kernel spans Z^cols and every
+    # right-hand side has the solution 0
+    m = IntMatrix.from_rows([[2, 4, 1], [0, 3, 5]])
+    _, d, _ = smith_normal_form(modular_kernel(m, 1))
+    assert [d.entries[i][i] for i in range(m.cols)] == [1] * m.cols
+    assert modular_solve(m, 1, IntMatrix.from_columns([(6, 1), (3, 7)])) == [(0, 0, 0)] * 2
+
+
 @pytest.mark.parametrize("build", [
     lambda: IntMatrix.diagonal([2.5]),
     lambda: IntMatrix.diagonal(["2"]),

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,7 @@ from arl.gen import (
 from arl.groups import (
     FinAbGroup,
     GroupHom,
+    direct_sum_hom,
     identity_hom,
     induced_on_quotient,
     is_exact_at,
@@ -90,6 +93,18 @@ class TestConstruction:
         t = zl_tower(4)
         with pytest.raises(ValueError):
             Tower(L, t.groups, t.maps, tail=EventuallyLAdic(0, ZlModule(L, (1,))))
+
+    def test_negative_tail_offset_rejected(self):
+        t = zl_tower(4)
+        with pytest.raises(ValueError, match="offset -1"):
+            Tower(L, t.groups, t.maps, tail=EventuallyLAdic(0, ZL, -1))
+
+    def test_tail_offset_on_torsion_module_rejected(self):
+        # from level 1 on Z/4 / 2^{n+2} = Z/4 / 2^{n+1}: only the guard refuses it
+        m = ZlModule(L, (2,))
+        t = to_tower(m, 4)
+        with pytest.raises(ValueError, match="offset 1"):
+            Tower(L, t.groups, t.maps, tail=EventuallyLAdic(1, m, 1))
 
     def test_zero_tail_demands_trivial_levels(self):
         g = FinAbGroup((2,), prime_support=2)
@@ -304,8 +319,7 @@ class TestDirectSum:
 
     def test_embeddings_compose(self):
         a, b = zl_tower(5), zero_tail_tower(2, 5)
-        s = direct_sum(a, b)
-        ia, ib, pa, pb = sum_embeddings(a, b, s)
+        s, ia, ib, pa, pb = sum_embeddings(a, b)
         for n in range(s.top + 1):
             assert pa.levels[n].compose(ia.levels[n]).matrix.is_identity()
             assert pb.levels[n].compose(ib.levels[n]).matrix.is_identity()
@@ -321,6 +335,9 @@ class TestTruncation:
 
 class TestDerivedTails:
     """Derived towers keep the tail kind their construction derives."""
+
+    def test_shift_of_free_module_moves_the_offset(self):
+        assert shift(zl_tower(), 2).tail == EventuallyLAdic(0, ZL, 2)
 
     def test_ladic_truncation_keeps_eventually_l_adic(self):
         g = ladic_truncation(shift(zl_tower(), 2))
@@ -345,6 +362,52 @@ class TestDerivedTails:
         f = module_hom_tower_map(random_module_hom(rng, src, tgt), src, tgt, params.levels)
         c, _ = levelwise_cokernel(f)
         assert isinstance(c.tail, (EventuallyLAdic, ZeroTail))
+
+
+class TestTailsAsData:
+    """A derived tower carries its tail as data: it holds no parent, and where
+    its prefix leaves the closed form of its parents' tails it is truncated."""
+
+    @pytest.mark.parametrize("derive", [
+        lambda t: shift(t, 2),
+        lambda t: direct_sum(t, zero_tail_tower(3, 6)),
+        lambda t: mod_power(t, 1),
+    ])
+    def test_derived_tower_frees_its_parent(self, derive):
+        t = Tower(L, zl_tower(6).groups, zl_tower(6).maps, tail=EventuallyLAdic(0, ZL))
+        parent = weakref.ref(t)
+        d = derive(t)
+        d.level(d.top + 3)
+        del t
+        gc.collect()
+        assert parent() is None and d.can_extend()
+
+    @pytest.mark.parametrize("f, g, levels, l_adic, witness", [
+        # the group sum puts Z/2 first from level 1 on, the module sum Z/8
+        (to_tower(ZlModule(L, (3,)), 8), to_tower(ZlModule(L, (1,)), 8),
+         ["Z/2 + Z/2", "Z/2 + Z/4"] + ["Z/2 + Z/8"] * 6, "yes", None),
+        # offsets 0 and 2 have no common closed form
+        (to_tower(ZlModule(L, (1,)), 8), shift(zl_tower(), 2),
+         [f"Z/2 + Z/{2 ** (n + 3)}" for n in range(8)], "no", ("annihilator", 0)),
+    ])
+    def test_sum_without_a_closed_form_is_truncated(self, f, g, levels, l_adic, witness):
+        s = direct_sum(f, g)
+        assert s.top == 7 and s.describe_levels() == levels and not s.can_extend()
+        assert all(s.transition(n) == direct_sum_hom(f.transition(n), g.transition(n))
+                   for n in range(1, 8))
+        assert classify_tail(s) is None
+        v = is_l_adic(s)
+        assert v.status == l_adic and v.witness == witness
+        assert is_zero_system(s).is_unknown
+        assert shift(s, 3).top == 4
+        with pytest.raises(TruncatedTower):
+            shift(s, 8)
+
+    def test_quotient_of_a_shifted_free_tower(self):
+        # levels Z/2^{min(n+4, 2)} = Z/4: the free part meets the form from n + 1 >= 2
+        m = mod_power(shift(zl_tower(4), 3), 2)
+        assert m.describe_levels() == ["Z/4"] * 4
+        assert classify_tail(m) == TailShape(1, ZlModule(L, (2,)))
 
 
 class TestEpiProperty:
@@ -540,6 +603,16 @@ class TestHomTailAlgebra:
                                          for n in range(3)), tail=HomZeroTail(3))
         c, _ = levelwise_cokernel(incl)
         assert c.describe_levels() == ["Z/2"] * 3 and c.tail == Truncated()
+
+    def test_zero_tail_of_the_source_above_the_hom_top(self):
+        # the kernel of a zero hom is its source, which is nontrivial up to
+        # level 4; with levels 0..2 represented, a zero tail at 3 would certify
+        # radius 3 where the source needs 5
+        src = zero_tail_tower(5, 7)
+        k, _ = levelwise_kernel(zero_tower_hom(src, zl_tower(3)))
+        assert k.top == 2 and k.tail == Truncated()
+        assert is_zero_system(src).certificate.radius == 5
+
 
 def _brute_is_l_adic_witness(t):
     """The first failure of the l-adic conditions on a truncated tower, by
