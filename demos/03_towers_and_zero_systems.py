@@ -8,8 +8,8 @@ question honestly unanswered.
 
 from arl import (
     FinAbGroup,
+    TailRule,
     Tower,
-    ZeroTail,
     ZlModule,
     constant_tower,
     direct_sum,
@@ -49,7 +49,7 @@ g = FinAbGroup((l,), prime_support=l)
 groups = [g, g, g] + [trivial_group(l)] * 5
 maps = [identity_hom(g), identity_hom(g)] + \
     [zero_hom(groups[n], groups[n - 1]) for n in range(3, 8)]
-noise = Tower(l, tuple(groups), tuple(maps), tail=ZeroTail(3))
+noise = Tower(l, tuple(groups), tuple(maps), tail=TailRule(3))
 v = is_zero_system(noise)
 print()
 print("noise tower:", noise.describe_levels()[:5], "...")

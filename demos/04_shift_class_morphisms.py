@@ -8,8 +8,8 @@ morphisms.
 
 from arl import (
     FinAbGroup,
+    TailRule,
     Tower,
-    ZeroTail,
     ZlModule,
     ar_compose,
     ar_equal,
@@ -37,7 +37,7 @@ g = FinAbGroup((l,), prime_support=l)
 groups = [g] * 3 + [trivial_group(l)] * 5
 maps = [identity_hom(g), identity_hom(g)] + \
     [zero_hom(groups[n], groups[n - 1]) for n in range(3, 8)]
-noise = Tower(l, tuple(groups), tuple(maps), tail=ZeroTail(3))
+noise = Tower(l, tuple(groups), tuple(maps), tail=TailRule(3))
 f = direct_sum(t, noise)
 
 # Stable images: the Mittag-Leffler bound and the image subsystem.

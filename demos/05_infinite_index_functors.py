@@ -11,8 +11,8 @@ the loop.
 from arl import (
     FinAbGroup,
     HyperNat,
+    TailRule,
     Tower,
-    ZeroTail,
     ZlModule,
     ar_is_isomorphism,
     direct_sum,
@@ -55,7 +55,7 @@ print("psi(upsilon(L)) levelwise equals L:", psi(u).levelwise_equal(t))
 g = FinAbGroup((l,), prime_support=l)
 groups = [g] * 2 + [trivial_group(l)] * 6
 maps = [identity_hom(g)] + [zero_hom(groups[n], groups[n - 1]) for n in range(2, 8)]
-noise = Tower(l, tuple(groups), tuple(maps), tail=ZeroTail(2))
+noise = Tower(l, tuple(groups), tuple(maps), tail=TailRule(2))
 f = direct_sum(t, noise)
 uf = upsilon(f, h)
 print()

@@ -12,7 +12,6 @@ from arl import (
     HyperNat,
     IntMatrix,
     Tower,
-    Truncated,
     ZlModule,
     comparison_check,
     ladic_iff_torsionfree,
@@ -35,7 +34,7 @@ print("limit of the tower:", limit(t).describe())
 
 # Even from a truncated prefix, the stabilization pattern gives the answer:
 # exponents (1,1),(2,2),(2,3),(2,4) force Z/l^2 + Zl.
-truncated = Tower(l, t.groups, t.maps, tail=Truncated())
+truncated = Tower(l, t.groups, t.maps, tail=None)
 print("limit detected from the bare prefix:", limit(truncated).describe())
 
 # Torsion dies over Q_l.

@@ -42,16 +42,13 @@ from .groups import (
 )
 from .zlmod import ZlModule
 from .towers import (
-    EventuallyLAdic,
     HomModuleTail,
     HomZeroTail,
-    TailShape,
+    TailRule,
     Tower,
     TowerHom,
-    Truncated,
     Verdict,
     ZeroCertificate,
-    ZeroTail,
     classify_tail,
     constant_tower,
     direct_sum,

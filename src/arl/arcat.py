@@ -32,7 +32,6 @@ from .towers import (
     MLBound,
     Tower,
     TowerHom,
-    Truncated,
     Verdict,
     ZeroCertificate,
     classify_tail,
@@ -210,15 +209,13 @@ def stable_image_tower(f: Tower, s: Optional[int] = None,
         if not sb:
             raise NotARladic(f"no Mittag-Leffler bound: {sb.note}")
         s = sb.certificate.bound
-    shape = classify_tail(f)
     hi = f.top if f.can_extend() else f.top - s
     if hi < 0:
         raise NotARladic("prefix too short for the requested stabilization shift")
     data = [subgroup_from_lattice(f.level(m), f.composite(m, s).matrix,
                                   transport_labels=f.level(m).operator_labels())
             for m in range(hi + 1)]
-    tail = f.tail if shape is not None else Truncated()
-    return induced_subtower(f, data, tail)
+    return induced_subtower(f, data, f.tail)
 
 
 @dataclass(frozen=True)

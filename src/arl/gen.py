@@ -25,9 +25,9 @@ from .intmat import IntMatrix
 from .limits import to_tower
 from .towers import (
     HomModuleTail,
+    TailRule,
     Tower,
     TowerHom,
-    ZeroTail,
     direct_sum,
     shift,
     sum_embeddings,
@@ -107,7 +107,7 @@ def random_zero_system(rng: random.Random, l: int, params: GenParams,
                        certified_only: bool = True) -> Tower:
     """A zero system with radius at most the cap.
 
-    The default style is certified (trivial beyond the radius, ZeroTail).
+    The default style is certified (trivial beyond the radius, a zero tail).
     With certified_only=False a quarter of the instances are the truncated
     constant-group multiplication-by-l style, whose radius is only
     prefix-verified.
@@ -118,7 +118,7 @@ def random_zero_system(rng: random.Random, l: int, params: GenParams,
         groups = [random_group(rng, l, params) for _ in range(s)]
         groups += [trivial_group(l)] * (levels - s)
         maps = [random_hom(rng, groups[n], groups[n - 1]) for n in range(1, levels)]
-        return Tower(l, tuple(groups), tuple(maps), tail=ZeroTail(s))
+        return Tower(l, tuple(groups), tuple(maps), tail=TailRule(s))
     k = rng.randint(1, min(params.max_zero_radius, params.max_exponent))
     g = FinAbGroup((l ** k,), prime_support=l)
     mult = GroupHom(g, g, IntMatrix.from_rows([[l]]))
@@ -130,7 +130,7 @@ def random_extension(rng: random.Random, n_tower: Tower, g_tower: Tower,
     """A levelwise extension 0 -> N -> F -> G -> 0 with random twisting maps.
 
     F carries the tail of the untwisted sum N + G.  Twists into trivial levels
-    vanish automatically, so with a ZeroTail kernel the transitions past the
+    vanish automatically, so with a zero-tail kernel the transitions past the
     tail start are untwisted; the tail check on F's prefix proves it.
     """
     base, incl_n, _, _, proj_g = sum_embeddings(n_tower, g_tower)

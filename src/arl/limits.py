@@ -18,14 +18,7 @@ from .errors import NonStabilizing, NotLAdic
 from .groups import FinAbGroup, GroupHom, trivial_group, valuation, zero_hom
 from .hypernat import HyperNat
 from .intmat import IntMatrix
-from .towers import (
-    EventuallyLAdic,
-    Tower,
-    ZeroTail,
-    classify_tail,
-    direct_sum,
-    is_l_adic,
-)
+from .towers import TailRule, Tower, direct_sum, eventually_module, is_l_adic
 from .upsilon import psi, upsilon
 from .zlmod import ZlModule
 
@@ -44,7 +37,7 @@ def to_tower(module: ZlModule, levels: int = DEFAULT_PREFIX_LEVELS) -> Tower:
         raise ValueError("need at least one represented level")
     groups = tuple(module.quotient_group(n + 1) for n in range(levels))
     maps = tuple(module.quotient_projection(n + 1, n) for n in range(1, levels))
-    return Tower(module.l, groups, maps, tail=EventuallyLAdic(0, module))
+    return Tower(module.l, groups, maps, tail=TailRule(0, module))
 
 
 def limit(tower: Tower) -> ZlModule:
@@ -58,12 +51,9 @@ def limit(tower: Tower) -> ZlModule:
     la = is_l_adic(tower)
     if not la:
         raise NotLAdic(f"tower is not certified l-adic: {la.note}")
-    shape = classify_tail(tower)
-    if shape is not None:
-        if shape.module is None:
-            return ZlModule(tower.l, ())
-        if shape.offset == 0:
-            return shape.module
+    module = eventually_module(tower)
+    if module is not None:
+        return module
     top = tower.top
     if top < 1:
         raise NonStabilizing("need at least two represented levels", top)
@@ -148,7 +138,7 @@ def _torsion_window_tower(module: ZlModule, l: int, levels: int) -> Tower:
     if not exps:
         trivial = trivial_group(l)
         return Tower(l, (trivial,) * levels, (zero_hom(trivial, trivial),) * (levels - 1),
-                     tail=ZeroTail(0))
+                     tail=TailRule(0))
     # the exponents are sorted and >= 1, so each level is a chain of powers of l
     groups = [FinAbGroup._of(tuple(l ** min(b, n + 1) for b in exps), l) for n in range(levels)]
     # multiplication by l is well defined from l^min(b, n+1) down to

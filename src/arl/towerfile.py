@@ -33,7 +33,7 @@ from .errors import NegativeResult, TowerFileError, UndeclaredSymbol
 from .groups import PRIME_LIMIT, FinAbGroup, GroupHom, is_prime
 from .hypernat import SYMBOL, HyperNat
 from .intmat import IntMatrix
-from .towers import EventuallyLAdic, Tower, Truncated, ZeroTail
+from .towers import TailRule, Tower
 from .zlmod import ZlModule
 
 
@@ -174,15 +174,15 @@ def load_tower_data(data: dict) -> TowerFile:
         _require(isinstance(tail_spec, dict), f"tower {name!r}: 'tail' must be an object")
         kind = tail_spec.get("kind", "truncated")
         if kind == "truncated":
-            tail = Truncated()
+            tail = None
         elif kind == "zero":
             _require("start" in tail_spec, f"tower {name!r}: zero tail needs 'start'")
-            tail = ZeroTail(_integer(tail_spec["start"], f"tower {name!r}: tail 'start'"))
+            tail = TailRule(_integer(tail_spec["start"], f"tower {name!r}: tail 'start'"))
         elif kind == "eventually-l-adic":
             _require("module" in tail_spec, f"tower {name!r}: tail needs 'module'")
             module = _name(tail_spec["module"], tf.modules, f"tower {name!r}: unknown module")
             start = _integer(tail_spec.get("start", 0), f"tower {name!r}: tail 'start'")
-            tail = EventuallyLAdic(start, module)
+            tail = TailRule(start, module)
         else:
             raise TowerFileError(f"tower {name!r}: unknown tail kind {kind!r}")
         try:

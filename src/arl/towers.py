@@ -1,26 +1,21 @@
 """Projective systems of finite abelian groups over a fixed prime l.
 
 A tower is an explicit prefix F_0, ..., F_L with transition maps
-u_n : F_n -> F_{n-1}, together with a tail rule that pins down (or declines
-to pin down) every level beyond L.  A rule owns five methods: ``check`` (the
-prefix agrees with it), ``extends`` (levels beyond L can be built),
-``level`` and ``transition`` (build them) and ``shape`` (the normal form
-that ``classify_tail`` reports).  The ``TailRule`` defaults are the
-``Truncated`` behaviour; the other two kinds override all five:
+u_n : F_n -> F_{n-1}, together with a tail that pins down every level beyond
+L, or None when nothing is known there: such a tower is truncated, its
+quantified claims are checked up to L and its search results carry a
+"prefix" scope.  A tail is one record, ``TailRule(start, module, offset)``:
+F_n = module/l^{n+1+offset} with canonical projections for n >= start,
+module a finitely generated Z_l-module (offset 0 unless it has a free part),
+or F_n trivial for n >= start when module is None (a zero tail).  Its
+``check`` verifies the record on the prefix, ``level`` and ``transition``
+build the levels beyond it, and ``classify_tail`` reports it with its start
+walked down as far as the prefix allows.
 
-* ``Truncated``                -- nothing is known beyond L; quantified
-                                  claims are checked up to L and search
-                                  results carry a "prefix" scope.
-* ``ZeroTail(s)``              -- F_n is trivial for n >= s.
-* ``EventuallyLAdic(s, M, o)`` -- F_n = M/l^{n+1+o} with canonical
-                                  projections for n >= s, M a finitely
-                                  generated Z_l-module (o = 0 unless M has a
-                                  free part).
-
-A tail is data: no rule refers to another tower.  ``shift``, ``direct_sum``
+A tail is data: it refers to no other tower.  ``shift``, ``direct_sum``
 and ``mod_power`` read their prefix through their parents, move the parents'
-verified tail by the closed form of the construction and attach it, or
-``Truncated`` where no such form is known or the prefix departs from it.
+verified tail by the closed form of the construction and attach it, or no
+tail where no such form is known or the prefix departs from it.
 
 A tower hom carries a ``HomTail`` the same way.  The ``HomTail`` defaults are
 the ``HomTruncated`` behaviour; ``HomZeroTail`` (zero maps),
@@ -37,7 +32,7 @@ report three-valued verdicts with certificates or witnesses.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from .errors import (
@@ -131,25 +126,14 @@ class MLBound:
 
 # -- tail rules ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TailShape:
-    """Verified normal form of a tail: for all n >= start the level equals
-    module/l^{n+1+offset} (module None meaning the trivial group) with the
-    canonical projections as transitions."""
-
-    start: int
-    module: Optional[ZlModule]
-    offset: int = 0
-
-
-def _departure(level, transition, shape: TailShape, levels: range,
+def _departure(level, transition, tail: TailRule, levels: range,
                transitions: range) -> Optional[tuple]:
     """Where a tower, read through ``level`` and ``transition``, leaves the
-    normal form of ``shape``: the first of ``levels`` that differs, else the
+    normal form of ``tail``: the first of ``levels`` that differs, else the
     first of ``transitions`` that is not the canonical projection, as
-    ("level", n) or ("transition", n); None when it follows the shape.
+    ("level", n) or ("transition", n); None when it follows the tail.
     Transitions between trivial levels are zero, so they are not checked."""
-    m, off = shape.module, shape.offset
+    m, off = tail.module, tail.offset
     for n in levels:
         if (not level(n).is_trivial()) if m is None else level(n) != m.quotient_group(n + 1 + off):
             return "level", n
@@ -159,114 +143,55 @@ def _departure(level, transition, shape: TailShape, levels: range,
     return None
 
 
-def _lowest_start(level, transition, shape: TailShape, start: int) -> int:
-    """Walk a verified tail start down while the level below still follows shape."""
-    while start > 0 and _departure(level, transition, shape, range(start - 1, start),
-                                   range(start, start + 1)) is None:
-        start -= 1
-    return start
-
-
+@dataclass(frozen=True)
 class TailRule:
-    """How a tower continues beyond its prefix.  These defaults are the
-    ``Truncated`` behaviour."""
+    """How a tower continues beyond its prefix: for all n >= start the level
+    is module/l^{n+1+offset} with the canonical projections as transitions,
+    or trivial when module is None (a zero tail).  A module with no
+    generators is stored as None, so the zero tail has one spelling."""
+
+    start: int
+    module: Optional[ZlModule] = None
+    offset: int = 0
+
+    def __post_init__(self):
+        if self.module is not None and self.module.is_trivial():
+            object.__setattr__(self, "module", None)
+
+    def fit(self, top: int) -> Optional["TailRule"]:
+        """This rule for a tower with levels 0..top, or None when it starts
+        too late: a module tail must start inside the prefix and a zero tail
+        at most one level above it, else a level is pinned down by neither."""
+        return self if self.start <= top + (self.module is None) else None
 
     def check(self, tower: "Tower") -> None:
         """Raise ValueError when the prefix contradicts the rule."""
-
-    def extends(self) -> bool:
-        return False
-
-    def level(self, tower: "Tower", n: int) -> FinAbGroup:
-        raise TruncatedTower(f"level {n} beyond truncated prefix (top={tower.top})")
-
-    def transition(self, tower: "Tower", n: int) -> GroupHom:
-        raise TruncatedTower(f"transition {n} beyond truncated prefix")
-
-    def shape(self, tower: "Tower") -> Optional[TailShape]:
-        """The normal form the rule claims, which ``check`` verified on the prefix."""
-        return None
-
-
-@dataclass(frozen=True)
-class Truncated(TailRule):
-    pass
-
-
-@dataclass(frozen=True)
-class ZeroTail(TailRule):
-    start: int
-
-    def check(self, tower):
-        if not 0 <= self.start <= tower.top + 1:
-            raise ValueError("zero tail start out of range")
-        miss = _departure(tower.level, tower.transition, self.shape(tower),
-                          range(self.start, tower.top + 1), range(0))
-        if miss:
-            raise ValueError(f"zero tail claims level {miss[1]} trivial but it is not")
-
-    def extends(self):
-        return True
-
-    def level(self, tower, n):
-        return trivial_group(tower.l)
-
-    def transition(self, tower, n):
-        return zero_hom(tower.level(n), tower.level(n - 1))
-
-    def shape(self, tower):
-        return TailShape(self.start, None)
-
-
-@dataclass(frozen=True)
-class EventuallyLAdic(TailRule):
-    start: int
-    module: ZlModule
-    offset: int = 0
-
-    def check(self, tower):
-        if self.module.l != tower.l:
+        m = self.module
+        if m is not None and m.l != tower.l:
             raise PrimeMismatch("tail module prime differs from tower prime")
         if self.offset < 0:
             raise ValueError(f"negative tail offset {self.offset}")
-        if self.offset and not self.module.free_rank:
+        if self.offset and (m is None or not m.free_rank):
             # quotients of a torsion module stabilize, so its tail sits at offset 0
             raise ValueError(f"tail offset {self.offset} on a module with no free part")
-        if not 0 <= self.start <= tower.top:
-            raise ValueError("eventually-l-adic tail must overlap the prefix")
-        miss = _departure(tower.level, tower.transition,
-                          TailShape(self.start, self.module, self.offset),
+        if self.start < 0 or self.fit(tower.top) is None:
+            raise ValueError(f"tail start {self.start} out of range for levels 0..{tower.top}")
+        miss = _departure(tower.level, tower.transition, self,
                           range(self.start, tower.top + 1), range(self.start + 1, tower.top + 1))
         if miss:
             kind, n = miss
-            raise ValueError(f"tail module does not match level {n}" if kind == "level"
+            raise ValueError(f"tail does not match level {n}" if kind == "level"
                              else f"transition {n} is not the canonical projection")
 
-    def extends(self):
-        return True
-
-    def level(self, tower, n):
+    def level(self, tower: "Tower", n: int) -> FinAbGroup:
+        if self.module is None:
+            return trivial_group(tower.l)
         return self.module.quotient_group(n + 1 + self.offset)
 
-    def transition(self, tower, n):
+    def transition(self, tower: "Tower", n: int) -> GroupHom:
+        if self.module is None:
+            return zero_hom(tower.level(n), tower.level(n - 1))
         return self.module.quotient_projection(n + 1 + self.offset, n + self.offset)
-
-    def shape(self, tower):
-        return TailShape(self.start, None if self.module.is_trivial() else self.module, self.offset)
-
-
-def _rule_for(shape: Optional[TailShape], top: int) -> TailRule:
-    """The tail rule of a tower with levels 0..top that follows the verified
-    ``shape`` from its start on.  A module shape must start inside the
-    prefix and a zero shape at most one level above it: a later start leaves
-    levels that neither the prefix nor the rule pins down."""
-    if shape is None:
-        return Truncated()
-    if shape.module is None:
-        return ZeroTail(shape.start) if shape.start <= top + 1 else Truncated()
-    if shape.start > top:
-        return Truncated()
-    return EventuallyLAdic(shape.start, shape.module, shape.offset)
 
 
 # -- towers -------------------------------------------------------------------
@@ -276,7 +201,7 @@ class Tower:
     l: int
     groups: tuple[FinAbGroup, ...]
     maps: tuple[GroupHom, ...]
-    tail: TailRule = Truncated()
+    tail: Optional[TailRule] = None     # None: truncated, nothing known beyond top
     starred: bool = False
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -291,7 +216,8 @@ class Tower:
         for n, u in enumerate(self.maps, start=1):
             if u.source != self.groups[n] or u.target != self.groups[n - 1]:
                 raise ValueError(f"transition {n} does not connect level {n} to level {n - 1}")
-        self.tail.check(self)
+        if self.tail is not None:
+            self.tail.check(self)
 
     # -- level access --------------------------------------------------------
 
@@ -300,13 +226,15 @@ class Tower:
         return len(self.groups) - 1
 
     def can_extend(self) -> bool:
-        return self.tail.extends()
+        return self.tail is not None
 
     def level(self, n: int) -> FinAbGroup:
         if n < 0:
             raise ValueError("negative level")
         if n <= self.top:
             return self.groups[n]
+        if self.tail is None:
+            raise TruncatedTower(f"level {n} beyond truncated prefix (top={self.top})")
         key = ("level", n)
         if key not in self._cache:
             self._cache[key] = self.tail.level(self, n)
@@ -318,6 +246,8 @@ class Tower:
             raise ValueError("transitions start at level 1")
         if n <= self.top:
             return self.maps[n - 1]
+        if self.tail is None:
+            raise TruncatedTower(f"transition {n} beyond truncated prefix")
         key = ("transition", n)
         if key not in self._cache:
             self._cache[key] = self.tail.transition(self, n)
@@ -385,21 +315,23 @@ def constant_tower(l: int, group: FinAbGroup, levels: int, transition: Optional[
     u = transition if transition is not None else identity_hom(group)
     if u.source != group or u.target != group:
         raise ValueError("constant tower transition must be an endomorphism")
-    t = tail if tail is not None else Truncated()
-    return Tower(l, (group,) * levels, (u,) * (levels - 1), t)
+    return Tower(l, (group,) * levels, (u,) * (levels - 1), tail)
 
 
-def classify_tail(tower: Tower) -> Optional[TailShape]:
-    """The verified normal form of the tower's tail, or None when opaque: the
-    tail rule's shape, which its check verified on the prefix, with its start
-    walked down as far as the prefix allows."""
+def classify_tail(tower: Tower) -> Optional[TailRule]:
+    """The tower's tail, which its check verified on the prefix, with its
+    start walked down while the level below still follows it; None when the
+    tower is truncated."""
     def compute():
-        shape = tower.tail.shape(tower)
-        if shape is None:
+        tail = tower.tail
+        if tail is None:
             return None
-        start = _lowest_start(tower.level, tower.transition, shape, shape.start)
-        return TailShape(start, shape.module, shape.offset)
-    return tower.cached(("tail_shape",), compute)
+        start = tail.start
+        while start > 0 and _departure(tower.level, tower.transition, tail,
+                                       range(start - 1, start), range(start, start + 1)) is None:
+            start -= 1
+        return replace(tail, start=start)
+    return tower.cached(("tail",), compute)
 
 
 # -- tower homomorphisms --------------------------------------------------------
@@ -419,16 +351,16 @@ class HomTail:
             return HomZeroTail(max(0, inner.start - inner_shift))
         return HomTruncated()
 
-    def kernel_tail(self, hom: "TowerHom") -> TailRule:
-        return Truncated()
+    def kernel_tail(self, hom: "TowerHom") -> Optional[TailRule]:
+        return None
 
     def cokernel_route(self, hom: "TowerHom") -> Optional[tuple]:
         """(start, cokernel module, projection, lift) when the cokernel's
         tail levels are read off a module cokernel."""
         return None
 
-    def cokernel_tail(self, hom: "TowerHom", route: Optional[tuple]) -> TailRule:
-        return Truncated()
+    def cokernel_tail(self, hom: "TowerHom", route: Optional[tuple]) -> Optional[TailRule]:
+        return None
 
 
 @dataclass(frozen=True)
@@ -477,21 +409,21 @@ class HomCanonicalTail(HomTail):
     def cokernel_tail(self, hom, route):
         # canonical projections are surjective, so the cokernel dies
         if all(is_surjective(hom.level(n)) for n in range(self.start, hom.top + 1)):
-            return _rule_for(TailShape(self.start, None), hom.top)
-        return Truncated()
+            return TailRule(self.start).fit(hom.top)
+        return None
 
 
 @dataclass(frozen=True)
 class HomModuleTail(HomTail):
     """Beyond start the level maps are induced by a fixed module hom between
-    the EventuallyLAdic tail modules of source and target."""
+    the tail modules of source and target."""
 
     start: int
     matrix: IntMatrix
 
     def check(self, hom):
-        sm = _eventually_module(hom.source)
-        tm = _eventually_module(hom.target)
+        sm = eventually_module(hom.source)
+        tm = eventually_module(hom.target)
         if sm is None or tm is None:
             raise ValueError("module hom tail requires eventually-l-adic towers")
         check_module_hom(self.matrix, sm, tm)
@@ -507,8 +439,8 @@ class HomModuleTail(HomTail):
         return super().compose(inner, inner_shift)
 
     def cokernel_route(self, hom):
-        sm = _eventually_module(hom.source)
-        tm = _eventually_module(hom.target)
+        sm = eventually_module(hom.source)
+        tm = eventually_module(hom.target)
         if sm is None or tm is None:
             return None
         coker_mod, proj_mat, lift_mat = module_cokernel(self.matrix, sm, tm)
@@ -517,25 +449,25 @@ class HomModuleTail(HomTail):
 
     def cokernel_tail(self, hom, route):
         if route is None:
-            return Truncated()
+            return None
         start, coker_mod, _, _ = route
-        return _rule_for(TailShape(start, None if coker_mod.is_trivial() else coker_mod), hom.top)
+        return TailRule(start, coker_mod).fit(hom.top)
 
 
-def _tail_from(f: Tower, start: int, top: int) -> TailRule:
+def _tail_from(f: Tower, start: int, top: int) -> Optional[TailRule]:
     """The tail of a kernel or cokernel with levels 0..top that equals f from level
     start on: f's verified tail re-anchored at start."""
-    shape = classify_tail(f)
-    if shape is None:
-        return Truncated()
-    return _rule_for(TailShape(max(start, shape.start), shape.module, shape.offset), top)
+    tail = classify_tail(f)
+    return None if tail is None else replace(tail, start=max(start, tail.start)).fit(top)
 
 
-def _eventually_module(tower: Tower) -> Optional[ZlModule]:
-    shape = classify_tail(tower)
-    if shape is None or shape.offset != 0:
+def eventually_module(tower: Tower) -> Optional[ZlModule]:
+    """The module M with level n equal to M/l^{n+1} from the tail start on (the
+    trivial module for a zero tail), or None for a truncated or offset tail."""
+    tail = classify_tail(tower)
+    if tail is None or tail.offset != 0:
         return None
-    return ZlModule(tower.l, ()) if shape.module is None else shape.module
+    return ZlModule(tower.l, ()) if tail.module is None else tail.module
 
 
 @dataclass(frozen=True, eq=False)
@@ -610,21 +542,26 @@ def zero_tower_hom(source: Tower, target: Tower) -> TowerHom:
 # -- elementary tower operations -------------------------------------------------
 
 def _derived(l: int, level: Callable[[int], FinAbGroup], transition: Callable[[int], GroupHom],
-             hi: int, shape: Optional[TailShape], starred: bool = False) -> Tower:
+             hi: int, tail: Optional[TailRule], starred: bool = False) -> Tower:
     """The tower with levels level(0..hi) and transitions transition(1..hi),
-    read through its parents, carrying the tail rule of ``shape``: the
-    parents' verified tail moved by the construction.  The prefix is read
-    further where the rule must meet it, and a prefix that departs from the
-    shape leaves the tower truncated."""
-    if shape is not None:
-        # a module rule starts inside the prefix, a zero rule at most one level above it
-        hi = max(hi, shape.start if shape.module is not None else shape.start - 1)
+    read through its parents, carrying ``tail``: the parents' verified tail
+    moved by the construction.  The prefix is read further where the tail
+    must meet it, and a prefix that departs from the tail leaves the tower
+    truncated."""
+    if tail is not None:
+        m = tail.module
+        # a module tail starts inside the prefix, a zero tail at most one level above it
+        hi = max(hi, tail.start - (m is None))
+        if m is not None and m.torsion_exponents:
+            # a sum's generator order settles once every torsion exponent is
+            # reached and the free ones have passed them
+            hi = max(hi, m.max_exponent() - (tail.offset if m.free_rank else 1))
     maps = tuple(transition(n) for n in range(1, hi + 1))
     groups = (maps[0].target if maps else level(0),) + tuple(u.source for u in maps)
-    if shape is not None and _departure(groups.__getitem__, lambda n: maps[n - 1], shape,
-                                        range(shape.start, hi + 1), range(shape.start + 1, hi + 1)):
-        shape = None
-    return Tower(l, groups, maps, _rule_for(shape, hi), starred)
+    if tail is not None and _departure(groups.__getitem__, lambda n: maps[n - 1], tail,
+                                       range(tail.start, hi + 1), range(tail.start + 1, hi + 1)):
+        tail = None
+    return Tower(l, groups, maps, tail, starred)
 
 
 def shift(f: Tower, r: int) -> Tower:
@@ -636,16 +573,16 @@ def shift(f: Tower, r: int) -> Tower:
     if not f.can_extend() and r > f.top:
         raise TruncatedTower("shift exceeds the represented prefix")
     p = classify_tail(f)
-    shape = None
+    tail = None
     if p is not None and p.module is None:
-        shape = TailShape(max(0, p.start - r), None)
+        tail = TailRule(max(0, p.start - r))
     elif p is not None and p.module.free_rank == 0:
         # pure torsion: quotients stabilize, re-anchor at offset 0
-        shape = TailShape(max(0, p.start - r, p.module.max_exponent() - 1), p.module)
+        tail = TailRule(max(0, p.start - r, p.module.max_exponent() - 1), p.module)
     elif p is not None:
-        shape = TailShape(max(0, p.start - r), p.module, p.offset + r)
+        tail = TailRule(max(0, p.start - r), p.module, p.offset + r)
     hi = f.top if f.can_extend() else f.top - r
-    return _derived(f.l, lambda n: f.level(n + r), lambda n: f.transition(n + r), hi, shape,
+    return _derived(f.l, lambda n: f.level(n + r), lambda n: f.transition(n + r), hi, tail,
                     f.starred)
 
 
@@ -658,11 +595,11 @@ def natural_map(f: Tower, r: int) -> TowerHom:
     # level n is the composite F_{n+r} -> F_n, and both sides of each square
     # are the composite F_{n+1+r} -> F_n, whose reduced matrix is unique
     levels = tuple(f.composite(n, r) for n in range(k + 1))
-    shape = classify_tail(f)
-    if shape is None:
+    tail = classify_tail(f)
+    if tail is None:
         return TowerHom._of(src, f, levels, HomTruncated())
-    kind = HomZeroTail if shape.module is None else HomCanonicalTail
-    return TowerHom._of(src, f, levels, kind(shape.start))
+    kind = HomZeroTail if tail.module is None else HomCanonicalTail
+    return TowerHom._of(src, f, levels, kind(tail.start))
 
 
 def mod_power(f: Tower, k: int) -> Tower:
@@ -670,16 +607,16 @@ def mod_power(f: Tower, k: int) -> Tower:
     if k < 0:
         raise ValueError("power must be >= 0")
     p = classify_tail(f)
-    shape = None if p is None else TailShape(p.start, None)
+    tail = None if p is None else TailRule(p.start)
     if p is not None and p.module is not None and k > 0:
         # F_n / l^k = M / l^{min(n+1+offset, k)} is m / l^{n+1} for the m below;
         # at offset 0 from the tail start on, else (M has a free part) once n + 1 >= k
         m = ZlModule(f.l, tuple(sorted([min(a, k) for a in p.module.torsion_exponents]
                                        + [k] * p.module.free_rank)))
-        shape = TailShape(max(p.start, k - 1 if p.offset else 0), m)
+        tail = TailRule(max(p.start, k - 1 if p.offset else 0), m)
     q = f.l ** k
     return _derived(f.l, lambda n: quotient_with_maps(f.level(n), q)[0],
-                    lambda n: hom_on_quotients(f.transition(n), q, q), f.top, shape)
+                    lambda n: hom_on_quotients(f.transition(n), q, q), f.top, tail)
 
 
 def ladic_truncation(f: Tower) -> Tower:
@@ -687,10 +624,9 @@ def ladic_truncation(f: Tower) -> Tower:
     groups = tuple(quotient_with_maps(f.level(n), f.l ** (n + 1))[0] for n in range(f.top + 1))
     maps = tuple(hom_on_quotients(f.transition(n), f.l ** (n + 1), f.l ** n)
                  for n in range(1, f.top + 1))
-    shape = classify_tail(f)
+    tail = classify_tail(f)
     # M / l^{n+1+offset} truncates to M / l^{n+1} from the same start on
-    tail = _rule_for(None if shape is None else TailShape(shape.start, shape.module), f.top)
-    return Tower(f.l, groups, maps, tail=tail)
+    return Tower(f.l, groups, maps, tail=None if tail is None else replace(tail, offset=0))
 
 
 def direct_sum(f: Tower, g: Tower) -> Tower:
@@ -698,21 +634,21 @@ def direct_sum(f: Tower, g: Tower) -> Tower:
     if f.l != g.l:
         raise PrimeMismatch("direct sum of towers over different primes")
     a, b = classify_tail(f), classify_tail(g)
-    shape = None
+    tail = None
     if a is not None and b is not None:
         start = max(a.start, b.start)
-        # a module-free shape always has offset 0
+        # a zero tail always has offset 0
         if a.module is None:
-            shape = TailShape(start, b.module, b.offset)
+            tail = replace(b, start=start)
         elif b.module is None:
-            shape = TailShape(start, a.module, a.offset)
+            tail = replace(a, start=start)
         elif a.offset == b.offset:
-            shape = TailShape(start, a.module.direct_sum(b.module)[0], a.offset)
+            tail = TailRule(start, a.module.direct_sum(b.module)[0], a.offset)
     # a truncated summand caps the prefix; two extendable ones fill the longer
     truncated_tops = [t.top for t in (f, g) if not t.can_extend()]
     hi = min(truncated_tops) if truncated_tops else max(f.top, g.top)
     return _derived(f.l, lambda n: direct_sum_with_maps(f.level(n), g.level(n))[0],
-                    lambda n: direct_sum_hom(f.transition(n), g.transition(n)), hi, shape)
+                    lambda n: direct_sum_hom(f.transition(n), g.transition(n)), hi, tail)
 
 
 def sum_embeddings(f: Tower, g: Tower) -> tuple[Tower, TowerHom, TowerHom, TowerHom, TowerHom]:
@@ -797,18 +733,18 @@ def is_zero_system(f: Tower, bound: Optional[int] = None) -> Verdict:
     key = ("zero_system", bound)
 
     def compute() -> Verdict:
-        shape = classify_tail(f)
-        if shape is not None and shape.module is not None:
+        tail = classify_tail(f)
+        if tail is not None and tail.module is not None:
             # beyond the tail start every composite surjects onto a nonzero group
             return Verdict.no(
-                witness=("level", shape.start),
+                witness=("level", tail.start),
                 note="tail levels are nonzero module quotients with surjective transitions",
             )
-        if shape is not None:
+        if tail is not None:
             # Eventually trivial: composites with n + r past the tail start are
             # zero for free, the finitely many below are computed exactly.  The
             # radius s0 always works, so the search never comes back empty.
-            s0 = shape.start
+            s0 = tail.start
             for r in range(0, max(bound, s0) + 1):
                 if all(f.composite(n, r).is_zero() for n in range(max(0, s0 - r))):
                     return Verdict.yes(ZeroCertificate(r, scope="tail"))
@@ -824,10 +760,10 @@ def is_l_adic(f: Tower) -> Verdict:
     """Annihilation l^{n+1} F_n = 0 plus induced isomorphisms F_{n+1}/l^{n+1} ~ F_n."""
 
     def compute() -> Verdict:
-        shape = classify_tail(f)
+        tail = classify_tail(f)
         # With a certified tail, check levels up to where the tail's normal
         # form takes over (plus one square tying the prefix to the tail).
-        hi = f.top if shape is None else max(f.top + 1, shape.start)
+        hi = f.top if tail is None else max(f.top + 1, tail.start)
         for n in range(hi + 1):
             e = f.level(n).exponent()
             if e != 1 and (f.l ** (n + 1)) % e != 0:
@@ -839,15 +775,15 @@ def is_l_adic(f: Tower) -> Verdict:
             if not hom_is_isomorphism(induced_on_quotient(f.transition(n + 1), f.l ** (n + 1))):
                 return Verdict.no(witness=("induced-map", n),
                                   note=f"induced map at level {n} is not an isomorphism")
-        if shape is None:
+        if tail is None:
             return Verdict.yes(LAdicCert(scope="prefix"),
                                note="verified on the represented prefix of a truncated tower")
-        if shape.module is None:
+        if tail.module is None:
             return Verdict.yes(LAdicCert(scope="tail"), note="eventually trivial tail")
-        if shape.offset == 0:
+        if tail.offset == 0:
             return Verdict.yes(LAdicCert(scope="tail"))
         # strictly shifted module quotients violate the annihilator at tail levels
-        return Verdict.no(witness=("annihilator", max(shape.start, f.top + 1)),
+        return Verdict.no(witness=("annihilator", max(tail.start, f.top + 1)),
                           note="tail levels carry l-power torsion above l^{n+1}")
 
     return f.cached(("l_adic",), compute)

@@ -24,7 +24,7 @@ from arl.groups import FinAbGroup, GroupHom, identity_hom, trivial_group, zero_h
 from arl.hypernat import HyperNat
 from arl.intmat import IntMatrix
 from arl.limits import limit, tensor_zl, to_tower
-from arl.towers import Tower, ZeroTail, direct_sum, is_zero_system
+from arl.towers import TailRule, Tower, direct_sum, is_zero_system
 from arl.upsilon import upsilon
 from arl.zlmod import ZlModule
 
@@ -113,7 +113,7 @@ def test_operators_flow_through_normalization():
     groups = [noise_group] * 2 + [trivial_group(l)] * 6
     maps = [identity_hom(noise_group)] + \
         [zero_hom(groups[n], groups[n - 1]) for n in range(2, 8)]
-    noise = Tower(l, tuple(groups), tuple(maps), tail=ZeroTail(2))
+    noise = Tower(l, tuple(groups), tuple(maps), tail=TailRule(2))
 
     mixed = direct_sum(core, noise)
     assert mixed.level(0).operator_labels() == ("frob",)

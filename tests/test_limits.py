@@ -12,7 +12,7 @@ from arl.limits import (
     tensor_zl,
     to_tower,
 )
-from arl.towers import Tower, Truncated, direct_sum, is_l_adic
+from arl.towers import Tower, direct_sum, is_l_adic
 from arl.upsilon import upsilon
 from arl.zlmod import ZlModule
 
@@ -32,7 +32,7 @@ class TestLimit:
 
     def test_mixed_detection_from_truncated_prefix(self):
         src = to_tower(ZlModule(L, (2,), 1), 6)
-        t = Tower(L, src.groups, src.maps, tail=Truncated())
+        t = Tower(L, src.groups, src.maps, tail=None)
         assert limit(t) == ZlModule(L, (2,), 1)
 
     def test_exponent_pattern_example(self):
@@ -71,7 +71,7 @@ class TestLimit:
     def test_operator_detection_from_truncated(self):
         m = ZlModule(L, (2,), operators=(("frob", IntMatrix.from_rows([[3]])),))
         src = to_tower(m, 6)
-        t = Tower(L, src.groups, src.maps, tail=Truncated())
+        t = Tower(L, src.groups, src.maps, tail=None)
         assert limit(t) == m
 
 
@@ -101,12 +101,12 @@ class TestToTower:
 class TestTensorAndRank:
     def test_tensor_zl_of_sum(self):
         from arl.groups import identity_hom, trivial_group, zero_hom
-        from arl.towers import ZeroTail
+        from arl.towers import TailRule
         t = to_tower(ZlModule(L, (), 1), 8)
         g = FinAbGroup((L,), prime_support=L)
         groups = [g] * 2 + [trivial_group(L)] * 6
         maps = [identity_hom(g)] + [zero_hom(groups[n], groups[n - 1]) for n in range(2, 8)]
-        noise = Tower(L, tuple(groups), tuple(maps), tail=ZeroTail(2))
+        noise = Tower(L, tuple(groups), tuple(maps), tail=TailRule(2))
         s = direct_sum(t, noise)
         assert tensor_zl(upsilon(s, H)) == ZlModule(L, (), 1)
 
@@ -131,13 +131,13 @@ class TestComparison:
 
     def test_noise_ignored(self):
         from arl.groups import identity_hom, trivial_group, zero_hom
-        from arl.towers import ZeroTail
+        from arl.towers import TailRule
         t = to_tower(ZlModule(L, (2,), 1), 8)
         g = FinAbGroup((L,), prime_support=L)
         groups = [g] * 3 + [trivial_group(L)] * 5
         maps = [identity_hom(g), identity_hom(g)] + \
             [zero_hom(groups[n], groups[n - 1]) for n in range(3, 8)]
-        noise = Tower(L, tuple(groups), tuple(maps), tail=ZeroTail(3))
+        noise = Tower(L, tuple(groups), tuple(maps), tail=TailRule(3))
         data = CohomologyTowerInput.from_mapping({1: direct_sum(t, noise)})
         rep = comparison_check(data, 1)
         assert rep.isomorphic and rep.operators_match

@@ -5,7 +5,7 @@ import pytest
 from arl.errors import TowerFileError, UndeclaredSymbol
 from arl.groups import PRIME_LIMIT, is_prime
 from arl.towerfile import load_tower_data, load_tower_file
-from arl.towers import is_l_adic
+from arl.towers import TailRule, is_l_adic
 
 
 def base_doc():
@@ -61,6 +61,22 @@ class TestLoad:
         }
         tf = load_tower_data(doc)
         assert tf.tower("N").level(5).is_trivial()
+
+    def test_eventually_l_adic_tail_over_the_trivial_module_is_the_zero_tail(self):
+        # like a zero tail, it may start one level above the prefix
+        doc = base_doc()
+        doc["modules"]["O"] = "0"
+        doc["groups"]["Z"] = {"factors": []}
+        doc["homs"]["z"] = {"source": "Z", "target": "Z", "matrix": []}
+        doc["towers"]["N"] = {
+            "levels": ["Z", "Z"], "maps": ["z"],
+            "tail": {"kind": "eventually-l-adic", "start": 2, "module": "O"},
+        }
+        tf = load_tower_data(doc)
+        assert tf.tower("N").tail == TailRule(2)
+        doc["towers"]["N"]["tail"]["start"] = 3
+        with pytest.raises(TowerFileError, match="start 3 out of range"):
+            load_tower_data(doc)
 
     def test_operators(self):
         doc = base_doc()

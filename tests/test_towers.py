@@ -3,16 +3,19 @@ import random
 import weakref
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from arl.arcat import ar_from_tower_hom, ar_is_isomorphism, stable_image_tower
 from arl.errors import PrimeMismatch, TruncatedTower
 from arl.gen import (
     GenParams,
     module_hom_tower_map,
+    random_ar_l_adic,
     random_hom,
+    random_l_adic,
     random_module_hom,
     random_prime,
+    random_zero_system,
     random_zl_module,
     rng_for,
 )
@@ -20,25 +23,25 @@ from arl.groups import (
     FinAbGroup,
     GroupHom,
     direct_sum_hom,
+    direct_sum_with_maps,
+    hom_on_quotients,
     identity_hom,
     induced_on_quotient,
     is_exact_at,
     is_surjective,
+    quotient_with_maps,
     trivial_group,
     zero_hom,
 )
 from arl.intmat import IntMatrix
 from arl.limits import to_tower
 from arl.towers import (
-    EventuallyLAdic,
     HomCanonicalTail,
     HomModuleTail,
     HomZeroTail,
-    TailShape,
+    TailRule,
     Tower,
     TowerHom,
-    Truncated,
-    ZeroTail,
     classify_tail,
     constant_tower,
     direct_sum,
@@ -74,7 +77,7 @@ def zero_tail_tower(nontrivial=3, levels=6):
     for n in range(1, levels):
         maps.append(zero_hom(groups[n], groups[n - 1]) if groups[n].is_trivial()
                     else identity_hom(g))
-    return Tower(L, tuple(groups), tuple(maps), tail=ZeroTail(nontrivial))
+    return Tower(L, tuple(groups), tuple(maps), tail=TailRule(nontrivial))
 
 
 class TestConstruction:
@@ -92,24 +95,24 @@ class TestConstruction:
     def test_tail_consistency_eventually_l_adic(self):
         t = zl_tower(4)
         with pytest.raises(ValueError):
-            Tower(L, t.groups, t.maps, tail=EventuallyLAdic(0, ZlModule(L, (1,))))
+            Tower(L, t.groups, t.maps, tail=TailRule(0, ZlModule(L, (1,))))
 
     def test_negative_tail_offset_rejected(self):
         t = zl_tower(4)
         with pytest.raises(ValueError, match="offset -1"):
-            Tower(L, t.groups, t.maps, tail=EventuallyLAdic(0, ZL, -1))
+            Tower(L, t.groups, t.maps, tail=TailRule(0, ZL, -1))
 
     def test_tail_offset_on_torsion_module_rejected(self):
         # from level 1 on Z/4 / 2^{n+2} = Z/4 / 2^{n+1}: only the guard refuses it
         m = ZlModule(L, (2,))
         t = to_tower(m, 4)
         with pytest.raises(ValueError, match="offset 1"):
-            Tower(L, t.groups, t.maps, tail=EventuallyLAdic(1, m, 1))
+            Tower(L, t.groups, t.maps, tail=TailRule(1, m, 1))
 
     def test_zero_tail_demands_trivial_levels(self):
         g = FinAbGroup((2,), prime_support=2)
         with pytest.raises(ValueError):
-            Tower(2, (g, g), (identity_hom(g),), tail=ZeroTail(0))
+            Tower(2, (g, g), (identity_hom(g),), tail=TailRule(0))
 
 
 class TestShift:
@@ -183,7 +186,7 @@ class TestZeroSystem:
         # the claimed radius sits just past the prefix; the tail still forces it
         g = FinAbGroup((L,), prime_support=L)
         t = Tower(L, (g, g, g), (identity_hom(g), identity_hom(g)),
-                  tail=ZeroTail(3))
+                  tail=TailRule(3))
         v = is_zero_system(t)
         assert v and v.certificate.radius == 3
 
@@ -337,21 +340,21 @@ class TestDerivedTails:
     """Derived towers keep the tail kind their construction derives."""
 
     def test_shift_of_free_module_moves_the_offset(self):
-        assert shift(zl_tower(), 2).tail == EventuallyLAdic(0, ZL, 2)
+        assert shift(zl_tower(), 2).tail == TailRule(0, ZL, 2)
 
     def test_ladic_truncation_keeps_eventually_l_adic(self):
         g = ladic_truncation(shift(zl_tower(), 2))
-        assert g.tail == EventuallyLAdic(0, ZL)
+        assert g.tail == TailRule(0, ZL)
 
     def test_kernel_of_zero_hom_keeps_source_tail(self):
         k, _ = levelwise_kernel(zero_tower_hom(zl_tower(6), zero_tail_tower(3, 6)))
-        assert k.tail == EventuallyLAdic(0, ZL)
+        assert k.tail == TailRule(0, ZL)
 
     def test_image_of_identity_keeps_target_tail(self):
         # the stable image at s = 0 is the image of the identity
         t = zero_tail_tower(3, 6)
         i, _ = stable_image_tower(t, 0)
-        assert i.tail == ZeroTail(3)
+        assert i.tail == TailRule(3)
 
     @pytest.mark.parametrize("case", range(12))
     def test_cokernel_of_module_hom_keeps_module_tail(self, case):
@@ -361,7 +364,7 @@ class TestDerivedTails:
         src, tgt = random_zl_module(rng, l, params), random_zl_module(rng, l, params)
         f = module_hom_tower_map(random_module_hom(rng, src, tgt), src, tgt, params.levels)
         c, _ = levelwise_cokernel(f)
-        assert isinstance(c.tail, (EventuallyLAdic, ZeroTail))
+        assert isinstance(c.tail, TailRule)
 
 
 class TestTailsAsData:
@@ -374,7 +377,7 @@ class TestTailsAsData:
         lambda t: mod_power(t, 1),
     ])
     def test_derived_tower_frees_its_parent(self, derive):
-        t = Tower(L, zl_tower(6).groups, zl_tower(6).maps, tail=EventuallyLAdic(0, ZL))
+        t = Tower(L, zl_tower(6).groups, zl_tower(6).maps, tail=TailRule(0, ZL))
         parent = weakref.ref(t)
         d = derive(t)
         d.level(d.top + 3)
@@ -403,11 +406,20 @@ class TestTailsAsData:
         with pytest.raises(TruncatedTower):
             shift(s, 8)
 
+    def test_sum_reads_up_to_where_its_generator_order_settles(self):
+        # the group sum puts the free generator first up to level 2, where the
+        # exponents tie, and last from level 3 on; the module sum always last
+        f, g = zl_tower(3), to_tower(ZlModule(L, (3,)), 3)
+        s = direct_sum(f, g)
+        assert s.describe_levels() == ["Z/2 + Z/2", "Z/4 + Z/4", "Z/8 + Z/8", "Z/8 + Z/16"]
+        assert s.transition(3) == direct_sum_hom(f.transition(3), g.transition(3))
+        assert classify_tail(s) is None
+
     def test_quotient_of_a_shifted_free_tower(self):
         # levels Z/2^{min(n+4, 2)} = Z/4: the free part meets the form from n + 1 >= 2
         m = mod_power(shift(zl_tower(4), 3), 2)
         assert m.describe_levels() == ["Z/4"] * 4
-        assert classify_tail(m) == TailShape(1, ZlModule(L, (2,)))
+        assert classify_tail(m) == TailRule(1, ZlModule(L, (2,)))
 
 
 class TestEpiProperty:
@@ -488,7 +500,7 @@ class TestClassification:
         assert shape is not None and shape.module == ZL and shape.start == 3
 
     def test_truncated_is_opaque(self):
-        t = Tower(L, zl_tower(4).groups, zl_tower(4).maps, tail=Truncated())
+        t = Tower(L, zl_tower(4).groups, zl_tower(4).maps, tail=None)
         assert classify_tail(t) is None
 
     def test_shift_of_torsion_reanchors(self):
@@ -522,7 +534,7 @@ class TestHomTailContradictions:
         # levels Z/2 -> Z/4 at 0, where the module matrix [1] is no hom
         s = zl_tower(2)
         z4 = FinAbGroup((4,), prime_support=L)
-        t = Tower(L, (z4, z4), (identity_hom(z4),), tail=EventuallyLAdic(1, ZL))
+        t = Tower(L, (z4, z4), (identity_hom(z4),), tail=TailRule(1, ZL))
         levels = (GroupHom(s.level(0), z4, IntMatrix.from_rows([[2]])),
                   GroupHom(s.level(1), z4, IntMatrix.from_rows([[2]])))
         one = IntMatrix.from_rows([[1]])
@@ -584,7 +596,7 @@ class TestHomTailAlgebra:
         f = TowerHom(source, target, levels, tail=HomZeroTail(1))
         c, _ = levelwise_cokernel(f)
         assert c.describe_levels() == ["0", "Z/4", "Z/8", "Z/16", "Z/32", "Z/64"]
-        assert classify_tail(c) == TailShape(1, ZL)
+        assert classify_tail(c) == TailRule(1, ZL)
         v = ar_is_isomorphism(ar_from_tower_hom(f))
         assert v.is_no and v.witness == ("cokernel", ("level", 1))
 
@@ -598,11 +610,11 @@ class TestHomTailAlgebra:
         proj = TowerHom(both, one, tuple(GroupHom(both.level(n), z2, first) for n in range(3)),
                         tail=HomZeroTail(3))
         k, _ = levelwise_kernel(proj)
-        assert k.describe_levels() == ["Z/2"] * 3 and k.tail == Truncated()
+        assert k.describe_levels() == ["Z/2"] * 3 and k.tail is None
         incl = TowerHom(one, both, tuple(GroupHom(z2, both.level(n), first.transpose())
                                          for n in range(3)), tail=HomZeroTail(3))
         c, _ = levelwise_cokernel(incl)
-        assert c.describe_levels() == ["Z/2"] * 3 and c.tail == Truncated()
+        assert c.describe_levels() == ["Z/2"] * 3 and c.tail is None
 
     def test_zero_tail_of_the_source_above_the_hom_top(self):
         # the kernel of a zero hom is its source, which is nontrivial up to
@@ -610,7 +622,7 @@ class TestHomTailAlgebra:
         # radius 3 where the source needs 5
         src = zero_tail_tower(5, 7)
         k, _ = levelwise_kernel(zero_tower_hom(src, zl_tower(3)))
-        assert k.top == 2 and k.tail == Truncated()
+        assert k.top == 2 and k.tail is None
         assert is_zero_system(src).certificate.radius == 5
 
 
@@ -697,3 +709,48 @@ def test_induced_quotient_map_against_brute_force(t):
     verdict = is_l_adic(t)
     assert verdict.witness == _brute_is_l_adic_witness(t)
     assert bool(verdict) == (verdict.witness is None)
+
+
+@st.composite
+def tailed_pairs(draw):
+    """Two towers over one prime that may carry tails: gen-drawn l-adic, zero
+    and AR-l-adic towers with short prefixes, or the towers of modules with
+    a torsion part, with or without a free part."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    params = GenParams(levels=draw(st.integers(2, 5)), primes=(2, 3))
+    l = random_prime(rng, params)
+
+    def tower():
+        kind = draw(st.sampled_from(["l-adic", "zero", "ar-l-adic", "module"]))
+        if kind == "module":
+            exps = tuple(sorted(draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))))
+            return to_tower(ZlModule(l, exps, draw(st.integers(0, 2))), draw(st.integers(1, 4)))
+        draw_tower = {"l-adic": random_l_adic, "zero": random_zero_system,
+                      "ar-l-adic": random_ar_l_adic}[kind]
+        return draw_tower(rng, l, params)
+
+    return tower(), tower()
+
+
+def _tail_agrees(d, level, transition):
+    """Levels and transitions top+1..top+4 that d's tail builds equal the
+    construction's, read through the parents."""
+    if not d.can_extend():
+        return
+    for n in range(d.top + 1, d.top + 5):
+        assert d.level(n) == level(n), f"level {n}"
+        assert d.transition(n) == transition(n), f"transition {n}"
+
+
+@settings(max_examples=120, deadline=None)
+@given(tailed_pairs(), st.integers(1, 3), st.integers(0, 3))
+@example((zl_tower(3), to_tower(ZlModule(L, (3,)), 3)), 1, 1)
+def test_tails_agree_with_their_construction(pair, r, k):
+    f, g = pair
+    if f.can_extend() or r <= f.top:
+        _tail_agrees(shift(f, r), lambda n: f.level(n + r), lambda n: f.transition(n + r))
+    _tail_agrees(direct_sum(f, g), lambda n: direct_sum_with_maps(f.level(n), g.level(n))[0],
+                 lambda n: direct_sum_hom(f.transition(n), g.transition(n)))
+    q = f.l ** k
+    _tail_agrees(mod_power(f, k), lambda n: quotient_with_maps(f.level(n), q)[0],
+                 lambda n: hom_on_quotients(f.transition(n), q, q))

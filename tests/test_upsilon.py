@@ -17,9 +17,9 @@ from arl.intmat import IntMatrix
 from arl.limits import to_tower
 from arl.towers import (
     HomModuleTail,
+    TailRule,
     Tower,
     TowerHom,
-    ZeroTail,
     direct_sum,
     sum_embeddings,
 )
@@ -53,7 +53,7 @@ def zero_tail_tower(nontrivial=3, levels=8):
     for n in range(1, levels):
         maps.append(zero_hom(groups[n], groups[n - 1]) if groups[n].is_trivial()
                     else identity_hom(g))
-    return Tower(L, tuple(groups), tuple(maps), tail=ZeroTail(nontrivial))
+    return Tower(L, tuple(groups), tuple(maps), tail=TailRule(nontrivial))
 
 
 class TestUpsilon:
