@@ -82,5 +82,5 @@ print("identity vs zero on an l-adic tower:",
 # Certification produces a reusable witness.
 w = certify_ar_l_adic(f).certificate
 print()
-print(f"witness: epi at shift {w.shift} onto an l-adic tower, kernel radius "
+print(f"witness: epi at shift {w.iso.shift_amount} onto an l-adic tower, kernel radius "
       f"{w.kernel_cert.radius}")

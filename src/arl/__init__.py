@@ -64,7 +64,6 @@ from .towers import (
 )
 from .arcat import (
     ARMor,
-    ARWitness,
     CanonicalLAdic,
     ar_compose,
     ar_equal,

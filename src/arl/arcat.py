@@ -146,16 +146,13 @@ def ar_equal(f: ARMor, g: ARMor, bound: Optional[int] = None) -> Verdict:
     tz = is_zero_system(f.target, bound)
     if tz and tz.certificate.scope == "tail":
         stabilizers.append(tz.certificate.radius)
-    if stabilizers:
-        e_star = min(stabilizers)
-        for e in range(e_star + 1):
-            if _delta_zero_at(f_levels, g_levels, f.source, sigma, e, top):
-                return Verdict.yes({"common_shift": sigma + e})
-        return Verdict.no(witness=("shift", sigma + e_star),
-                          note="difference survives on the stable data")
-    for e in range(bound + 1):
+    last = min(stabilizers) if stabilizers else bound
+    for e in range(last + 1):
         if _delta_zero_at(f_levels, g_levels, f.source, sigma, e, top):
             return Verdict.yes({"common_shift": sigma + e})
+    if stabilizers:
+        return Verdict.no(witness=("shift", sigma + last),
+                          note="difference survives on the stable data")
     return Verdict.unknown(note=f"representatives still differ after {bound} extra shifts")
 
 
@@ -220,9 +217,10 @@ def stable_image_tower(f: Tower, s: Optional[int] = None,
 
 @dataclass(frozen=True)
 class CanonicalLAdic:
-    """Output of the l-adic normalization: the l-adic tower, the mutually
-    inverse shift-class morphisms, and the parameters used.  The morphisms
-    are None when the caller asked for the tower alone."""
+    """Output of the l-adic normalization, and the certificate of
+    AR-l-adic-ness: the l-adic tower, the mutually inverse shift-class
+    morphisms, and the parameters used.  The morphisms are None when the
+    caller asked for the tower alone."""
 
     tower: Tower
     iso: Optional[ARMor]        # original -> canonical
@@ -333,33 +331,21 @@ def _factorization_radius(f: Tower, bound: int) -> Verdict:
     return f.cached(("factorization_radius", bound), compute)
 
 
-@dataclass(frozen=True)
-class ARWitness:
-    """Certificate of AR-l-adic-ness: an epimorphism from a shift of the
-    tower onto an l-adic tower with a zero-system kernel."""
-
-    shift: int
-    epi: TowerHom
-    tower: Tower
-    kernel_cert: ZeroCertificate
-
-
 def certify_ar_l_adic(f: Tower, bound: Optional[int] = None) -> Verdict:
-    """Search for an ARWitness; no-certificates only for obstructions
-    visible in the prefix (images strictly decreasing to the edge)."""
+    """Whether f is AR-l-adic.  The yes-certificate is the
+    :class:`CanonicalLAdic` of f: its ``iso.rep`` is an epimorphism from
+    f shifted by ``iso.shift_amount`` (r + s) onto the l-adic ``tower``,
+    with a zero-system kernel certified by ``kernel_cert``.  No-certificates
+    only for obstructions visible in the prefix (images strictly decreasing
+    to the edge)."""
     bound = resolve_bound(f, bound)
 
     def compute() -> Verdict:
-        if is_l_adic(f):
-            return Verdict.yes(ARWitness(0, identity_tower_hom(f), f,
-                                         ZeroCertificate(0, scope="tail")))
-        sb = stable_image_bound(f, bound)
+        sb = is_l_adic(f) or stable_image_bound(f, bound)
         note = sb.note
         if sb:
             try:
-                c = canonical_l_adic(f, bound)
-                return Verdict.yes(ARWitness(c.shift + c.ml_bound, c.iso.rep, c.tower,
-                                             c.kernel_cert))
+                return Verdict.yes(canonical_l_adic(f, bound))
             except NotARladic as exc:
                 note = str(exc)
         if classify_tail(f) is None and _images_strictly_decreasing(f):

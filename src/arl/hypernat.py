@@ -116,7 +116,7 @@ class HyperNat:
     @staticmethod
     def parse(text: str) -> "HyperNat":
         """Parse  term := (symbol | integer) (('+'|'-') (symbol | integer))* ."""
-        pos = 0
+        text, pos = text.strip(), 0
         tokens = []
         while pos < len(text):
             m = _TOKEN.match(text, pos)
@@ -124,7 +124,7 @@ class HyperNat:
                 raise ValueError(f"cannot tokenize hypernatural term at {text[pos:]!r}")
             tokens.append(m)
             pos = m.end()
-        if not tokens or not text.strip():
+        if not tokens:
             raise ValueError("empty hypernatural term")
         result = HyperNat.finite(0)
         sign = 1

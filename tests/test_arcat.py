@@ -234,13 +234,13 @@ class TestFactorization:
 class TestCertify:
     def test_l_adic_trivial_witness(self):
         w = certify_ar_l_adic(zl_tower())
-        assert w and w.certificate.shift == 0
+        assert w and w.certificate.iso.shift_amount == 0
 
     def test_sum_witness(self):
         s = direct_sum(zl_tower(), zero_tail_tower(3))
         w = certify_ar_l_adic(s)
         assert w
-        assert w.certificate.epi.source.levelwise_equal(shift(s, w.certificate.shift))
+        assert w.certificate.iso.rep.source.levelwise_equal(shift(s, w.certificate.iso.shift_amount))
         assert is_l_adic(w.certificate.tower)
 
     def test_non_stabilizing_images_refused(self):

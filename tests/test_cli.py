@@ -181,6 +181,14 @@ class TestUpsilonPsi:
         q2 = [l for l in strip(out2) if l.startswith(("quotient", "normalization"))]
         assert q1 == q2
 
+    def test_trailing_blank_in_index_term(self, capsys, sample):
+        code1, out1, _ = run(capsys, "upsilon", "--file", sample, "--tower", "noisy", "--h", "h")
+        code2, out2, _ = run(capsys, "upsilon", "--file", sample, "--tower", "noisy", "--h", "h ")
+        body = lambda text: [line for line in text.splitlines()
+                             if not line.startswith(("command:", "timing:"))]
+        assert code1 == code2 == 0
+        assert body(out1) == body(out2)
+
     def test_psi(self, capsys, sample):
         code, out, _ = run(capsys, "psi", "--file", sample, "--tower", "noisy", "--h", "h")
         assert code == 0

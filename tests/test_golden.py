@@ -11,7 +11,12 @@ The files under ``data/golden`` hold, without their ``timing:`` line:
   --cases 100`` for the six random suites (every suite but ``torsionfree``)
   at seeds 1 and 7.  They take about 17 s, so no test here reads them; the
   "Fixed-seed reports" step of ``.github/workflows/tier1.yml`` regenerates
-  each one and diffs it against its file.
+  each one and diffs it against its file;
+- ``demo-<name>.txt``: the output of ``demos/<name>.py``, run from the root
+  of the checkout with ``PYTHONPATH=src``, without its ``timing:`` lines and
+  with the checkout path written as ``.``, for the seven demos
+  ``01_smith_normal_form`` to ``07_cli_and_verification``.  The "Demos" step
+  of ``tier1.yml`` diffs each one; no test here reads them.
 
 A change that alters any other line of a report fails here (or in that
 step); regenerate a golden file only for an intended change of output.

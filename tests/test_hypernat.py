@@ -70,6 +70,12 @@ class TestParse:
             with pytest.raises(ValueError):
                 HyperNat.parse(bad)
 
+    def test_surrounding_whitespace_ignored(self):
+        assert HyperNat.parse("h ") == HyperNat.parse(" h") == HyperNat.parse("h")
+        assert HyperNat.parse("h-1 ") == H - 1
+        with pytest.raises(ValueError, match="empty"):
+            HyperNat.parse("  ")
+
     def test_repeated_symbols_accumulate(self):
         assert HyperNat.parse("h+h").coefficient("h") == 2
 

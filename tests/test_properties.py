@@ -9,6 +9,7 @@ from arl.arcat import (
     ar_identity,
     ar_is_isomorphism,
     canonical_l_adic,
+    certify_ar_l_adic,
 )
 from arl.gen import (
     GenParams,
@@ -30,6 +31,7 @@ from arl.towers import (
     direct_sum,
     is_l_adic,
     is_zero_system,
+    levelwise_kernel,
     natural_map,
     shift,
 )
@@ -197,6 +199,22 @@ class TestARInvariants:
             c = canonical_l_adic(f)
             assert ar_is_isomorphism(c.iso)
             assert is_l_adic(c.tower)
+
+    def test_ar_l_adic_certificate_certifies(self):
+        # the certificate is the normalization record; re-check what it
+        # claims from its fields, not from how it was built
+        for seed in (35, 36):
+            for l in PARAMS.primes:
+                for case in range(4):
+                    f = random_ar_l_adic(rng_for(seed, case), l, PARAMS)
+                    c = certify_ar_l_adic(f).certificate
+                    epi = c.iso.rep
+                    assert c.iso.shift_amount == c.shift + c.ml_bound
+                    assert epi.source.levelwise_equal(shift(f, c.iso.shift_amount))
+                    assert all(is_surjective(epi.level(n)) for n in range(epi.top + 1))
+                    assert is_l_adic(c.tower)
+                    zk = is_zero_system(levelwise_kernel(epi)[0])
+                    assert zk and zk.certificate.radius == c.kernel_cert.radius
 
     def test_canonical_idempotent(self):
         for case in range(8):

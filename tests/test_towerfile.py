@@ -3,7 +3,7 @@ import json
 import pytest
 
 from arl.errors import TowerFileError, UndeclaredSymbol
-from arl.groups import PRIME_LIMIT, is_prime
+from arl.groups import PRIME_BASES, PRIME_LIMIT, is_prime
 from arl.towerfile import load_tower_data, load_tower_file
 from arl.towers import TailRule, is_l_adic
 
@@ -114,9 +114,12 @@ def test_is_prime_matches_trial_division():
     def by_trial_division(n):
         return n >= 2 and all(n % p for p in range(2, int(n ** 0.5) + 1))
     assert all(is_prime(n) == by_trial_division(n) for n in range(5000))
-    # strong pseudoprimes to the first 1, 2, ..., 11 prime bases
+    # the bases are exactly the first 13 primes: a base that is off by one
+    # (2 -> 3) still agrees with trial division above
+    assert PRIME_BASES == tuple([n for n in range(100) if by_trial_division(n)][:13])
+    # strong pseudoprimes to the first 1, 2, ..., 12 prime bases
     for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
-              341550071728321, 3825123056546413051):
+              341550071728321, 3825123056546413051, 318665857834031151167461):
         assert not is_prime(n)
     assert is_prime(2**61 - 1) and is_prime(2**31 - 1)
 
