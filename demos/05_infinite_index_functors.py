@@ -29,7 +29,7 @@ from arl import (
 from arl.arcat import ar_from_tower_hom
 from arl.groups import GroupHom, identity_hom
 from arl.intmat import IntMatrix
-from arl.towers import HomModuleTail, TowerHom
+from arl.towers import HomRule, TowerHom
 
 l = 2
 h = HyperNat.parse("h")
@@ -74,7 +74,7 @@ mult = ar_from_tower_hom(TowerHom(
     t, t,
     tuple(GroupHom(t.level(n), t.level(n), IntMatrix.from_rows([[l]]))
           for n in range(t.top + 1)),
-    tail=HomModuleTail(0, IntMatrix.from_rows([[l]])),
+    tail=HomRule(0, IntMatrix.from_rows([[l]])),
 ))
 um = upsilon_mor(mult, h)
 print()

@@ -42,8 +42,7 @@ from .groups import (
 )
 from .zlmod import ZlModule
 from .towers import (
-    HomModuleTail,
-    HomZeroTail,
+    HomRule,
     TailRule,
     Tower,
     TowerHom,

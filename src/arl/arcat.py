@@ -28,13 +28,13 @@ from .groups import (
     subgroup_from_lattice,
 )
 from .towers import (
-    HomTruncated,
     MLBound,
     Tower,
     TowerHom,
     Verdict,
     ZeroCertificate,
     classify_tail,
+    compose_rules,
     identity_tower_hom,
     induced_subtower,
     is_l_adic,
@@ -60,7 +60,7 @@ class ARMor:
     def __post_init__(self):
         if self.shift_amount < 0:
             raise ValueError("negative shift")
-        if self.rep.target is not self.target and not self.rep.target.levelwise_equal(self.target):
+        if not self.rep.target.levelwise_equal(self.target):
             raise ValueError("representative target does not match")
 
 
@@ -87,13 +87,13 @@ def reshift(f: ARMor, extra: int) -> ARMor:
         f.rep.level(n).compose(f.source.composite(n + r, extra))
         for n in range(k + 1)
     )
-    rep = TowerHom(src, f.target, levels, tail=HomTruncated())
+    rep = TowerHom(src, f.target, levels)
     return ARMor(f.source, f.target, r + extra, rep)
 
 
 def ar_compose(g: ARMor, f: ARMor) -> ARMor:
     """g after f; the shifts add."""
-    if g.source is not f.target and not g.source.levelwise_equal(f.target):
+    if not g.source.levelwise_equal(f.target):
         raise CompositionMismatch("AR composition endpoints do not match")
     rf, rg = f.shift_amount, g.shift_amount
     src = shift(f.source, rf + rg)
@@ -104,8 +104,7 @@ def ar_compose(g: ARMor, f: ARMor) -> ARMor:
         g.rep.level(n).compose(f.rep.level(n + rg))
         for n in range(k + 1)
     )
-    rep = TowerHom(src, g.target, levels,
-                   tail=g.rep.tail.compose(f.rep.tail, rg))
+    rep = TowerHom(src, g.target, levels, tail=compose_rules(g.rep.tail, f.rep.tail, rg))
     return ARMor(f.source, g.target, rf + rg, rep)
 
 
@@ -127,9 +126,9 @@ def ar_equal(f: ARMor, g: ARMor, bound: Optional[int] = None) -> Verdict:
     comparison stabilizes); otherwise the search is bounded and may return
     unknown.
     """
-    if f.source is not g.source and not f.source.levelwise_equal(g.source):
+    if not f.source.levelwise_equal(g.source):
         raise CompositionMismatch("AR equality needs a common source")
-    if f.target is not g.target and not f.target.levelwise_equal(g.target):
+    if not f.target.levelwise_equal(g.target):
         raise CompositionMismatch("AR equality needs a common target")
     sigma = max(f.shift_amount, g.shift_amount)
     fa = reshift(f, sigma - f.shift_amount)

@@ -24,7 +24,7 @@ from .groups import FinAbGroup, GroupHom, trivial_group
 from .intmat import IntMatrix
 from .limits import to_tower
 from .towers import (
-    HomModuleTail,
+    HomRule,
     TailRule,
     Tower,
     TowerHom,
@@ -192,7 +192,7 @@ def module_hom_tower_map(mat: IntMatrix, src: ZlModule, tgt: ZlModule,
     s = to_tower(src, levels)
     t = to_tower(tgt, levels)
     homs = tuple(GroupHom(s.level(n), t.level(n), mat) for n in range(levels))
-    return TowerHom(s, t, homs, tail=HomModuleTail(0, mat))
+    return TowerHom(s, t, homs, tail=HomRule(0, mat))
 
 
 def random_armor(rng: random.Random, l: int, params: GenParams) -> ARMor:

@@ -17,12 +17,14 @@ and ``mod_power`` read their prefix through their parents, move the parents'
 verified tail by the closed form of the construction and attach it, or no
 tail where no such form is known or the prefix departs from it.
 
-A tower hom carries a ``HomTail`` the same way.  The ``HomTail`` defaults are
-the ``HomTruncated`` behaviour; ``HomZeroTail`` (zero maps),
-``HomCanonicalTail`` (identity matrix) and ``HomModuleTail`` (a fixed module
-hom) override ``check`` (the represented levels agree with the rule), how
-they ``compose``, and the tails that the levelwise kernel and cokernel
-inherit.  A tower hom is only ever read on its represented levels.
+A tower hom carries its tail the same way, as one record
+``HomRule(start, matrix)``, or None when it is truncated: from ``start`` on
+the level maps are zero when matrix is None, else induced by a module map
+from the source's tail module to the target's.  ``HomRule.check`` verifies
+the record on the represented levels, ``compose_rules`` holds every rule for
+composites, and the levelwise kernel of a zero rule and the cokernel of a
+zero or matrix rule inherit a tail.  A tower hom is only ever read on its
+represented levels.
 
 Levels beyond the prefix of a non-truncated tower can be materialized on
 demand; predicates combine exact prefix computation with tail reasoning and
@@ -54,7 +56,6 @@ from .groups import (
     identity_hom,
     induced_on_quotient,
     is_matrix_of,
-    is_surjective,
     quotient_with_maps,
     reduce_matrix,
     section,
@@ -132,10 +133,13 @@ def _departure(level, transition, tail: TailRule, levels: range,
     normal form of ``tail``: the first of ``levels`` that differs, else the
     first of ``transitions`` that is not the canonical projection, as
     ("level", n) or ("transition", n); None when it follows the tail.
-    Transitions between trivial levels are zero, so they are not checked."""
+    Transitions between trivial levels are zero, so they are not checked.
+    Ranks are compared before M/l^k is built, so a huge module fails cheaply."""
     m, off = tail.module, tail.offset
     for n in levels:
-        if (not level(n).is_trivial()) if m is None else level(n) != m.quotient_group(n + 1 + off):
+        g = level(n)
+        if (not g.is_trivial()) if m is None else (
+                g.rank != m.rank or g != m.quotient_group(n + 1 + off)):
             return "level", n
     for n in transitions if m is not None else ():
         if transition(n) != m.quotient_projection(n + 1 + off, n + off):
@@ -266,6 +270,8 @@ class Tower:
 
     def levelwise_equal(self, other: "Tower", upto: Optional[int] = None) -> bool:
         """Exact equality of groups and transition matrices on a common prefix."""
+        if self is other:
+            return True
         if self.l != other.l:
             return False
         hi = min(self.top, other.top) if upto is None else upto
@@ -336,122 +342,53 @@ def classify_tail(tower: Tower) -> Optional[TailRule]:
 
 # -- tower homomorphisms --------------------------------------------------------
 
-class HomTail:
-    """What a tower hom is known to be beyond its represented levels, and
-    which tails its composites, kernel and cokernel inherit.  These defaults
-    are the ``HomTruncated`` behaviour."""
+@dataclass(frozen=True)
+class HomRule:
+    """What a tower hom is beyond its represented levels: for all n >= start
+    the level map is zero when matrix is None, else induced by matrix, a
+    module map from the source's tail module to the target's."""
+
+    start: int
+    matrix: Optional[IntMatrix] = None
 
     def check(self, hom: "TowerHom") -> None:
         """Raise ValueError when the represented levels contradict the rule."""
-
-    def compose(self, inner: "HomTail", inner_shift: int) -> "HomTail":
-        """The tail of self after inner; level n of the composite uses
-        inner's level n + inner_shift."""
-        if isinstance(inner, HomZeroTail):
-            return HomZeroTail(max(0, inner.start - inner_shift))
-        return HomTruncated()
-
-    def kernel_tail(self, hom: "TowerHom") -> Optional[TailRule]:
-        return None
-
-    def cokernel_route(self, hom: "TowerHom") -> Optional[tuple]:
-        """(start, cokernel module, projection, lift) when the cokernel's
-        tail levels are read off a module cokernel."""
-        return None
-
-    def cokernel_tail(self, hom: "TowerHom", route: Optional[tuple]) -> Optional[TailRule]:
-        return None
-
-
-@dataclass(frozen=True)
-class HomTruncated(HomTail):
-    pass
-
-
-@dataclass(frozen=True)
-class HomZeroTail(HomTail):
-    start: int
-
-    def check(self, hom):
-        for n in range(self.start, len(hom.levels)):
-            if not hom.levels[n].is_zero():
-                raise ValueError(f"zero hom tail contradicted at level {n}")
-
-    def compose(self, inner, inner_shift):
-        return HomZeroTail(self.start)
-
-    def kernel_tail(self, hom):
-        return _tail_from(hom.source, self.start, hom.top)
-
-    def cokernel_tail(self, hom, route):
-        return _tail_from(hom.target, self.start, hom.top)
-
-
-@dataclass(frozen=True)
-class HomCanonicalTail(HomTail):
-    """Beyond start the level maps are induced by the identity matrix
-    (canonical projections between module quotients)."""
-
-    start: int
-
-    def check(self, hom):
         for n in range(self.start, len(hom.levels)):
             f = hom.levels[n]
-            if not is_matrix_of(f, IntMatrix.identity(f.source.rank)):
-                raise ValueError(f"HomCanonicalTail(start={self.start}) contradicted at level {n}: "
-                                 f"the level map is not induced by the identity matrix")
+            if not (f.is_zero() if self.matrix is None else is_matrix_of(f, self.matrix)):
+                raise ValueError(f"{self!r} contradicted at level {n}")
+        if self.matrix is None:
+            return
+        a, b = classify_tail(hom.source), classify_tail(hom.target)
+        if a is None or b is None:
+            raise ValueError("a matrix hom rule needs towers with a tail")
+        if a.offset < b.offset:
+            # M/l^{n+1+a} -> N/l^{n+1+b} is induced by a module map only when a >= b
+            raise ValueError(f"source tail offset {a.offset} below the target's {b.offset}")
+        check_module_hom(self.matrix, eventually_module(hom.source), eventually_module(hom.target))
 
-    def compose(self, inner, inner_shift):
-        if isinstance(inner, HomCanonicalTail):
-            return HomCanonicalTail(max(self.start, inner.start - inner_shift, 0))
-        return super().compose(inner, inner_shift)
 
-    def cokernel_tail(self, hom, route):
-        # canonical projections are surjective, so the cokernel dies
-        if all(is_surjective(hom.level(n)) for n in range(self.start, hom.top + 1)):
-            return TailRule(self.start).fit(hom.top)
+def compose_rules(outer: Optional[HomRule], inner: Optional[HomRule],
+                  inner_shift: int) -> Optional[HomRule]:
+    """The rule of outer after inner, where level n of the composite uses
+    inner's level n + inner_shift."""
+    if outer is not None and outer.matrix is None:
+        return outer
+    if inner is not None and inner.matrix is None:
+        return HomRule(max(0, inner.start - inner_shift))
+    if outer is None or inner is None:
         return None
+    return HomRule(max(outer.start, inner.start - inner_shift, 0), outer.matrix @ inner.matrix)
 
 
-@dataclass(frozen=True)
-class HomModuleTail(HomTail):
-    """Beyond start the level maps are induced by a fixed module hom between
-    the tail modules of source and target."""
-
-    start: int
-    matrix: IntMatrix
-
-    def check(self, hom):
-        sm = eventually_module(hom.source)
-        tm = eventually_module(hom.target)
-        if sm is None or tm is None:
-            raise ValueError("module hom tail requires eventually-l-adic towers")
-        check_module_hom(self.matrix, sm, tm)
-        for n in range(self.start, len(hom.levels)):
-            if not is_matrix_of(hom.levels[n], self.matrix):
-                raise ValueError(f"HomModuleTail(start={self.start}) contradicted at level {n}: "
-                                 f"the level map is not induced by the tail's module matrix")
-
-    def compose(self, inner, inner_shift):
-        if isinstance(inner, HomModuleTail):
-            return HomModuleTail(max(self.start, inner.start - inner_shift, 0),
-                                 self.matrix @ inner.matrix)
-        return super().compose(inner, inner_shift)
-
-    def cokernel_route(self, hom):
-        sm = eventually_module(hom.source)
-        tm = eventually_module(hom.target)
-        if sm is None or tm is None:
-            return None
-        coker_mod, proj_mat, lift_mat = module_cokernel(self.matrix, sm, tm)
-        start = max(self.start, classify_tail(hom.source).start, classify_tail(hom.target).start)
-        return start, coker_mod, proj_mat, lift_mat
-
-    def cokernel_tail(self, hom, route):
-        if route is None:
-            return None
-        start, coker_mod, _, _ = route
-        return TailRule(start, coker_mod).fit(hom.top)
+def eventually_module(tower: Tower) -> Optional[ZlModule]:
+    """The module M of the tower's tail, with level n equal to
+    M/l^{n+1+offset} from the tail start on (the trivial module for a zero
+    tail), or None for a truncated tower."""
+    tail = classify_tail(tower)
+    if tail is None:
+        return None
+    return ZlModule(tower.l, ()) if tail.module is None else tail.module
 
 
 def _tail_from(f: Tower, start: int, top: int) -> Optional[TailRule]:
@@ -461,13 +398,16 @@ def _tail_from(f: Tower, start: int, top: int) -> Optional[TailRule]:
     return None if tail is None else replace(tail, start=max(start, tail.start)).fit(top)
 
 
-def eventually_module(tower: Tower) -> Optional[ZlModule]:
-    """The module M with level n equal to M/l^{n+1} from the tail start on (the
-    trivial module for a zero tail), or None for a truncated or offset tail."""
-    tail = classify_tail(tower)
-    if tail is None or tail.offset != 0:
+def _natural_rule(f: Tower) -> Optional[HomRule]:
+    """The rule of the identity of f and of the natural maps F[r] -> F: from
+    f's tail start on they are zero on a zero tail and induced by the
+    identity of f's tail module otherwise."""
+    tail = classify_tail(f)
+    if tail is None:
         return None
-    return ZlModule(tower.l, ()) if tail.module is None else tail.module
+    if tail.module is None:
+        return HomRule(tail.start)
+    return HomRule(tail.start, IntMatrix.identity(tail.module.rank))
 
 
 @dataclass(frozen=True, eq=False)
@@ -485,7 +425,7 @@ class TowerHom:
     source: Tower
     target: Tower
     levels: tuple[GroupHom, ...]
-    tail: HomTail = HomTruncated()
+    tail: Optional[HomRule] = None      # None: truncated, nothing known beyond top
 
     def __post_init__(self):
         if self.source.l != self.target.l:
@@ -500,17 +440,19 @@ class TowerHom:
             right = self.target.transition(n + 1).compose(self.levels[n + 1])
             if left != right:
                 raise ValueError(f"square at levels {n + 1} -> {n} does not commute")
-        self.tail.check(self)
+        if self.tail is not None:
+            self.tail.check(self)
 
     @classmethod
     def _of(cls, source: Tower, target: Tower, levels: tuple[GroupHom, ...],
-            tail: HomTail) -> "TowerHom":
+            tail: Optional[HomRule]) -> "TowerHom":
         """Trusted constructor: skips the endpoint and naturality checks of
         ``__post_init__`` but keeps the tail check.  Only for levels that are
         natural maps between the levels of source and target."""
         hom = object.__new__(cls)
         hom.__dict__.update(source=source, target=target, levels=levels, tail=tail)
-        tail.check(hom)
+        if tail is not None:
+            tail.check(hom)
         return hom
 
     @property
@@ -528,7 +470,7 @@ class TowerHom:
 
 def identity_tower_hom(f: Tower) -> TowerHom:
     levels = tuple(identity_hom(f.level(n)) for n in range(f.top + 1))
-    return TowerHom._of(f, f, levels, HomCanonicalTail(0))
+    return TowerHom._of(f, f, levels, _natural_rule(f))
 
 
 def zero_tower_hom(source: Tower, target: Tower) -> TowerHom:
@@ -536,7 +478,7 @@ def zero_tower_hom(source: Tower, target: Tower) -> TowerHom:
         raise PrimeMismatch("tower hom across different primes")
     k = min(source.top, target.top)
     levels = tuple(zero_hom(source.level(n), target.level(n)) for n in range(k + 1))
-    return TowerHom._of(source, target, levels, HomZeroTail(0))
+    return TowerHom._of(source, target, levels, HomRule(0))
 
 
 # -- elementary tower operations -------------------------------------------------
@@ -595,11 +537,7 @@ def natural_map(f: Tower, r: int) -> TowerHom:
     # level n is the composite F_{n+r} -> F_n, and both sides of each square
     # are the composite F_{n+1+r} -> F_n, whose reduced matrix is unique
     levels = tuple(f.composite(n, r) for n in range(k + 1))
-    tail = classify_tail(f)
-    if tail is None:
-        return TowerHom._of(src, f, levels, HomTruncated())
-    kind = HomZeroTail if tail.module is None else HomCanonicalTail
-    return TowerHom._of(src, f, levels, kind(tail.start))
+    return TowerHom._of(src, f, levels, _natural_rule(f))
 
 
 def mod_power(f: Tower, k: int) -> Tower:
@@ -660,10 +598,10 @@ def sum_embeddings(f: Tower, g: Tower) -> tuple[Tower, TowerHom, TowerHom, Tower
     incl_f, incl_g, proj_f, proj_g = zip(*(direct_sum_with_maps(f.level(n), g.level(n))[1:]
                                            for n in range(summed.top + 1)))
     return (summed,
-            TowerHom._of(f, summed, incl_f, HomTruncated()),
-            TowerHom._of(g, summed, incl_g, HomTruncated()),
-            TowerHom._of(summed, f, proj_f, HomTruncated()),
-            TowerHom._of(summed, g, proj_g, HomTruncated()))
+            TowerHom._of(f, summed, incl_f, None),
+            TowerHom._of(g, summed, incl_g, None),
+            TowerHom._of(summed, f, proj_f, None),
+            TowerHom._of(summed, g, proj_g, None))
 
 
 # -- levelwise kernels and cokernels ------------------------------------------------
@@ -687,24 +625,33 @@ def induced_subtower(parent: Tower, data: list[tuple[FinAbGroup, GroupHom]],
         maps.append(u)
     tower = Tower(parent.l, groups, tuple(maps), tail=tail)
     # each transition is the corestriction with incl_{n-1}.u_n = u^parent_n.incl_n
-    return tower, TowerHom._of(tower, parent, incls, HomTruncated())
+    return tower, TowerHom._of(tower, parent, incls, None)
 
 
 def levelwise_kernel(f: TowerHom) -> tuple[Tower, TowerHom]:
     """(K, incl) with K_n = ker(f_n) and the induced transitions."""
     data = [(fn.source, identity_hom(fn.source)) if fn.is_zero() else hom_kernel(fn)
             for fn in f.levels]
-    return induced_subtower(f.source, data, f.tail.kernel_tail(f))
+    zero_rule = f.tail is not None and f.tail.matrix is None
+    tail = _tail_from(f.source, f.tail.start, f.top) if zero_rule else None
+    return induced_subtower(f.source, data, tail)
 
 
 def levelwise_cokernel(f: TowerHom) -> tuple[Tower, TowerHom]:
     """(C, proj) with C_n = coker(f_n) and the induced transitions."""
-    route = f.tail.cokernel_route(f)
+    rule, tail, coker_start = f.tail, None, None
+    if rule is not None and rule.matrix is None:
+        tail = _tail_from(f.target, rule.start, f.top)
+    elif rule is not None and classify_tail(f.target).offset == 0:
+        # level n of the cokernel is coker/l^{n+1} from the tails' starts on
+        coker_mod, proj_mat, lift_mat = module_cokernel(
+            rule.matrix, eventually_module(f.source), eventually_module(f.target))
+        coker_start = max(rule.start, classify_tail(f.source).start, classify_tail(f.target).start)
+        tail = TailRule(coker_start, coker_mod).fit(f.top)
     data = []
     for n in range(f.top + 1):
         fn = f.level(n)
-        if route is not None and n >= route[0]:
-            _, coker_mod, proj_mat, lift_mat = route
+        if coker_start is not None and n >= coker_start:
             cq = coker_mod.quotient_group(n + 1)
             data.append((cq, GroupHom(fn.target, cq, proj_mat), lift_mat))
         elif fn.is_zero():
@@ -721,8 +668,8 @@ def levelwise_cokernel(f: TowerHom) -> tuple[Tower, TowerHom]:
     maps = tuple(GroupHom._of(groups[n], groups[n - 1], reduce_matrix(
         projs[n - 1].matrix @ f.target.transition(n).matrix @ lifts[n],
         groups[n - 1].invariant_factors)) for n in range(1, len(data)))
-    tower = Tower(f.target.l, groups, maps, tail=f.tail.cokernel_tail(f, route))
-    return tower, TowerHom._of(f.target, tower, projs, HomTruncated())
+    tower = Tower(f.target.l, groups, maps, tail=tail)
+    return tower, TowerHom._of(f.target, tower, projs, None)
 
 
 # -- predicates -------------------------------------------------------------------

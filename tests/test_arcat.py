@@ -21,7 +21,7 @@ from arl.groups import FinAbGroup, GroupHom, identity_hom, trivial_group, zero_h
 from arl.intmat import IntMatrix
 from arl.limits import to_tower
 from arl.towers import (
-    HomModuleTail,
+    HomRule,
     TailRule,
     Tower,
     TowerHom,
@@ -60,7 +60,7 @@ def mult_l_endo(t, levels=None):
         t, t,
         tuple(GroupHom(t.level(n), t.level(n), IntMatrix.diagonal([L] * t.level(n).rank))
               for n in range(hi + 1)),
-        tail=HomModuleTail(0, IntMatrix.diagonal([L] * ZL.rank)),
+        tail=HomRule(0, IntMatrix.diagonal([L] * ZL.rank)),
     )
 
 
@@ -70,6 +70,20 @@ class TestCompose:
         f = ar_from_tower_hom(mult_l_endo(t))
         assert ar_equal(ar_compose(f, ar_identity(t)), f)
         assert ar_equal(ar_compose(ar_identity(t), f), f)
+        # the identity's rule is the identity matrix, so the composite keeps f's rule
+        assert ar_compose(ar_identity(t), f).rep.tail == f.rep.tail
+
+    def test_matrix_rule_starts_where_both_rules_hold(self):
+        # the source transition u_1 is zero, so f can be the identity of Z/2
+        # at level 0 and doubling beyond: its matrix rule starts at 1
+        t = zl_tower(5)
+        src = Tower(L, t.groups, (zero_hom(t.level(1), t.level(0)),) + t.maps[1:],
+                    tail=TailRule(1, ZL))
+        two = IntMatrix.from_rows([[2]])
+        f = TowerHom(src, t, (identity_hom(t.level(0)),) + tuple(
+            GroupHom(t.level(n), t.level(n), two) for n in range(1, 5)), tail=HomRule(1, two))
+        comp = ar_compose(ar_identity(t), ar_from_tower_hom(f))
+        assert comp.rep.tail == HomRule(1, two)
 
     def test_natural_maps_compose(self):
         t = zl_tower()
@@ -88,6 +102,9 @@ class TestCompose:
         f = ar_from_tower_hom(mult_l_endo(t))
         z = ar_zero(t, t)
         assert ar_equal(ar_compose(f, z), z)
+        # a zero rule from level 2 holds from level 1 after an outer shift of 1
+        late = ar_from_tower_hom(TowerHom(t, t, z.rep.levels, tail=HomRule(2)))
+        assert ar_compose(reshift(f, 1), late).rep.tail == HomRule(1)
 
 
 class TestEqual:
@@ -242,6 +259,21 @@ class TestCertify:
         assert w
         assert w.certificate.iso.rep.source.levelwise_equal(shift(s, w.certificate.iso.shift_amount))
         assert is_l_adic(w.certificate.tower)
+
+    def test_truncation_shift_witness(self):
+        # level 0 is Z/2, where Z/2 + Z/2 would be l-adic: the normalization
+        # truncates one level (r = 1) with no stabilization shift (s = 0)
+        groups = (FinAbGroup((2,), prime_support=L),) + tuple(
+            FinAbGroup((2, 2 ** (n + 1)), prime_support=L) for n in range(1, 6))
+        maps = (GroupHom(groups[1], groups[0], IntMatrix.from_rows([[1, 0]])),) + tuple(
+            GroupHom(groups[n], groups[n - 1], IntMatrix.identity(2)) for n in range(2, 6))
+        f = Tower(L, groups, maps, TailRule(1, ZlModule(L, (1,), 1)))
+        w = certify_ar_l_adic(f)
+        c = w.certificate
+        assert w and (c.shift, c.ml_bound, c.iso.shift_amount) == (1, 0, 1)
+        assert c.kernel_cert.radius == 1
+        assert ar_is_isomorphism(c.iso) and ar_is_isomorphism(c.inverse)
+        assert c.iso.rep.source.levelwise_equal(shift(f, 1))
 
     def test_non_stabilizing_images_refused(self):
         # exponent floor keeps every image chain strictly shrinking in-prefix

@@ -158,6 +158,16 @@ class TestLimit:
         assert code == 0
         assert "limit: Zl^1" in out
 
+    def test_huge_tail_rank_exit_2(self, capsys, sample):
+        with open(sample) as fh:
+            doc = json.load(fh)
+        doc["modules"]["M"] = "Zl^100000000000000000000"
+        with open(sample, "w") as fh:
+            json.dump(doc, fh)
+        code, _, err = run(capsys, "limit", "--file", sample, "--tower", "noisy")
+        assert code == 2
+        assert "tower 'zl': tail does not match level 0" in err
+
 
 class TestUpsilonPsi:
     def test_symbolic_index(self, capsys, sample):

@@ -16,12 +16,20 @@ The files under ``data/golden`` hold, without their ``timing:`` line:
   of the checkout with ``PYTHONPATH=src``, without its ``timing:`` lines and
   with the checkout path written as ``.``, for the seven demos
   ``01_smith_normal_form`` to ``07_cli_and_verification``.  The "Demos" step
-  of ``tier1.yml`` diffs each one; no test here reads them.
+  of ``tier1.yml`` diffs each one; no test here reads them;
+- ``cli-towergen-seed1.txt``: ``normalize``, ``limit``, ``upsilon --h`` and
+  ``psi --h`` on every tower of the nine files that ``perfbench/towergen.py``
+  writes for seed 1 (the eight seeded files and the random-coupling one),
+  at the index terms it draws: the commands of the benchmark's
+  ``cli-towerfile`` workload, run in-process on files written under a
+  temporary directory, whose path is written as ``<dir>``.
 
 A change that alters any other line of a report fails here (or in that
 step); regenerate a golden file only for an intended change of output.
 """
 
+import json
+import runpy
 from pathlib import Path
 
 import pytest
@@ -55,3 +63,23 @@ def test_cli_report_matches_golden(capsys, monkeypatch, command, tower):
     assert main(argv) == 0
     expected = (GOLDEN / f"cli-{command}-{tower}.txt").read_text().splitlines()
     assert _body(capsys.readouterr().out) == expected
+
+
+def test_towergen_reports_match_golden(capsys, tmp_path):
+    # run as a script, so that nothing (not even a bytecode cache) is written under perfbench/
+    towergen = runpy.run_path(str(ROOT / "perfbench" / "towergen.py"))
+    files = [towergen["make_file"](1, index) for index in range(8)]
+    files.append(towergen["make_coupled_file"]())
+    lines = []
+    for index, (data, expect) in enumerate(files):
+        path = tmp_path / f"file{index}.arl.json"
+        path.write_text(json.dumps(data, indent=1))
+        for tower, exp in expect.items():
+            base = ["-f", str(path), "-t", tower]
+            for argv in (["normalize"] + base, ["limit"] + base,
+                         ["upsilon"] + base + ["--h", exp["upsilon_h"]],
+                         ["psi"] + base + ["--h", exp["psi_h"]]):
+                assert main(argv) == 0
+                lines += [line.replace(str(tmp_path), "<dir>")
+                          for line in _body(capsys.readouterr().out)]
+    assert lines == (GOLDEN / "cli-towergen-seed1.txt").read_text().splitlines()

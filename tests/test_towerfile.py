@@ -194,6 +194,14 @@ class TestDiagnostics:
         with pytest.raises(TowerFileError, match="'T'"):
             load_tower_data(doc)
 
+    def test_huge_tail_rank_rejected_before_its_quotients_are_built(self):
+        # no listed level has rank 10^20, and M/l^{n+1} of that rank cannot
+        # be built: the ranks are compared first
+        doc = base_doc()
+        doc["modules"]["M"] = "Zl^100000000000000000000"
+        with pytest.raises(TowerFileError, match="'T': tail does not match level 0"):
+            load_tower_data(doc)
+
     @pytest.mark.parametrize("mutate, field", [
         pytest.param(lambda d: d["groups"]["A1"].update(factors=[4.5]),
                      r"group 'A1': factor 0", id="float-factor"),

@@ -36,9 +36,7 @@ from arl.groups import (
 from arl.intmat import IntMatrix
 from arl.limits import to_tower
 from arl.towers import (
-    HomCanonicalTail,
-    HomModuleTail,
-    HomZeroTail,
+    HomRule,
     TailRule,
     Tower,
     TowerHom,
@@ -247,7 +245,7 @@ class TestLevelwise:
             t, t,
             tuple(GroupHom(t.level(n), t.level(n), IntMatrix.from_rows([[L]]))
                   for n in range(6)),
-            tail=HomModuleTail(0, IntMatrix.from_rows([[L]])),
+            tail=HomRule(0, IntMatrix.from_rows([[L]])),
         )
         c, _ = levelwise_cokernel(mult)
         assert all(c.level(n).invariant_factors == (L,) for n in range(c.top + 1))
@@ -263,7 +261,7 @@ class TestLevelwise:
             t, t,
             tuple(GroupHom(t.level(n), t.level(n), IntMatrix.from_rows([[L]]))
                   for n in range(6)),
-            tail=HomModuleTail(0, IntMatrix.from_rows([[L]])),
+            tail=HomRule(0, IntMatrix.from_rows([[L]])),
         )
         k, _ = levelwise_kernel(mult)
         assert all(k.level(n).invariant_factors == (L,) for n in range(k.top + 1))
@@ -521,13 +519,14 @@ class TestHomTailContradictions:
         t = constant_tower(L, FinAbGroup((4,), prime_support=L), 2)
         levels = tuple(zero_hom(s.level(n), t.level(n)) for n in range(2))
         for build in (TowerHom, TowerHom._of):
-            with pytest.raises(ValueError, match=r"HomCanonicalTail\(start=0\) contradicted at level 0"):
-                build(s, t, levels, HomCanonicalTail(0))
+            with pytest.raises(ValueError, match=r"HomRule\(start=0, matrix=.*\) contradicted at level 0"):
+                build(s, t, levels, HomRule(0, IntMatrix.identity(1)))
 
     def test_canonical_tail_that_holds(self):
         t = zl_tower(4)
-        f = TowerHom(t, t, tuple(identity_hom(t.level(n)) for n in range(5)), HomCanonicalTail(1))
-        assert f.tail == HomCanonicalTail(1)
+        one = IntMatrix.identity(1)
+        f = TowerHom(t, t, tuple(identity_hom(t.level(n)) for n in range(5)), HomRule(1, one))
+        assert f.tail == HomRule(1, one)
         assert all(f.level(n) == identity_hom(t.level(n)) for n in range(f.top + 1))
 
     def test_module_tail_not_defined_on_a_level(self):
@@ -538,11 +537,22 @@ class TestHomTailContradictions:
         levels = (GroupHom(s.level(0), z4, IntMatrix.from_rows([[2]])),
                   GroupHom(s.level(1), z4, IntMatrix.from_rows([[2]])))
         one = IntMatrix.from_rows([[1]])
-        with pytest.raises(ValueError, match=r"HomModuleTail\(start=0\) contradicted at level 0"):
-            TowerHom(s, t, levels, HomModuleTail(0, one))
-        with pytest.raises(ValueError, match=r"HomModuleTail\(start=1\) contradicted at level 1"):
-            TowerHom(s, t, levels, HomModuleTail(1, one))
-        assert TowerHom(s, t, levels, HomModuleTail(1, IntMatrix.from_rows([[2]]))).top == 1
+        with pytest.raises(ValueError, match=r"HomRule\(start=0, matrix=.*\) contradicted at level 0"):
+            TowerHom(s, t, levels, HomRule(0, one))
+        with pytest.raises(ValueError, match=r"HomRule\(start=1, matrix=.*\) contradicted at level 1"):
+            TowerHom(s, t, levels, HomRule(1, one))
+        assert TowerHom(s, t, levels, HomRule(1, IntMatrix.from_rows([[2]]))).top == 1
+
+    def test_matrix_rule_needs_a_source_offset_at_least_the_target_offset(self):
+        # doubling Z/2^{n+1} -> Z/2^{n+2} is natural, but no module map
+        # Z_l -> Z_l induces it
+        s, t = zl_tower(4), shift(zl_tower(5), 1)
+        two = IntMatrix.from_rows([[2]])
+        levels = tuple(GroupHom(s.level(n), t.level(n), two) for n in range(4))
+        with pytest.raises(ValueError, match="source tail offset 0 below the target's 1"):
+            TowerHom(s, t, levels, HomRule(0, two))
+        # the other way round the identity matrix induces the natural map F[1] -> F
+        assert natural_map(zl_tower(5), 1).tail == HomRule(0, IntMatrix.identity(1))
 
 
 
@@ -558,22 +568,23 @@ class TestHomTailAlgebra:
             with pytest.raises(TruncatedTower, match=f"hom level {n} beyond"):
                 z.level(n)
         levels = tuple(zero_hom(s.level(n), t.level(n)) for n in range(2))
-        late = TowerHom(s, t, levels, HomZeroTail(4))
+        late = TowerHom(s, t, levels, HomRule(4))
         for n in (2, 4):
             with pytest.raises(TruncatedTower):
                 late.level(n)
 
-    @pytest.mark.parametrize("kind", ["HomTruncated", "HomCanonicalTail", "HomModuleTail"])
+    @pytest.mark.parametrize("kind", ["truncated", "identity", "module"])
     def test_levels_beyond_the_prefix_raise(self, kind):
         # zero tails: test_zero_tail_levels_beyond_the_prefix
         t = zl_tower(3)
-        if kind == "HomTruncated":
-            f = TowerHom(t, t, tuple(identity_hom(t.level(n)) for n in range(3)))
-        elif kind == "HomCanonicalTail":
-            f = identity_tower_hom(t)
+        if kind == "truncated":
+            f, tail = TowerHom(t, t, tuple(identity_hom(t.level(n)) for n in range(3))), None
+        elif kind == "identity":
+            f, tail = identity_tower_hom(t), HomRule(0, IntMatrix.identity(1))
         else:
-            f = module_hom_tower_map(IntMatrix.from_rows([[L]]), ZL, ZL, 3)
-        assert type(f.tail).__name__ == kind
+            mat = IntMatrix.from_rows([[L]])
+            f, tail = module_hom_tower_map(mat, ZL, ZL, 3), HomRule(0, mat)
+        assert f.tail == tail
         assert f.level(f.top) == f.levels[-1]
         for n in (f.top + 1, f.top + 5):
             with pytest.raises(TruncatedTower, match=f"hom level {n} beyond"):
@@ -585,6 +596,16 @@ class TestHomTailAlgebra:
         assert c.levelwise_equal(t)
         assert classify_tail(c) == classify_tail(t)
 
+    def test_cokernel_of_a_matrix_rule_between_offset_tails(self):
+        # Z/2^{n+2} -> (Z/2^{n+2})^2 onto the first summand: the cokernel is
+        # Z/2^{n+2}, not Z_l/l^{n+1} of the module cokernel
+        s, t = shift(zl_tower(6), 1), shift(to_tower(ZlModule(L, (), 2), 6), 1)
+        first = IntMatrix.from_rows([[1], [0]])
+        f = TowerHom(s, t, tuple(GroupHom(s.level(n), t.level(n), first) for n in range(6)),
+                     tail=HomRule(0, first))
+        c, _ = levelwise_cokernel(f)
+        assert c.describe_levels() == [f"Z/{2 ** (n + 2)}" for n in range(6)]
+
     def test_zero_tail_above_a_nonzero_level(self):
         # level 0 is the identity of Z/2, later levels are zero: below the
         # hom tail's start the cokernel is a proper quotient of the target,
@@ -593,7 +614,7 @@ class TestHomTailAlgebra:
         z2 = FinAbGroup((2,), prime_support=L)
         source = Tower(L, (z2,) * 6, (zero_hom(z2, z2),) * 5)
         levels = (identity_hom(z2),) + tuple(zero_hom(z2, target.level(n)) for n in range(1, 6))
-        f = TowerHom(source, target, levels, tail=HomZeroTail(1))
+        f = TowerHom(source, target, levels, tail=HomRule(1))
         c, _ = levelwise_cokernel(f)
         assert c.describe_levels() == ["0", "Z/4", "Z/8", "Z/16", "Z/32", "Z/64"]
         assert classify_tail(c) == TailRule(1, ZL)
@@ -608,11 +629,11 @@ class TestHomTailAlgebra:
         both = direct_sum(constant_tower(L, z2, 3), constant_tower(L, z2, 3))
         first = IntMatrix.from_rows([[1, 0]])
         proj = TowerHom(both, one, tuple(GroupHom(both.level(n), z2, first) for n in range(3)),
-                        tail=HomZeroTail(3))
+                        tail=HomRule(3))
         k, _ = levelwise_kernel(proj)
         assert k.describe_levels() == ["Z/2"] * 3 and k.tail is None
         incl = TowerHom(one, both, tuple(GroupHom(z2, both.level(n), first.transpose())
-                                         for n in range(3)), tail=HomZeroTail(3))
+                                         for n in range(3)), tail=HomRule(3))
         c, _ = levelwise_cokernel(incl)
         assert c.describe_levels() == ["Z/2"] * 3 and c.tail is None
 

@@ -16,7 +16,7 @@ from arl.hypernat import HyperNat
 from arl.intmat import IntMatrix
 from arl.limits import to_tower
 from arl.towers import (
-    HomModuleTail,
+    HomRule,
     TailRule,
     Tower,
     TowerHom,
@@ -155,7 +155,7 @@ class TestUpsilonMor:
             t, t,
             tuple(GroupHom(t.level(n), t.level(n), IntMatrix.from_rows([[L]]))
                   for n in range(t.top + 1)),
-            tail=HomModuleTail(0, IntMatrix.from_rows([[L]])),
+            tail=HomRule(0, IntMatrix.from_rows([[L]])),
         ))
 
     def test_identity(self):
