@@ -18,6 +18,7 @@ from .groups import (
     corestrict,
     element_in_multiples,
     hom_kernel,
+    identity_hom,
     image_lattice,
     induced_on_quotient,
     is_exact_at,
@@ -179,12 +180,13 @@ def stable_image_bound(f: Tower, bound: Optional[int] = None) -> Verdict:
     def compute() -> Verdict:
         shape = classify_tail(f)
         if shape is not None:
-            # the true stable image is im(F_max(m, start) -> F_m); find the
-            # least s whose images already agree with it
-            targets = [image_lattice(f.composite(m, max(0, shape.start - m)))
-                       for m in range(f.top + 1)]
+            # the true stable image is im(F_start -> F_m) below the start; find
+            # the least s whose images already agree with it.  From the start on
+            # the composites are onto (or the levels trivial) at every shift.
+            below = range(min(shape.start, f.top + 1))
+            targets = [image_lattice(f.composite(m, shape.start - m)) for m in below]
             for s in range(bound + 1):
-                if all(image_lattice(f.composite(m, s)) == targets[m] for m in range(f.top + 1)):
+                if all(image_lattice(f.composite(m, s)) == targets[m] for m in below):
                     return Verdict.yes(MLBound(s, scope="tail"))
             return Verdict.unknown(note=f"images do not stabilize within bound {bound}")
         # truncated: require two consecutive confirming shifts inside the prefix
@@ -208,8 +210,13 @@ def stable_image_tower(f: Tower, s: Optional[int] = None,
     hi = f.top if f.can_extend() else f.top - s
     if hi < 0:
         raise NotARladic("prefix too short for the requested stabilization shift")
+    tail = classify_tail(f)
+    # from the tail start on the composites are onto (or the levels trivial),
+    # so the stable image is the whole level
+    start = hi + 1 if tail is None else tail.start
     data = [subgroup_from_lattice(f.level(m), f.composite(m, s).matrix,
                                   transport_labels=f.level(m).operator_labels())
+            if m < start else (f.level(m), identity_hom(f.level(m)))
             for m in range(hi + 1)]
     return induced_subtower(f, data, f.tail)
 

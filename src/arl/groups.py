@@ -497,6 +497,8 @@ def corestrict(incl: GroupHom, f: GroupHom) -> Optional[GroupHom]:
     """
     if f.target != incl.target:
         raise CompositionMismatch("corestriction: f and incl have different targets")
+    if incl.source == incl.target and incl.matrix.is_identity():
+        return f
     cols = solve_mod(incl.matrix, incl.target.invariant_factors, f.matrix)
     if None in cols:
         return None

@@ -559,11 +559,15 @@ def mod_power(f: Tower, k: int) -> Tower:
 
 def ladic_truncation(f: Tower) -> Tower:
     """The tower with level n equal to F_n / l^{n+1}."""
-    groups = tuple(quotient_with_maps(f.level(n), f.l ** (n + 1))[0] for n in range(f.top + 1))
-    maps = tuple(hom_on_quotients(f.transition(n), f.l ** (n + 1), f.l ** n)
-                 for n in range(1, f.top + 1))
     tail = classify_tail(f)
-    # M / l^{n+1+offset} truncates to M / l^{n+1} from the same start on
+    # M / l^{n+1+offset} truncates to M / l^{n+1} from the same start on,
+    # with the canonical projections between those levels
+    m = None if tail is None else tail.module
+    start = f.top + 1 if m is None else tail.start
+    groups = tuple(quotient_with_maps(f.level(n), f.l ** (n + 1))[0] if n < start
+                   else m.quotient_group(n + 1) for n in range(f.top + 1))
+    maps = tuple(hom_on_quotients(f.transition(n), f.l ** (n + 1), f.l ** n) if n <= start
+                 else m.quotient_projection(n + 1, n) for n in range(1, f.top + 1))
     return Tower(f.l, groups, maps, tail=None if tail is None else replace(tail, offset=0))
 
 
@@ -708,9 +712,11 @@ def is_l_adic(f: Tower) -> Verdict:
 
     def compute() -> Verdict:
         tail = classify_tail(f)
-        # With a certified tail, check levels up to where the tail's normal
-        # form takes over (plus one square tying the prefix to the tail).
-        hi = f.top if tail is None else max(f.top + 1, tail.start)
+        # With a verified tail, check levels up to its start: beyond it the
+        # levels are M/l^{n+1+offset} (or trivial) with canonical projections,
+        # which pass both checks at offset 0, and level start fails the
+        # annihilator at a positive offset
+        hi = f.top if tail is None else tail.start
         for n in range(hi + 1):
             e = f.level(n).exponent()
             if e != 1 and (f.l ** (n + 1)) % e != 0:
@@ -727,10 +733,6 @@ def is_l_adic(f: Tower) -> Verdict:
                                note="verified on the represented prefix of a truncated tower")
         if tail.module is None:
             return Verdict.yes(LAdicCert(scope="tail"), note="eventually trivial tail")
-        if tail.offset == 0:
-            return Verdict.yes(LAdicCert(scope="tail"))
-        # strictly shifted module quotients violate the annihilator at tail levels
-        return Verdict.no(witness=("annihilator", max(tail.start, f.top + 1)),
-                          note="tail levels carry l-power torsion above l^{n+1}")
+        return Verdict.yes(LAdicCert(scope="tail"))
 
     return f.cached(("l_adic",), compute)

@@ -22,6 +22,7 @@ from arl.intmat import IntMatrix
 from arl.limits import to_tower
 from arl.towers import (
     HomRule,
+    MLBound,
     TailRule,
     Tower,
     TowerHom,
@@ -178,6 +179,30 @@ class TestStableImages:
     def test_zero_system_stabilizes_to_trivial(self):
         st, _ = stable_image_tower(zero_tail_tower())
         assert all(st.level(k).is_trivial() for k in range(st.top + 1))
+
+    @pytest.mark.parametrize("with_tail", [True, False])
+    def test_bound_is_searched_up_to_itself_and_no_further(self, with_tail):
+        # Zl + (Z/2 for 3 levels): the images lose the Z/2 summand at shift 3
+        s = direct_sum(zl_tower(), zero_tail_tower(3))
+        f = s if with_tail else Tower(L, s.groups, s.maps)
+        v = stable_image_bound(f, bound=3)
+        assert v and v.certificate == MLBound(3, scope="tail" if with_tail else "prefix")
+        assert stable_image_bound(f, bound=2).is_unknown
+
+    def test_level_below_the_tail_start_is_compared(self):
+        # Zl from level 1 on, under a Z/2 at level 0 that transition 1 misses:
+        # the tail starts at 1 and the images at level 0 settle at shift 1
+        t = zl_tower(6)
+        f = Tower(L, t.groups, (zero_hom(t.level(1), t.level(0)),) + t.maps[1:],
+                  tail=TailRule(1, ZL))
+        assert stable_image_bound(f).certificate == MLBound(1, scope="tail")
+
+    def test_truncated_bound_needs_one_confirming_level(self):
+        # shift 3 is confirmed by comparing F_4 -> F_0 with F_3 -> F_0
+        s = direct_sum(zl_tower(), zero_tail_tower(3))
+        assert stable_image_bound(Tower(L, s.groups[:5], s.maps[:4]), bound=8).certificate == \
+            MLBound(3, scope="prefix")
+        assert stable_image_bound(Tower(L, s.groups[:4], s.maps[:3]), bound=8).is_unknown
 
     def test_s_independence(self):
         s = direct_sum(zl_tower(), zero_tail_tower(2))

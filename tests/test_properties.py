@@ -10,6 +10,8 @@ from arl.arcat import (
     ar_is_isomorphism,
     canonical_l_adic,
     certify_ar_l_adic,
+    stable_image_bound,
+    stable_image_tower,
 )
 from arl.gen import (
     GenParams,
@@ -22,15 +24,31 @@ from arl.gen import (
     random_zl_module,
     rng_for,
 )
-from arl.groups import FinAbGroup, GroupHom, is_surjective
+from arl.groups import (
+    FinAbGroup,
+    GroupHom,
+    corestrict,
+    hom_is_isomorphism,
+    hom_on_quotients,
+    identity_hom,
+    image_lattice,
+    induced_on_quotient,
+    is_surjective,
+    kills_multiples,
+    quotient_with_maps,
+    subgroup_from_lattice,
+)
 from arl.hypernat import HyperNat
 from arl.intmat import IntMatrix
 from arl.limits import limit, to_tower
 from arl.towers import (
+    LAdicCert,
     TowerHom,
+    classify_tail,
     direct_sum,
     is_l_adic,
     is_zero_system,
+    ladic_truncation,
     levelwise_kernel,
     natural_map,
     shift,
@@ -286,6 +304,96 @@ class TestLimitInvariants:
             l = random_prime(rng, PARAMS)
             f = random_ar_l_adic(rng, l, PARAMS)
             assert tensor_zl(upsilon(f, H)) == limit(canonical_l_adic(f).tower)
+
+
+def _reference_is_l_adic(f):
+    """is_l_adic read on every level up to top + 1 (top for a truncated tower)."""
+    tail = classify_tail(f)
+    hi = f.top if tail is None else f.top + 1
+    for n in range(hi + 1):
+        if not kills_multiples(identity_hom(f.level(n)), f.l ** (n + 1)):
+            return "no", ("annihilator", n), None
+    for n in range(hi):
+        if not hom_is_isomorphism(induced_on_quotient(f.transition(n + 1), f.l ** (n + 1))):
+            return "no", ("induced-map", n), None
+    return "yes", None, LAdicCert(scope="prefix" if tail is None else "tail")
+
+
+def _sample_tower(seed, case, kind, r):
+    rng = rng_for(seed, case)
+    l = random_prime(rng, PARAMS)
+    if kind == "ar":
+        f = random_ar_l_adic(rng, l, PARAMS)
+    elif kind == "zero":
+        f = random_zero_system(rng, l, PARAMS, certified_only=False)
+    else:
+        f = to_tower(random_zl_module(rng, l, PARAMS), PARAMS.levels)
+    return shift(f, r), rng
+
+
+sampled_towers = st.builds(_sample_tower, st.integers(0, 10 ** 6), st.integers(0, 99),
+                           st.sampled_from(["ar", "zero", "module"]), st.integers(0, 2))
+
+
+class TestClosedFormTails:
+    """From a verified tail start on, the normalization takes levels in closed
+    form; each shortcut must agree with the levelwise computation."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(sampled_towers)
+    def test_is_l_adic_matches_every_level(self, sample):
+        f, _ = sample
+        v = is_l_adic(f)
+        assert (v.status, v.witness, v.certificate) == _reference_is_l_adic(f)
+
+    @settings(max_examples=40, deadline=None)
+    @given(sampled_towers, st.integers(0, 4))
+    def test_stable_image_bound_matches_every_level(self, sample, bound):
+        f, _ = sample
+        tail = classify_tail(f)
+        if tail is None:
+            return
+        # the least s whose images equal im(F_max(m, start) -> F_m) at every level
+        targets = [image_lattice(f.composite(m, max(0, tail.start - m))) for m in range(f.top + 1)]
+        found = [s for s in range(bound + 1)
+                 if all(image_lattice(f.composite(m, s)) == targets[m] for m in range(f.top + 1))]
+        v = stable_image_bound(f, bound)
+        assert (v.certificate.bound if v else None) == (found[0] if found else None)
+
+    @settings(max_examples=30, deadline=None)
+    @given(sampled_towers, st.integers(0, 1))
+    def test_stable_image_tower_matches_every_level(self, sample, extra):
+        f, _ = sample
+        sb = stable_image_bound(f, 6)
+        if not sb:
+            return
+        s = sb.certificate.bound + extra
+        if not f.can_extend() and s > f.top:
+            return
+        stable, incl = stable_image_tower(f, s)
+        for m in range(stable.top + 1):
+            sub, sub_incl = subgroup_from_lattice(
+                f.level(m), f.composite(m, s).matrix,
+                transport_labels=f.level(m).operator_labels())
+            assert stable.level(m) == sub and incl.levels[m] == sub_incl
+
+    @settings(max_examples=40, deadline=None)
+    @given(sampled_towers)
+    def test_ladic_truncation_matches_every_level(self, sample):
+        f, _ = sample
+        g = ladic_truncation(f)
+        for n in range(g.top + 1):
+            assert g.level(n) == quotient_with_maps(f.level(n), f.l ** (n + 1))[0]
+        for n in range(1, g.top + 1):
+            assert g.transition(n) == hom_on_quotients(f.transition(n), f.l ** (n + 1), f.l ** n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(sampled_towers)
+    def test_corestriction_along_an_identity(self, sample):
+        f, rng = sample
+        a, b = f.level(rng.randint(0, f.top)), f.level(rng.randint(0, f.top))
+        h = random_hom(rng, a, b)
+        assert corestrict(identity_hom(b), h) == h
 
 
 class TestOperatorTransport:

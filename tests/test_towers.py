@@ -112,6 +112,24 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Tower(2, (g, g), (identity_hom(g),), tail=TailRule(0))
 
+    def test_tail_check_reads_the_first_transition_past_its_start(self):
+        # every level is Zl/3^{n+1}, but transition 1 is multiplication by the
+        # unit 2 of Z/3 rather than the canonical projection (at l = 2 there
+        # is no such unit, so the levels alone would fix the transition)
+        zl3 = ZlModule(3, (), 1)
+        t = to_tower(zl3, 4)
+        doubled = GroupHom(t.level(1), t.level(0), IntMatrix.from_rows([[2]]))
+        with pytest.raises(ValueError, match="transition 1 is not the canonical projection"):
+            Tower(3, t.groups, (doubled,) + t.maps[1:], tail=TailRule(0, zl3))
+
+    def test_levelwise_equal_compares_the_top_transition(self):
+        g = FinAbGroup((3,), prime_support=3)
+        doubled = GroupHom(g, g, IntMatrix.from_rows([[2]]))
+        a = constant_tower(3, g, 4)
+        b = Tower(3, a.groups, a.maps[:-1] + (doubled,))
+        assert not a.levelwise_equal(b) and not b.levelwise_equal(a)
+        assert a.levelwise_equal(b, upto=2)
+
 
 class TestShift:
     def test_zero_shift_is_same_object(self):
@@ -215,7 +233,9 @@ class TestLAdic:
         assert v.is_no and v.witness[1] == 0
 
     def test_shift_not_l_adic(self):
-        assert is_l_adic(shift(zl_tower(), 1)).is_no
+        # level 0 of Zl[1] is Z/4, which 2^1 does not kill; the tail starts there
+        v = is_l_adic(shift(to_tower(ZL), 1))
+        assert v.is_no and v.witness == ("annihilator", 0)
 
 
 class TestLevelwise:

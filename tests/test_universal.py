@@ -92,11 +92,16 @@ def setups(draw):
 def test_corestrict_matches_brute_force(setting, data):
     l, mode, group, maps = setting
     t = group()
-    kind = data.draw(st.sampled_from(["image", "kernel", "span"] if mode != "endo"
-                                     else ["image", "kernel"]))
+    kind = data.draw(st.sampled_from(["image", "kernel", "unit", "span"] if mode != "endo"
+                                     else ["image", "kernel", "unit"]))
     h = maps(t, t)
     if kind == "image":
         sub, incl = hom_image(h)
+    elif kind == "unit":
+        # an automorphism that is not the identity: a unit scalar, which
+        # commutes with every operator
+        u = data.draw(st.sampled_from([k for k in range(2, l ** 3) if k % l]))
+        sub, incl = t, GroupHom(t, t, IntMatrix.diagonal([u] * t.rank))
     elif kind == "kernel":
         sub, incl = hom_kernel(h)
     else:
