@@ -53,6 +53,7 @@ from .towers import (
     direct_sum,
     is_l_adic,
     is_zero_system,
+    kernel_is_zero_system,
     ladic_truncation,
     levelwise_cokernel,
     levelwise_kernel,

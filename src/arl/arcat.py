@@ -40,9 +40,9 @@ from .towers import (
     induced_subtower,
     is_l_adic,
     is_zero_system,
+    kernel_is_zero_system,
     ladic_truncation,
     levelwise_cokernel,
-    levelwise_kernel,
     resolve_bound,
     shift,
     zero_tower_hom,
@@ -157,10 +157,12 @@ def ar_equal(f: ARMor, g: ARMor, bound: Optional[int] = None) -> Verdict:
 
 
 def ar_is_isomorphism(f: ARMor, bound: Optional[int] = None) -> Verdict:
-    """Iso iff the representative's levelwise kernel and cokernel are zero systems."""
-    kernel, _ = levelwise_kernel(f.rep)
+    """Iso iff the representative's levelwise kernel and cokernel are zero
+    systems (Jannsen 1988).  The kernel's radius is read off the level maps'
+    kernel lattices (:func:`kernel_is_zero_system`), the cokernel's off its
+    tower."""
     cokernel, _ = levelwise_cokernel(f.rep)
-    zk = is_zero_system(kernel, bound)
+    zk = kernel_is_zero_system(f.rep, bound)
     zc = is_zero_system(cokernel, bound)
     if zk and zc:
         return Verdict.yes({"kernel": zk.certificate, "cokernel": zc.certificate})
@@ -233,6 +235,8 @@ class CanonicalLAdic:
     inverse: Optional[ARMor]    # canonical -> original
     shift: int                  # truncation shift r
     ml_bound: int               # stabilization shift s
+    # the zero radius of iso.rep's levelwise kernel, read off its level maps'
+    # kernel lattices; None when the morphisms were not asked for
     kernel_cert: Optional[ZeroCertificate] = None
 
 
@@ -302,8 +306,7 @@ def canonical_l_adic(f: Tower, bound: Optional[int] = None,
 
     # the construction is only a shift-class isomorphism when the kernel of
     # the forward epimorphism is a zero system; verify that now
-    kernel, _ = levelwise_kernel(fwd)
-    zk = is_zero_system(kernel, bound)
+    zk = kernel_is_zero_system(fwd, bound)
     if not zk:
         raise NotARladic(
             f"kernel of the candidate epimorphism is not a certified zero system ({zk.status})")

@@ -15,10 +15,11 @@ workspace, which makes every computed object canonical: two generating sets
 of the same subgroup give the same presentation.
 
 Every lattice question and linear system of the layers above is answered
-here: images, membership in n*G, whether a hom kills n*A, whether a matrix is
-a hom's, and three universal properties -- ``corestrict`` (maps into a
-subgroup), ``induced_on_quotient`` (maps out of A/nA) and ``section`` (lifts
-along a surjection) -- each built by construction under one proof.
+here: images, membership in n*G, whether a hom kills n*A or another hom's
+kernel, whether a matrix is a hom's, and three universal properties --
+``corestrict`` (maps into a subgroup), ``induced_on_quotient`` (maps out of
+A/nA) and ``section`` (lifts along a surjection) -- each built by
+construction under one proof.
 """
 
 from __future__ import annotations
@@ -270,6 +271,15 @@ class GroupHom:
     def is_zero(self) -> bool:
         return self.matrix.is_zero()
 
+    def kernel_generators(self) -> IntMatrix:
+        """Generators of ker's preimage lattice in Z^rank(source), built once
+        per hom: a constant of a frozen value, as ``relation_matrix`` is."""
+        gens = self.__dict__.get("_kernel_generators")
+        if gens is None:
+            gens = preimage_lattice(self.matrix, self.target.invariant_factors)
+            self.__dict__["_kernel_generators"] = gens
+        return gens
+
     def compose(self, first: "GroupHom") -> "GroupHom":
         """self after first."""
         if first.target != self.source:
@@ -418,9 +428,8 @@ def subgroup_from_lattice(ambient: FinAbGroup, gens: IntMatrix,
 
 def hom_kernel(f: GroupHom) -> tuple[FinAbGroup, GroupHom]:
     """(K, incl) with K the kernel of f and incl its inclusion into the source."""
-    gens = preimage_lattice(f.matrix, f.target.invariant_factors)
     labels = common_labels(f.source, f.target)
-    return subgroup_from_lattice(f.source, gens, transport_labels=labels)
+    return subgroup_from_lattice(f.source, f.kernel_generators(), transport_labels=labels)
 
 
 def hom_image(f: GroupHom) -> tuple[FinAbGroup, GroupHom]:
@@ -538,8 +547,19 @@ def image_lattice(f: GroupHom) -> IntMatrix:
     return sublattice_basis(f.target, f.matrix)
 
 def kernel_lattice(f: GroupHom) -> IntMatrix:
-    gens = preimage_lattice(f.matrix, f.target.invariant_factors)
-    return sublattice_basis(f.source, gens)
+    return sublattice_basis(f.source, f.kernel_generators())
+
+def vanishes_on_kernel(g: GroupHom, f: GroupHom) -> bool:
+    """Whether g vanishes on ker f, for g and f with a common source: g sends
+    every generator of ker f's preimage lattice into the target relations.
+    No subgroup is presented and no Hermite form is built."""
+    if g.source != f.source:
+        raise CompositionMismatch("vanishes_on_kernel: g and f have different sources")
+    if g.is_zero() or f.is_zero():
+        # the kernel of a zero map is the whole source
+        return g.is_zero()
+    image = g.matrix @ f.kernel_generators()
+    return all(x % d == 0 for row, d in zip(image.entries, g.target.invariant_factors) for x in row)
 
 
 def is_surjective(f: GroupHom) -> bool:

@@ -60,6 +60,7 @@ from .groups import (
     reduce_matrix,
     section,
     trivial_group,
+    vanishes_on_kernel,
     zero_hom,
 )
 from .intmat import IntMatrix
@@ -307,8 +308,9 @@ def default_bound() -> Optional[int]:
     return value
 
 
-def resolve_bound(tower: Tower, bound: Optional[int]) -> int:
-    """An explicit bound, else ARL_DEFAULT_BOUND, else the tower's top level."""
+def resolve_bound(tower: "Tower | TowerHom", bound: Optional[int]) -> int:
+    """An explicit bound, else ARL_DEFAULT_BOUND, else the top level of the
+    tower (or of the tower hom, whose kernel has its levels)."""
     if bound is not None:
         return bound
     value = default_bound()
@@ -633,7 +635,10 @@ def induced_subtower(parent: Tower, data: list[tuple[FinAbGroup, GroupHom]],
 
 
 def levelwise_kernel(f: TowerHom) -> tuple[Tower, TowerHom]:
-    """(K, incl) with K_n = ker(f_n) and the induced transitions."""
+    """(K, incl) with K_n = ker(f_n) and the induced transitions.  The
+    normalization and the isomorphism test certify the kernel with
+    :func:`kernel_is_zero_system` instead, which builds no tower; this is
+    the reference that certificate is tested against."""
     data = [(fn.source, identity_hom(fn.source)) if fn.is_zero() else hom_kernel(fn)
             for fn in f.levels]
     zero_rule = f.tail is not None and f.tail.matrix is None
@@ -678,10 +683,27 @@ def levelwise_cokernel(f: TowerHom) -> tuple[Tower, TowerHom]:
 
 # -- predicates -------------------------------------------------------------------
 
+def _zero_radius(vanishes: Callable[[int, int], bool], top: int, bound: int,
+                 zero_start: Optional[int]) -> Verdict:
+    """The least r with every composite X_{n+r} -> X_n zero, of a tower X
+    with levels 0..top that is trivial from zero_start on (None: truncated);
+    vanishes(n, r) says whether one composite is zero.  Past a zero tail
+    start the composites are zero for free and the finitely many below are
+    tested; the radius zero_start always works, so that search never comes
+    back empty.  A truncated X is searched on its prefix up to bound."""
+    if zero_start is not None:
+        for r in range(0, max(bound, zero_start) + 1):
+            if all(vanishes(n, r) for n in range(max(0, zero_start - r))):
+                return Verdict.yes(ZeroCertificate(r, scope="tail"))
+    for r in range(0, min(bound, top) + 1):
+        if all(vanishes(n, r) for n in range(top - r + 1)):
+            return Verdict.yes(ZeroCertificate(r, scope="prefix"))
+    return Verdict.unknown(note=f"bound {bound} exhausted on a truncated tail")
+
+
 def is_zero_system(f: Tower, bound: Optional[int] = None) -> Verdict:
     """Whether some F[r] -> F vanishes; yes-certificates carry the radius."""
     bound = resolve_bound(f, bound)
-    key = ("zero_system", bound)
 
     def compute() -> Verdict:
         tail = classify_tail(f)
@@ -691,20 +713,29 @@ def is_zero_system(f: Tower, bound: Optional[int] = None) -> Verdict:
                 witness=("level", tail.start),
                 note="tail levels are nonzero module quotients with surjective transitions",
             )
-        if tail is not None:
-            # Eventually trivial: composites with n + r past the tail start are
-            # zero for free, the finitely many below are computed exactly.  The
-            # radius s0 always works, so the search never comes back empty.
-            s0 = tail.start
-            for r in range(0, max(bound, s0) + 1):
-                if all(f.composite(n, r).is_zero() for n in range(max(0, s0 - r))):
-                    return Verdict.yes(ZeroCertificate(r, scope="tail"))
-        for r in range(0, min(bound, f.top) + 1):
-            if all(f.composite(n, r).is_zero() for n in range(f.top - r + 1)):
-                return Verdict.yes(ZeroCertificate(r, scope="prefix"))
-        return Verdict.unknown(note=f"bound {bound} exhausted on a truncated tail")
+        return _zero_radius(lambda n, r: f.composite(n, r).is_zero(), f.top, bound,
+                            None if tail is None else tail.start)
 
-    return f.cached(key, compute)
+    return f.cached(("zero_system", bound), compute)
+
+
+def kernel_is_zero_system(h: TowerHom, bound: Optional[int] = None) -> Verdict:
+    """``is_zero_system(levelwise_kernel(h)[0], bound)``, read off the level
+    maps' kernel lattices: the kernel's composite K_{n+r} -> K_n is zero
+    exactly when the source's composite F_{n+r} -> F_n vanishes on
+    ker(h_{n+r}), so no kernel tower is built.  From a zero rule's start on
+    the kernel is the source; the radius of its zero tail does not depend on
+    how far the start walks down, as composites out of trivial levels
+    vanish.  Only the no of a module tail, which names the kernel's
+    walked-down start, builds the kernel."""
+    bound = resolve_bound(h, bound)
+    f, rule, tail = h.source, h.tail, None
+    if rule is not None and rule.matrix is None:
+        tail = _tail_from(f, rule.start, h.top)
+        if tail is not None and tail.module is not None:
+            return is_zero_system(levelwise_kernel(h)[0], bound)
+    return _zero_radius(lambda n, r: vanishes_on_kernel(f.composite(n, r), h.levels[n + r]),
+                        h.top, bound, None if tail is None else tail.start)
 
 
 def is_l_adic(f: Tower) -> Verdict:

@@ -131,6 +131,18 @@ class TestEqual:
         v = ar_equal(ar_identity(t), ar_zero(t, t), bound=3)
         assert v.is_unknown
 
+    def test_difference_at_the_top_level_is_seen(self):
+        # 1 + 2^top is the identity modulo 2^top, so the two representatives
+        # agree on every level but the top one, where the source's composites
+        # are onto at every extra shift
+        t = zl_tower()
+        top = t.top
+        levels = tuple(identity_hom(t.level(n)) for n in range(top)) + (
+            GroupHom(t.level(top), t.level(top), IntMatrix.from_rows([[1 + L ** top]])),)
+        f, g = ar_identity(t), ar_from_tower_hom(TowerHom(t, t, levels))
+        v = ar_equal(f, g)
+        assert v.is_no and v.witness == ("shift", 0)
+
 
 class TestZeroObject:
     def test_zero_system_is_zero_object(self):
@@ -311,6 +323,16 @@ class TestCertify:
         v = certify_ar_l_adic(b)
         assert v.is_no
         assert v.witness[0] == "non-stabilizing-images"
+
+    def test_images_settling_at_the_last_shift_are_no_evidence(self):
+        # level m is Z/2^{3-m} for m <= 2 under multiplication by 2, so the
+        # images at level m shrink at every shift but the last one the prefix
+        # reaches: no level shows images still shrinking at the edge
+        groups = tuple(FinAbGroup((L ** e,), prime_support=L) for e in (3, 2, 1, 1, 1))
+        maps = tuple(GroupHom(groups[n], groups[n - 1], IntMatrix.from_rows([[L]]))
+                     for n in range(1, 5))
+        v = certify_ar_l_adic(Tower(L, groups, maps), bound=1)
+        assert v.is_unknown
 
     def test_twisted_transitions_also_refused(self):
         # same obstruction with the image chains hitting zero at low levels:

@@ -65,6 +65,26 @@ def test_cli_report_matches_golden(capsys, monkeypatch, command, tower):
     assert _body(capsys.readouterr().out) == expected
 
 
+def test_normalization_and_isomorphism_build_no_kernel_tower(capsys, monkeypatch):
+    # the kernel certificates are read off the level maps' kernel lattices:
+    # with the levelwise kernel's group kernels refused, the reports that
+    # normalize and test isomorphisms still match their goldens
+    def refuse(f):
+        raise AssertionError("a kernel tower was built")
+
+    import arl.towers
+    monkeypatch.setattr(arl.towers, "hom_kernel", refuse)
+    monkeypatch.chdir(ROOT)
+    for suite in ("phi", "faithful", "upsilon", "comparison"):
+        assert main(["verify", "--suite", suite, "--seed", "0", "--cases", "20"]) == 0
+        expected = (GOLDEN / f"verify-{suite}.txt").read_text().splitlines()
+        assert _body(capsys.readouterr().out) == expected
+    for tower in ("zl", "noisy", "flat"):
+        assert main(["normalize", "--file", "demos/data/sample.arl.json", "--tower", tower]) == 0
+        expected = (GOLDEN / f"cli-normalize-{tower}.txt").read_text().splitlines()
+        assert _body(capsys.readouterr().out) == expected
+
+
 def test_towergen_reports_match_golden(capsys, tmp_path):
     # run as a script, so that nothing (not even a bytecode cache) is written under perfbench/
     towergen = runpy.run_path(str(ROOT / "perfbench" / "towergen.py"))

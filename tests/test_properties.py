@@ -15,10 +15,12 @@ from arl.arcat import (
 )
 from arl.gen import (
     GenParams,
+    module_hom_tower_map,
     random_ar_l_adic,
     random_armor,
     random_hom,
     random_l_adic,
+    random_module_hom,
     random_prime,
     random_zero_system,
     random_zl_module,
@@ -29,6 +31,7 @@ from arl.groups import (
     GroupHom,
     corestrict,
     hom_is_isomorphism,
+    hom_kernel,
     hom_on_quotients,
     identity_hom,
     image_lattice,
@@ -37,21 +40,27 @@ from arl.groups import (
     kills_multiples,
     quotient_with_maps,
     subgroup_from_lattice,
+    vanishes_on_kernel,
 )
 from arl.hypernat import HyperNat
 from arl.intmat import IntMatrix
 from arl.limits import limit, to_tower
 from arl.towers import (
+    HomRule,
     LAdicCert,
+    TailRule,
+    Tower,
     TowerHom,
     classify_tail,
     direct_sum,
     is_l_adic,
     is_zero_system,
+    kernel_is_zero_system,
     ladic_truncation,
     levelwise_kernel,
     natural_map,
     shift,
+    zero_tower_hom,
 )
 from arl.upsilon import ar_canonical_rep, psi, upsilon
 from arl.zlmod import ZlModule
@@ -394,6 +403,73 @@ class TestClosedFormTails:
         a, b = f.level(rng.randint(0, f.top)), f.level(rng.randint(0, f.top))
         h = random_hom(rng, a, b)
         assert corestrict(identity_hom(b), h) == h
+
+
+def _truncation_shift_tower():
+    """The tower of ``test_arcat.TestCertify.test_truncation_shift_witness``:
+    Z/2, then Z/2 + Z/2^{n+1}, normalized with truncation shift r = 1."""
+    groups = (FinAbGroup((2,), prime_support=2),) + tuple(
+        FinAbGroup((2, 2 ** (n + 1)), prime_support=2) for n in range(1, 6))
+    maps = (GroupHom(groups[1], groups[0], IntMatrix.from_rows([[1, 0]])),) + tuple(
+        GroupHom(groups[n], groups[n - 1], IntMatrix.identity(2)) for n in range(2, 6))
+    return Tower(2, groups, maps, TailRule(1, ZlModule(2, (1,), 1)))
+
+
+def _kernel_sample_homs():
+    """Tower homs whose levelwise kernels are zero systems with a tail or a
+    prefix radius, unknown within small bounds, or not zero systems at all."""
+    homs = [random_armor(rng, random_prime(rng, PARAMS), PARAMS).rep
+            for rng in (rng_for(71, case) for case in range(16))]
+    for l in PARAMS.primes:
+        for case in range(6):
+            c = canonical_l_adic(random_ar_l_adic(rng_for(72, case), l, PARAMS))
+            homs += [c.iso.rep, c.inverse.rep]
+    c = canonical_l_adic(_truncation_shift_tower())
+    assert c.shift == 1
+    homs += [c.iso.rep, c.inverse.rep]
+    for case in range(8):
+        rng = rng_for(73, case)
+        l = random_prime(rng, PARAMS)
+        src, tgt = random_zl_module(rng, l, PARAMS), random_zl_module(rng, l, PARAMS)
+        homs.append(module_hom_tower_map(random_module_hom(rng, src, tgt), src, tgt, PARAMS.levels))
+    for case in range(8):
+        rng = rng_for(74, case)
+        l = random_prime(rng, PARAMS)
+        zero = random_zero_system(rng, l, PARAMS, certified_only=False)
+        module = to_tower(random_zl_module(rng, l, PARAMS), PARAMS.levels)
+        homs += [zero_tower_hom(zero, module), zero_tower_hom(module, zero),
+                 zero_tower_hom(random_ar_l_adic(rng, l, PARAMS), zero)]
+        # a zero rule that starts after the source's tail: the kernel's tail
+        # start walks down below it
+        late = zero_tower_hom(zero, module)
+        homs.append(TowerHom(zero, module, late.levels, HomRule(rng.randint(1, 4))))
+    return homs
+
+
+class TestKernelCertificate:
+    """kernel_is_zero_system reads the kernel's zero radius off the level
+    maps' kernel lattices; it must give the verdict of the kernel tower."""
+
+    def test_matches_the_kernel_tower(self):
+        seen = set()
+        for h in _kernel_sample_homs():
+            kernel = levelwise_kernel(h)[0]
+            for bound in (0, 1, 2, 3, None):
+                v = kernel_is_zero_system(h, bound)
+                assert v == is_zero_system(kernel, bound), (h, bound)
+                seen.add((v.status, v.certificate.scope if v else None))
+        # every branch of the search is reached
+        assert seen == {("yes", "tail"), ("yes", "prefix"), ("no", None), ("unknown", None)}
+
+    def test_vanishes_on_kernel_against_the_presented_kernel(self):
+        for sample in range(40):
+            f, rng = _sample_tower(75, sample, ["ar", "zero", "module"][sample % 3], sample % 2)
+            n = rng.randint(0, f.top)
+            a = f.level(n)
+            g = random_hom(rng, a, f.level(rng.randint(0, f.top)))
+            h = random_hom(rng, a, f.level(rng.randint(0, f.top)))
+            _, incl = hom_kernel(h)
+            assert vanishes_on_kernel(g, h) == g.compose(incl).is_zero()
 
 
 class TestOperatorTransport:
