@@ -49,6 +49,7 @@ from .towers import (
     Verdict,
     ZeroCertificate,
     classify_tail,
+    cokernel_is_zero_system,
     constant_tower,
     direct_sum,
     is_l_adic,

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import CompositionMismatch, NotARladic, PreconditionViolated
+from .errors import CompositionMismatch, NotARladic, PreconditionViolated, TruncatedTower
 from .groups import (
     corestrict,
     element_in_multiples,
@@ -35,6 +35,7 @@ from .towers import (
     Verdict,
     ZeroCertificate,
     classify_tail,
+    cokernel_is_zero_system,
     compose_rules,
     identity_tower_hom,
     induced_subtower,
@@ -42,16 +43,45 @@ from .towers import (
     is_zero_system,
     kernel_is_zero_system,
     ladic_truncation,
-    levelwise_cokernel,
     resolve_bound,
     shift,
     zero_tower_hom,
 )
 
 
+def _departure_from_shift(tower: Tower, base: Tower, r: int, top: int) -> Optional[tuple]:
+    """Where tower, on levels 0..top, stops reading as shift(base, r): the
+    first ("level", n) or ("transition", n) that is not base's at n + r (past
+    a truncated base nothing is), or None.  base is read directly, so no
+    shifted tower is built."""
+    if r == 0 and tower is base:
+        return None
+    for n in range(top + 1):
+        try:
+            if tower.level(n) != base.level(n + r):
+                return "level", n
+            if n and tower.transition(n) != base.transition(n + r):
+                return "transition", n
+        except TruncatedTower:
+            return "level", n
+    return None
+
+
 @dataclass(frozen=True, eq=False)
 class ARMor:
-    """A shift-class morphism: a representative shift(source, shift_amount) -> target."""
+    """A shift-class morphism: a representative shift(source, shift_amount) -> target.
+
+    The constructor checks once, on the representative's levels 0..rep.top
+    and their transitions, that ``rep.source`` reads as ``source`` shifted
+    by ``shift_amount`` and ``rep.target`` as ``target``, which must also
+    agree with it on their common prefix.  So level n of the
+    representative is a natural map F_{n+r} -> G_n for the transitions of
+    ``source`` and ``target`` themselves.  :func:`reshift`,
+    :func:`ar_compose` and the two morphisms of :func:`canonical_l_adic`
+    (and ``upsilon.ar_canonical_rep``) build their representatives from such
+    levels with the trusted ``TowerHom._of``, each under the proof in its
+    body.
+    """
 
     source: Tower
     target: Tower
@@ -61,8 +91,14 @@ class ARMor:
     def __post_init__(self):
         if self.shift_amount < 0:
             raise ValueError("negative shift")
-        if not self.rep.target.levelwise_equal(self.target):
-            raise ValueError("representative target does not match")
+        common = min(self.rep.target.top, self.target.top)
+        for side, tower, base, r, top in (
+                ("target", self.rep.target, self.target, 0, max(common, self.rep.top)),
+                ("source", self.rep.source, self.source, self.shift_amount, self.rep.top)):
+            miss = _departure_from_shift(tower, base, r, top)
+            if miss:
+                what, n = miss
+                raise ValueError(f"representative {side} {what} {n} is not the {side}'s {what} {n + r}")
 
 
 def ar_from_tower_hom(f: TowerHom) -> ARMor:
@@ -84,11 +120,14 @@ def reshift(f: ARMor, extra: int) -> ARMor:
     r = f.shift_amount
     src = shift(f.source, r + extra)
     k = min(src.top, f.rep.top)
+    # level n is F_{n+r+extra} -> F_{n+r} -> G_n: the composite of the source's
+    # transitions and, by the ARMor invariant, a level of f's representative,
+    # both natural for the transitions of f.source and f.target
     levels = tuple(
         f.rep.level(n).compose(f.source.composite(n + r, extra))
         for n in range(k + 1)
     )
-    rep = TowerHom(src, f.target, levels)
+    rep = TowerHom._of(src, f.target, levels, None)
     return ARMor(f.source, f.target, r + extra, rep)
 
 
@@ -101,11 +140,15 @@ def ar_compose(g: ARMor, f: ARMor) -> ARMor:
     k = min(src.top, g.rep.top, max(f.rep.top - rg, -1))
     if k < 0:
         raise PreconditionViolated("no common represented levels for composition")
+    # by the ARMor invariant f.rep's level n + rg is a natural map
+    # F_{n+rg+rf} -> G_{n+rg} and g.rep's level n one G_{n+rg} -> H_n (compose
+    # checks that the middles agree), so each composite is a natural level of
+    # src = F[rf + rg] -> H; _of still checks the composed hom rule
     levels = tuple(
         g.rep.level(n).compose(f.rep.level(n + rg))
         for n in range(k + 1)
     )
-    rep = TowerHom(src, g.target, levels, tail=compose_rules(g.rep.tail, f.rep.tail, rg))
+    rep = TowerHom._of(src, g.target, levels, compose_rules(g.rep.tail, f.rep.tail, rg))
     return ARMor(f.source, g.target, rf + rg, rep)
 
 
@@ -158,12 +201,11 @@ def ar_equal(f: ARMor, g: ARMor, bound: Optional[int] = None) -> Verdict:
 
 def ar_is_isomorphism(f: ARMor, bound: Optional[int] = None) -> Verdict:
     """Iso iff the representative's levelwise kernel and cokernel are zero
-    systems (Jannsen 1988).  The kernel's radius is read off the level maps'
-    kernel lattices (:func:`kernel_is_zero_system`), the cokernel's off its
-    tower."""
-    cokernel, _ = levelwise_cokernel(f.rep)
+    systems (Jannsen 1988).  The radii are read off the level maps' kernel
+    and image lattices (:func:`kernel_is_zero_system`,
+    :func:`cokernel_is_zero_system`), so neither tower is built."""
     zk = kernel_is_zero_system(f.rep, bound)
-    zc = is_zero_system(cokernel, bound)
+    zc = cokernel_is_zero_system(f.rep, bound)
     if zk and zc:
         return Verdict.yes({"kernel": zk.certificate, "cokernel": zc.certificate})
     if zk.is_no or zc.is_no:
@@ -282,10 +324,14 @@ def canonical_l_adic(f: Tower, bound: Optional[int] = None,
     if hi < 0:
         raise NotARladic("prefix too short to present the forward morphism")
     # the stable level n+r is the image of F_{n+r+s} -> F_{n+r}, so each
-    # corestriction exists; G_n is its quotient by l^{n+1}
+    # corestriction exists; G_n is its quotient by l^{n+1}.  Level n is
+    # F_{n+r+s} ->> stable_{n+r} ->> G_n: the corestriction of a composite of
+    # transitions into the sub-tower, whose transitions are the restricted
+    # ones, then the quotient map, which G's transitions (induced on the
+    # quotients, the canonical projections past its tail start) commute with
     fwd_levels = tuple(quotient_with_maps(stable.level(n + r), f.l ** (n + 1))[1].compose(
         corestrict(incl.levels[n + r], f.composite(n + r, s))) for n in range(hi + 1))
-    fwd = TowerHom(shift(f, r + s), g, fwd_levels)
+    fwd = TowerHom._of(shift(f, r + s), g, fwd_levels, None)
     iso = ARMor(f, g, r + s, fwd)
 
     # backward: G[r2] -> F via mod-l^{m+1} factorization of the transitions
@@ -298,10 +344,13 @@ def canonical_l_adic(f: Tower, bound: Optional[int] = None,
         raise NotARladic("prefix too short to present the backward morphism")
     # G_m = stable_{m+r} / l^{m+1} for m = n + r2, and stable_{m+r} -> F_{m+r}
     # -> F_n kills l^{m+1}-multiples because F_m -> F_n does (the factorization
-    # radius), so each induced map exists
+    # radius), so each induced map exists.  It is natural: the inclusion and
+    # the composite of transitions are, and G's transition m + 1 is induced by
+    # the stable one on the quotients, so both sides of a square are induced
+    # by the same map out of stable_{m+1+r}
     bwd_levels = tuple(induced_on_quotient(f.composite(n, r2 + r).compose(
         incl.levels[n + r2 + r]), f.l ** (n + r2 + 1)) for n in range(bwd_top + 1))
-    bwd = TowerHom(shift(g, r2), f, bwd_levels)
+    bwd = TowerHom._of(shift(g, r2), f, bwd_levels, None)
     inverse = ARMor(g, f, r2, bwd)
 
     # the construction is only a shift-class isomorphism when the kernel of

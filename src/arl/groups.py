@@ -16,10 +16,10 @@ of the same subgroup give the same presentation.
 
 Every lattice question and linear system of the layers above is answered
 here: images, membership in n*G, whether a hom kills n*A or another hom's
-kernel, whether a matrix is a hom's, and three universal properties --
-``corestrict`` (maps into a subgroup), ``induced_on_quotient`` (maps out of
-A/nA) and ``section`` (lifts along a surjection) -- each built by
-construction under one proof.
+kernel, whether its image lies in another's, whether a matrix is a hom's,
+and three universal properties -- ``corestrict`` (maps into a subgroup),
+``induced_on_quotient`` (maps out of A/nA) and ``section`` (lifts along a
+surjection) -- each built by construction under one proof.
 """
 
 from __future__ import annotations
@@ -85,9 +85,9 @@ class FinAbGroup:
     """A finite abelian group in canonical invariant-factor form.
 
     The public constructor checks the divisibility chain, the prime and the
-    operators.  Direct sums and quotients of valid groups are valid by
-    construction and use the trusted :meth:`_of`; their operators still go
-    through :meth:`with_operators`.
+    operators.  Direct sums, quotients ``g / n*g`` with their induced
+    operators, and presentations modulo a power of the prime are valid by
+    construction and use the trusted :meth:`_of`.
     """
 
     invariant_factors: tuple[int, ...]
@@ -119,13 +119,15 @@ class FinAbGroup:
             _check_well_defined(mat, factors, factors, what=f"operator {label!r}")
 
     @classmethod
-    def _of(cls, invariant_factors: tuple[int, ...], prime_support: Optional[int]) -> "FinAbGroup":
+    def _of(cls, invariant_factors: tuple[int, ...], prime_support: Optional[int],
+            operators: tuple[tuple[str, IntMatrix], ...] = ()) -> "FinAbGroup":
         """Trusted constructor: skips ``__post_init__``.  Only for a tuple of
         ints >= 2 that form a divisibility chain of powers of prime_support
-        (when it is set); the group carries no operators."""
+        (when it is set), and operators sorted by label, each a well-defined
+        endomorphism with its matrix reduced modulo the factors."""
         g = object.__new__(cls)
         g.__dict__.update(invariant_factors=invariant_factors, prime_support=prime_support,
-                          operators=())
+                          operators=operators)
         return g
 
     # -- structure ---------------------------------------------------------
@@ -334,7 +336,13 @@ def presentation_with_maps(relations: IntMatrix, modulus: int, prime: Optional[i
     """
     factors, u, ui = modular_smith(relations, modulus)
     keep = [i for i, d in enumerate(factors) if d != 1]
-    group = FinAbGroup(tuple(factors[i] for i in keep), prime_support=prime)
+    kept = tuple(factors[i] for i in keep)
+    if modulus > 0 and (prime is None or modulus == prime ** valuation(modulus, prime)):
+        # the factors are a divisibility chain of divisors of modulus, so the
+        # kept ones are ints >= 2, and powers of the prime when it is set
+        group = FinAbGroup._of(kept, prime)
+    else:
+        group = FinAbGroup(kept, prime_support=prime)
     return group, u.take_rows(keep), ui.take_columns(keep)
 
 
@@ -461,16 +469,17 @@ def quotient_with_maps(g: FinAbGroup, n: int) -> tuple[FinAbGroup, GroupHom, Int
         raise ValueError("quotient modulus must be >= 1")
     new = [math.gcd(d, n) for d in g.invariant_factors]
     keep = [i for i, d in enumerate(new) if d != 1]
-    # d_i | d_{i+1} gives gcd(d_i, n) | gcd(d_{i+1}, n), and each gcd divides
-    # d_i, so the kept factors form a chain of powers of g's prime
-    q = FinAbGroup._of(tuple(new[i] for i in keep), g.prime_support)
+    factors = tuple(new[i] for i in keep)
     proj_matrix = _selection(len(keep), g.rank, enumerate(keep))
     lift = proj_matrix.transpose()
-    if g.operators:
-        ops = [(label, proj_matrix @ mat @ lift) for label, mat in g.operators]
-        q = q.with_operators(ops)
-    # the kept factors gcd(d_i, n) are >= 2, so proj_matrix is reduced; the
-    # dropped generators lie in n*g, which every operator preserves
+    # d_i | d_{i+1} gives gcd(d_i, n) | gcd(d_{i+1}, n), and each gcd divides
+    # d_i, so the kept factors form a chain of powers of g's prime, each >= 2,
+    # and proj_matrix is reduced.  An operator s preserves n*g, the kernel of
+    # the projection p, so it induces the endomorphism p.s.lift of the
+    # quotient, with p.s = (p.s.lift).p: p commutes with it.  g's operators
+    # are sorted by label, and each induced matrix is reduced here
+    q = FinAbGroup._of(factors, g.prime_support, tuple(
+        (label, reduce_matrix(proj_matrix @ mat @ lift, factors)) for label, mat in g.operators))
     return q, GroupHom._of(g, q, proj_matrix), lift
 
 
@@ -560,6 +569,17 @@ def vanishes_on_kernel(g: GroupHom, f: GroupHom) -> bool:
         return g.is_zero()
     image = g.matrix @ f.kernel_generators()
     return all(x % d == 0 for row, d in zip(image.entries, g.target.invariant_factors) for x in row)
+
+
+def lies_in_image(g: GroupHom, f: GroupHom) -> bool:
+    """Whether im g lies in im f, for g and f with a common target: every
+    column of g's matrix solves f x = y modulo the target factors.  No
+    subgroup is presented and no Hermite form is built."""
+    if g.target != f.target:
+        raise CompositionMismatch("lies_in_image: g and f have different targets")
+    if g.is_zero():
+        return True
+    return None not in solve_mod(f.matrix, f.target.invariant_factors, g.matrix)
 
 
 def is_surjective(f: GroupHom) -> bool:

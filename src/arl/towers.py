@@ -56,6 +56,7 @@ from .groups import (
     identity_hom,
     induced_on_quotient,
     is_matrix_of,
+    lies_in_image,
     quotient_with_maps,
     reduce_matrix,
     section,
@@ -420,8 +421,15 @@ class TowerHom:
     Identities and zeros, the natural maps F[r] -> F, the embeddings of a
     direct sum and the inclusions and projections of induced sub- and
     quotient towers are natural by construction and use the trusted
-    :meth:`_of`, which still runs the tail check.  Only the represented
-    levels can be read: the tail records what is known beyond them.
+    :meth:`_of`, which still runs the tail check.  So are the representatives
+    the shift-class calculus builds (``arcat.reshift``, ``arcat.ar_compose``,
+    both morphisms of ``arcat.canonical_l_adic`` and
+    ``upsilon.ar_canonical_rep``): they rely on the invariant that
+    ``arcat.ARMor`` checks once, that a representative's source reads as its
+    source shifted by the shift amount.  Every other tower hom, the
+    generator's included, goes through the public constructor.  Only the
+    represented levels can be read: the tail records what is known beyond
+    them.
     """
 
     source: Tower
@@ -646,17 +654,29 @@ def levelwise_kernel(f: TowerHom) -> tuple[Tower, TowerHom]:
     return induced_subtower(f.source, data, tail)
 
 
-def levelwise_cokernel(f: TowerHom) -> tuple[Tower, TowerHom]:
-    """(C, proj) with C_n = coker(f_n) and the induced transitions."""
-    rule, tail, coker_start = f.tail, None, None
+def _cokernel_tail(f: TowerHom) -> tuple[Optional[TailRule], Optional[tuple]]:
+    """The tail of f's levelwise cokernel, and (start, module, proj, lift)
+    when its levels are module/l^{n+1} from start on, presented by the module
+    cokernel of f's matrix rule at target offset 0 (else None)."""
+    rule = f.tail
     if rule is not None and rule.matrix is None:
-        tail = _tail_from(f.target, rule.start, f.top)
-    elif rule is not None and classify_tail(f.target).offset == 0:
-        # level n of the cokernel is coker/l^{n+1} from the tails' starts on
-        coker_mod, proj_mat, lift_mat = module_cokernel(
-            rule.matrix, eventually_module(f.source), eventually_module(f.target))
-        coker_start = max(rule.start, classify_tail(f.source).start, classify_tail(f.target).start)
-        tail = TailRule(coker_start, coker_mod).fit(f.top)
+        return _tail_from(f.target, rule.start, f.top), None
+    if rule is None or classify_tail(f.target).offset != 0:
+        return None, None
+    # level n of the cokernel is coker/l^{n+1} from the tails' starts on
+    coker_mod, proj_mat, lift_mat = module_cokernel(
+        rule.matrix, eventually_module(f.source), eventually_module(f.target))
+    start = max(rule.start, classify_tail(f.source).start, classify_tail(f.target).start)
+    return TailRule(start, coker_mod).fit(f.top), (start, coker_mod, proj_mat, lift_mat)
+
+
+def levelwise_cokernel(f: TowerHom) -> tuple[Tower, TowerHom]:
+    """(C, proj) with C_n = coker(f_n) and the induced transitions.  The
+    isomorphism test certifies the cokernel with
+    :func:`cokernel_is_zero_system` instead, which builds no tower; this is
+    the reference that certificate is tested against."""
+    tail, closed = _cokernel_tail(f)
+    coker_start, coker_mod, proj_mat, lift_mat = closed or (None,) * 4
     data = []
     for n in range(f.top + 1):
         fn = f.level(n)
@@ -735,6 +755,22 @@ def kernel_is_zero_system(h: TowerHom, bound: Optional[int] = None) -> Verdict:
         if tail is not None and tail.module is not None:
             return is_zero_system(levelwise_kernel(h)[0], bound)
     return _zero_radius(lambda n, r: vanishes_on_kernel(f.composite(n, r), h.levels[n + r]),
+                        h.top, bound, None if tail is None else tail.start)
+
+
+def cokernel_is_zero_system(h: TowerHom, bound: Optional[int] = None) -> Verdict:
+    """``is_zero_system(levelwise_cokernel(h)[0], bound)``, read off the level
+    maps' image lattices: the cokernel's composite C_{n+r} -> C_n is zero
+    exactly when im(G_{n+r} -> G_n) lies in im(h_n), so no cokernel tower is
+    built.  The cokernel's tail is the one :func:`levelwise_cokernel`
+    attaches; as for the kernel, the radius of a zero tail does not depend on
+    how far its start walks down, and only the no of a module tail, which
+    names the cokernel's walked-down start, builds the cokernel."""
+    bound = resolve_bound(h, bound)
+    g, tail = h.target, _cokernel_tail(h)[0]
+    if tail is not None and tail.module is not None:
+        return is_zero_system(levelwise_cokernel(h)[0], bound)
+    return _zero_radius(lambda n, r: lies_in_image(g.composite(n, r), h.levels[n]),
                         h.top, bound, None if tail is None else tail.start)
 
 

@@ -34,6 +34,7 @@ from .groups import (
     is_surjective,
     kills_multiples,
     quotient_by_integer,
+    reduce_matrix,
     section,
 )
 from .hypernat import HyperNat
@@ -163,9 +164,17 @@ def ar_canonical_rep(f: ARMor) -> TowerHom:
         if not kills_multiples(rep_n, f.source.l ** (n + 1)):
             raise PreconditionViolated(
                 f"representative does not factor through the shift at level {n}")
-        # so rep_n = g.comp for one hom g, which sends generator j to rep_n of its lift
-        levels.append(GroupHom(comp.target, f.target.level(n), rep_n.matrix @ section(comp)))
-    return TowerHom(f.source, f.target, tuple(levels))
+        # By the ARMor invariant rep_n is a natural map F_{n+rho} -> G_n.  comp
+        # is onto and rep_n kills ker comp, so rep_n = g.comp for one
+        # well-defined hom g, which sends generator j to rep_n of its lift.
+        # For an operator s of both ends, g.s.comp = g.comp.s = s.g.comp, and
+        # for the transitions g_n.u_{n+1}.comp_{n+1} = g_n.comp_n.u_{n+1+rho} =
+        # u_{n+1}.g_{n+1}.comp_{n+1}; comp is onto, so g commutes with s and
+        # the levels are natural
+        target = f.target.level(n)
+        levels.append(GroupHom._of(comp.target, target, reduce_matrix(
+            rep_n.matrix @ section(comp), target.invariant_factors)))
+    return TowerHom._of(f.source, f.target, tuple(levels), None)
 
 
 def upsilon_mor(f: ARMor, h: HyperNat, bound: Optional[int] = None) -> UpsilonHom:

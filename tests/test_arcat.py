@@ -1,6 +1,7 @@
 import pytest
 
 from arl.arcat import (
+    ARMor,
     ar_compose,
     ar_equal,
     ar_from_tower_hom,
@@ -16,7 +17,7 @@ from arl.arcat import (
     stable_image_tower,
 )
 from arl.errors import NotARladic, PreconditionViolated
-from arl.gen import GenParams, random_extension, rng_for
+from arl.gen import GenParams, random_armor, random_extension, rng_for
 from arl.groups import FinAbGroup, GroupHom, identity_hom, trivial_group, zero_hom
 from arl.intmat import IntMatrix
 from arl.limits import to_tower
@@ -33,6 +34,7 @@ from arl.towers import (
     natural_map,
     shift,
     sum_embeddings,
+    zero_tower_hom,
 )
 from arl.zlmod import ZlModule
 
@@ -106,6 +108,88 @@ class TestCompose:
         # a zero rule from level 2 holds from level 1 after an outer shift of 1
         late = ar_from_tower_hom(TowerHom(t, t, z.rep.levels, tail=HomRule(2)))
         assert ar_compose(reshift(f, 1), late).rep.tail == HomRule(1)
+
+
+def _tampered(base, r, kind, k):
+    """shift(base, r) with its level k swapped for a bigger group, or its
+    transition k twisted by the unit 3."""
+    groups, maps = list(base.groups[r:]), list(base.maps[r:])
+    if kind == "level":
+        g = groups[k]
+        groups[k] = FinAbGroup(g.invariant_factors[:-1] + (g.exponent() * L,), prime_support=L)
+        maps[k - 1] = GroupHom(groups[k], groups[k - 1], IntMatrix.diagonal([1] * g.rank))
+        if k < len(maps):
+            maps[k] = GroupHom(groups[k + 1], groups[k], IntMatrix.diagonal([L] * g.rank))
+    else:
+        maps[k - 1] = GroupHom(groups[k], groups[k - 1], IntMatrix.diagonal([3] * groups[k].rank))
+    return Tower(L, tuple(groups), tuple(maps))
+
+
+class TestARMorInvariant:
+    """An ARMor's representative must read as source shifted by shift_amount
+    on its levels: the builders that trust their inputs rely on it."""
+
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_the_shifted_source_is_accepted(self, r):
+        base = constant_tower(L, FinAbGroup((4,), prime_support=L), 7)
+        f = ARMor(base, base, r, zero_tower_hom(shift(base, r), base))
+        # read straight from the source: a copy of the shift is accepted too
+        copy = shift(base, r)
+        g = ARMor(base, base, r, zero_tower_hom(Tower(L, copy.groups, copy.maps), base))
+        assert f.rep.levels == g.rep.levels
+
+    def test_one_shift_too_many_is_refused(self):
+        t = zl_tower()
+        # natural_map(t, 2) starts at shift(t, 2): level 0 is Z/8, not level 1 (Z/4)
+        with pytest.raises(ValueError, match="source level 0 is not the source's level 1"):
+            ARMor(t, t, 1, natural_map(t, 2))
+        f = ar_from_tower_hom(mult_l_endo(t))
+        with pytest.raises(ValueError, match="source level 0 is not the source's level 3"):
+            ARMor(t, t, 3, TowerHom(shift(t, 4), t, reshift(f, 4).rep.levels))
+
+    @pytest.mark.parametrize("r", [0, 1])
+    @pytest.mark.parametrize("kind", ["level", "transition"])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_a_single_departure_is_named(self, r, kind, k):
+        base = constant_tower(L, FinAbGroup((2, 4), prime_support=L), 8)
+        tampered = _tampered(base, r, kind, k)
+        with pytest.raises(ValueError, match=f"source {kind} {k} is not the source's {kind} {k + r}"):
+            ARMor(base, base, r, zero_tower_hom(tampered, base))
+        with pytest.raises(ValueError, match=f"target {kind} {k} is not the target's {kind} {k}"):
+            ARMor(base, base, r, zero_tower_hom(shift(base, r), _tampered(base, 0, kind, k)))
+
+    def test_a_source_truncated_below_the_representative_is_refused(self):
+        t = zl_tower(8)
+        short = Tower(L, t.groups[:4], t.maps[:3])
+        with pytest.raises(ValueError, match="source level 2 is not the source's level 4"):
+            ARMor(short, t, 2, natural_map(t, 2))
+
+
+class TestReshift:
+    """reshift with extra > 0 equals the validated construction of the
+    representative F[r + extra] -> F[r] -> G, and the same shift class."""
+
+    @pytest.mark.parametrize("case", range(12))
+    def test_equals_the_validated_construction(self, case):
+        rng = rng_for(81, case)
+        f = random_armor(rng, rng.choice([2, 3, 5]), GenParams())
+        if case % 3 == 0:
+            f = reshift(f, 1)
+        r = f.shift_amount
+        for extra in (1, 2, 3):
+            g = reshift(f, extra)
+            assert (g.source, g.target, g.shift_amount) == (f.source, f.target, r + extra)
+            src = shift(f.source, r + extra)
+            k = min(src.top, f.rep.top)
+            validated = TowerHom(src, f.target, tuple(
+                GroupHom(src.level(n), f.target.level(n),
+                         f.rep.level(n).matrix @ f.source.composite(n + r, extra).matrix)
+                for n in range(k + 1)))
+            assert g.rep.levels == validated.levels
+            assert g.rep.tail is None
+        v = ar_equal(f, reshift(f, 2))
+        assert v.status == "yes"
+        assert ar_equal(reshift(f, 2), f).status == "yes"
 
 
 class TestEqual:

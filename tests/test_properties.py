@@ -37,7 +37,9 @@ from arl.groups import (
     image_lattice,
     induced_on_quotient,
     is_surjective,
+    hom_cokernel,
     kills_multiples,
+    lies_in_image,
     quotient_with_maps,
     subgroup_from_lattice,
     vanishes_on_kernel,
@@ -55,8 +57,10 @@ from arl.towers import (
     direct_sum,
     is_l_adic,
     is_zero_system,
+    cokernel_is_zero_system,
     kernel_is_zero_system,
     ladic_truncation,
+    levelwise_cokernel,
     levelwise_kernel,
     natural_map,
     shift,
@@ -470,6 +474,49 @@ class TestKernelCertificate:
             h = random_hom(rng, a, f.level(rng.randint(0, f.top)))
             _, incl = hom_kernel(h)
             assert vanishes_on_kernel(g, h) == g.compose(incl).is_zero()
+
+
+def _cokernel_sample_homs():
+    """The kernel sample, plus homs whose cokernels have a module tail at a
+    positive target offset (left truncated), a module tail through a matrix
+    rule (multiplication by l), and a zero tail through a surjective one."""
+    homs = _kernel_sample_homs()
+    for case in range(8):
+        rng = rng_for(76, case)
+        l = random_prime(rng, PARAMS)
+        m = random_zl_module(rng, l, PARAMS)
+        t = to_tower(m, PARAMS.levels)
+        scaled = IntMatrix.diagonal([l] * m.rank)
+        homs += [module_hom_tower_map(scaled, m, m, PARAMS.levels),
+                 natural_map(shift(t, 1), rng.randint(1, 2)),
+                 zero_tower_hom(shift(t, 1), shift(t, 2))]
+    return homs
+
+
+class TestCokernelCertificate:
+    """cokernel_is_zero_system reads the cokernel's zero radius off the level
+    maps' image lattices; it must give the verdict of the cokernel tower."""
+
+    def test_matches_the_cokernel_tower(self):
+        seen = set()
+        for h in _cokernel_sample_homs():
+            cokernel = levelwise_cokernel(h)[0]
+            for bound in (0, 1, 2, 3, None):
+                v = cokernel_is_zero_system(h, bound)
+                assert v == is_zero_system(cokernel, bound), (h, bound)
+                seen.add((v.status, v.certificate.scope if v else None))
+        # every branch of the search is reached
+        assert seen == {("yes", "tail"), ("yes", "prefix"), ("no", None), ("unknown", None)}
+
+    def test_lies_in_image_against_the_presented_cokernel(self):
+        for sample in range(40):
+            f, rng = _sample_tower(77, sample, ["ar", "zero", "module"][sample % 3], sample % 2)
+            b = f.level(rng.randint(0, f.top))
+            g = random_hom(rng, f.level(rng.randint(0, f.top)), b)
+            h = random_hom(rng, f.level(rng.randint(0, f.top)), b)
+            _, proj = hom_cokernel(h)
+            assert lies_in_image(g, h) == proj.compose(g).is_zero()
+            assert lies_in_image(h, h)
 
 
 class TestOperatorTransport:

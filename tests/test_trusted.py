@@ -1,30 +1,38 @@
 """The trusted constructors change no result.
 
-``IntMatrix._of``, ``FinAbGroup._of``, ``GroupHom._of`` and ``TowerHom._of``
-skip the checks of the public constructors for values that are valid by
-construction.  Swapping each of them for its validating public constructor
-re-checks every derived matrix, group, hom and tower hom, so a derivation
-that builds an invalid value fails here instead of passing silently.
+``IntMatrix._of``, ``FinAbGroup._of`` (with or without operators),
+``GroupHom._of`` and ``TowerHom._of`` skip the checks of the public
+constructors for values that are valid by construction.  Swapping each of
+them for its validating public constructor re-checks every derived matrix,
+group, hom and tower hom, so a derivation that builds an invalid value fails
+here instead of passing silently.  ``tests/full_checks.py`` runs the same
+swap over the functor suites' seed-1 goldens.
 """
 
+import collections
 import contextlib
 import io
 import random
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arl import groups, intmat, zlmod
-from arl.arcat import stable_image_tower
+from arl import groups, intmat, limits, zlmod
+from arl.arcat import ar_compose, canonical_l_adic, reshift, stable_image_tower
 from arl.cli import main
 from arl.gen import (
     GenParams,
     module_hom_tower_map,
+    random_ar_l_adic,
+    random_armor,
+    random_exact_triple,
     random_hom,
     random_module_hom,
     random_zero_system,
     random_zl_module,
+    rng_for,
 )
 from arl.groups import (
     FinAbGroup,
@@ -36,6 +44,7 @@ from arl.groups import (
     quotient_with_maps,
     zero_hom,
 )
+from arl.hypernat import HyperNat
 from arl.intmat import IntMatrix
 from arl.limits import _torsion_window_tower
 from arl.suites import run_suite
@@ -48,6 +57,7 @@ from arl.towers import (
     natural_map,
     sum_embeddings,
 )
+from arl.upsilon import upsilon_mor
 from arl.zlmod import ZlModule
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -56,13 +66,17 @@ SAMPLE = "demos/data/sample.arl.json"
 
 def clear_memos():
     for memo in (groups.direct_sum_with_maps, groups.direct_sum_hom, zlmod._quotient_group,
-                 zlmod._quotient_projection, intmat._snf_cached, intmat._identity):
+                 zlmod._quotient_projection, intmat._snf_cached, intmat._identity,
+                 limits.to_tower, limits._torsion_window_tower):
         memo.cache_clear()
 
 
 @pytest.fixture()
 def full_checks(monkeypatch):
-    """Route every trusted construction through the validating constructor."""
+    """Route every trusted construction through the validating constructor.
+    Each ``_of`` takes its fields positionally, in the dataclass's order, so
+    ``FinAbGroup._of`` with operators becomes ``FinAbGroup(factors, prime,
+    operators)``."""
     def enable():
         clear_memos()
         for cls in (IntMatrix, FinAbGroup, GroupHom, TowerHom):
@@ -87,6 +101,72 @@ def test_full_checks_reject_an_invalid_derived_value(full_checks):
         GroupHom._of(g, FinAbGroup((4,), prime_support=2), IntMatrix.from_rows([[1]]))
     with pytest.raises(ValueError):
         FinAbGroup._of((4, 2), 2)
+    # an operator is reduced, and one that is not well defined is refused
+    assert FinAbGroup._of((2,), 2, (("s", IntMatrix.from_rows([[3]])),)).operators == \
+        (("s", IntMatrix.from_rows([[1]])),)
+    with pytest.raises(ValueError, match="operator 's'"):
+        FinAbGroup._of((2, 4), 2, (("s", IntMatrix.from_rows([[0, 0], [1, 0]])),))
+
+
+H = HyperNat.symbol("h")
+
+
+def _shift_class_homs():
+    """Representatives built by the trusted shift-class builders: reshift,
+    ar_compose, the normalization's two morphisms and upsilon's canonical
+    shift-0 representative, at primes 2, 3 and 5."""
+    params = GenParams()
+    homs = []
+    for case in range(12):
+        rng = rng_for(91, case)
+        l = (2, 3, 5)[case % 3]
+        f, g = random_exact_triple(rng, l, params)
+        a = random_armor(rng, l, params)
+        homs += [a.rep, reshift(a, 2).rep, ar_compose(g, f).rep,
+                 ar_compose(reshift(g, 1), reshift(f, 2)).rep, upsilon_mor(a, H).tower_hom]
+        c = canonical_l_adic(random_ar_l_adic(rng, l, params))
+        homs += [c.iso.rep, c.inverse.rep]
+    return homs
+
+
+def test_shift_class_builders_equal_their_validated_construction(full_checks):
+    clear_memos()
+    trusted = _shift_class_homs()
+    for h in trusted:
+        assert _checked(h).levels == h.levels
+    full_checks()
+    validated = _shift_class_homs()
+    assert len(validated) == len(trusted)
+    for t, v in zip(trusted, validated):
+        assert t.levels == v.levels and t.tail == v.tail
+        assert t.source.levelwise_equal(v.source) and t.target.levelwise_equal(v.target)
+
+
+def test_validations_fall_to_the_generators(monkeypatch):
+    """Over 25 cases of each functor suite at seed 0 the only tower homs that
+    are validated are the generator's test data (module_hom_tower_map 75,
+    random_extension 14 + 14), and group validations stay at least 700 below
+    the 1,579 that re-validating the quotients and presentations cost."""
+    counts = collections.Counter()
+
+    def counted(cls):
+        original = cls.__post_init__
+
+        def post_init(self):
+            counts[cls.__name__] += 1
+            # frame 1 is the dataclass __init__, frame 2 its caller
+            if sys._getframe(2).f_globals["__name__"] == "arl.gen":
+                counts[cls.__name__ + " in arl.gen"] += 1
+            original(self)
+        monkeypatch.setattr(cls, "__post_init__", post_init)
+
+    counted(TowerHom)
+    counted(FinAbGroup)
+    clear_memos()
+    for suite in ("upsilon", "phi", "faithful", "comparison"):
+        assert run_suite(suite, 0, 25).all_pass()
+    assert counts["TowerHom"] == counts["TowerHom in arl.gen"] == 103
+    assert counts["FinAbGroup"] <= 1579 - 700
 
 
 @pytest.mark.parametrize("suite, cases", [("torsionfree", 300), ("comparison", 10),
