@@ -44,8 +44,8 @@ print("h vs d1:", h.compare(d1), " (distinct symbols are incomparable)")
 t = to_tower(ZlModule(l, (), 1), 8)
 u = upsilon(t, h)
 print()
-print("object at star-index", u.star.index.describe(),
-      ", annihilated by l^(", u.annihilator.describe(), ")")
+print("object at star-index", (u.h - 1).describe(),
+      ", annihilated by l^(", u.h.describe(), ")")
 print("finite quotients: ", [u.finite_quotient(k).describe() for k in range(1, 5)])
 
 # Reconstruction returns exactly the l-adic tower we started from.

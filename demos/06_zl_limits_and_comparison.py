@@ -2,13 +2,12 @@
 
 An l-adic tower determines a finitely generated Z_l-module: stabilized
 invariant factors become torsion, factors growing with the level become free
-rank.  Cohomology towers enter as data; the comparison check evaluates both
-module-valued readings and the torsion criterion synthesizes the middle term
-of the coefficient exact sequence.
+rank.  Cohomology towers enter as plain towers; the comparison check
+evaluates both module-valued readings and the torsion criterion synthesizes
+the middle term of the coefficient exact sequence.
 """
 
 from arl import (
-    CohomologyTowerInput,
     HyperNat,
     IntMatrix,
     Tower,
@@ -45,8 +44,7 @@ print("rank over Q_l of", ZlModule(l, (5,), 2).describe(), "is",
 # A cohomology tower with a unit Frobenius: both module readings agree,
 # including the operator.
 frob = ZlModule(l, (), 1, operators=(("frob", IntMatrix.from_rows([[3]])),))
-data = CohomologyTowerInput.from_mapping({0: to_tower(frob, 8)})
-rep = comparison_check(data, 0)
+rep = comparison_check(to_tower(frob, 8))
 print()
 print("comparison in degree 0:")
 print("  stable-image reading:", rep.left.describe())

@@ -82,7 +82,6 @@ from .arcat import (
 )
 from .hypernat import HyperNat
 from .upsilon import (
-    StarLevel,
     UpsilonHom,
     UpsilonObj,
     ar_canonical_rep,
@@ -95,7 +94,6 @@ from .upsilon import (
     upsilon_mor,
 )
 from .limits import (
-    CohomologyTowerInput,
     ComparisonReport,
     TorsionCriterionResult,
     comparison_check,

@@ -432,11 +432,11 @@ def kernel_bound_check(n_tower: Tower, f_tower: Tower, g_tower: Tower,
 
         im[ ker(F_{r+m+n} -> F_n) -> F_{m+n} ]  lies in  l^{n+1} F_{m+n}.
 
-    Preconditions (levelwise exactness, l-adic quotient, vanishing radius)
-    are re-verified on the represented levels that the check touches.
+    Preconditions are re-verified on the levels that the check touches:
+    levelwise exactness on n..r+m+n (as far as F is represented), the
+    l-adic quotient, and the vanishing radius N_{k+r} -> N_k for k = n..m+n.
     """
-    top_needed = r + m + n
-    for lvl in (0, min(top_needed, f_tower.top)):
+    for lvl in range(n, min(r + m + n, f_tower.top) + 1):
         fl = incl.level(lvl)
         gl = proj.level(lvl)
         if not is_injective(fl):
@@ -447,8 +447,9 @@ def kernel_bound_check(n_tower: Tower, f_tower: Tower, g_tower: Tower,
             raise PreconditionViolated(f"sequence not exact at level {lvl}")
     if not is_l_adic(g_tower):
         raise PreconditionViolated("quotient tower is not certified l-adic")
-    if not n_tower.composite(0, r).is_zero():
-        raise PreconditionViolated(f"claimed zero radius {r} fails at level 0")
+    for lvl in range(n, m + n + 1):
+        if not n_tower.composite(lvl, r).is_zero():
+            raise PreconditionViolated(f"claimed zero radius {r} fails at level {lvl}")
 
     big = f_tower.composite(n, r + m)          # F_{r+m+n} -> F_n
     kernel, kincl = hom_kernel(big)

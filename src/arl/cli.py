@@ -121,9 +121,9 @@ def _cmd_upsilon(ns, argv) -> int:
     print(_echo(argv))
     u = upsilon(tower, h)
     print(f"tower: {ns.tower}")
-    print(f"annihilator: l^({u.annihilator.describe()})")
-    print(f"star-index: {u.star.index.describe()}")
-    hi = min(ns.levels, u.base.top + 1)
+    print(f"annihilator: l^({u.h.describe()})")
+    print(f"star-index: {(u.h - 1).describe()}")
+    hi = min(ns.levels, u.normalization.tower.top + 1)
     for k in range(1, hi + 1):
         print(f"quotient mod l^{k}: {u.finite_quotient(k).describe()}")
     print(f"normalization: r={u.normalization.shift} s={u.normalization.ml_bound}")

@@ -86,8 +86,9 @@ class FinAbGroup:
 
     The public constructor checks the divisibility chain, the prime and the
     operators.  Direct sums, quotients ``g / n*g`` with their induced
-    operators, and presentations modulo a power of the prime are valid by
-    construction and use the trusted :meth:`_of`.
+    operators, presentations modulo a power of the prime and the quotients
+    M/l^k of a Z_l-module with its operators are valid by construction and
+    use the trusted :meth:`_of`.
     """
 
     invariant_factors: tuple[int, ...]
@@ -163,9 +164,6 @@ class FinAbGroup:
     def with_operators(self, operators: Mapping[str, IntMatrix] | Sequence[tuple[str, IntMatrix]]) -> "FinAbGroup":
         items = operators.items() if isinstance(operators, Mapping) else operators
         return replace(self, operators=tuple(items))
-
-    def without_operators(self) -> "FinAbGroup":
-        return replace(self, operators=())
 
     def relation_matrix(self) -> IntMatrix:
         """diag(d_1, ..., d_k), built once per group: a constant of a frozen value."""
@@ -289,12 +287,6 @@ class GroupHom:
         matrix = reduce_matrix(self.matrix @ first.matrix, self.target.invariant_factors)
         # the composite commutes with every operator both factors commute with
         return _through(first.source, first.target, self.target, matrix)
-
-    def __add__(self, other: "GroupHom") -> "GroupHom":
-        if (other.source, other.target) != (self.source, self.target):
-            raise ValueError("hom addition endpoints do not match")
-        return GroupHom._of(self.source, self.target, reduce_matrix(
-            self.matrix + other.matrix, self.target.invariant_factors))
 
     def __sub__(self, other: "GroupHom") -> "GroupHom":
         if (other.source, other.target) != (self.source, self.target):

@@ -102,15 +102,6 @@ class IntMatrix:
             tuple(tuple(values[i] if i == j and i < n else 0 for j in range(cols)) for i in range(rows)),
         )
 
-    @staticmethod
-    def from_columns(columns: Sequence[Sequence[int]], rows: int | None = None) -> "IntMatrix":
-        if rows is None:
-            rows = len(columns[0]) if columns else 0
-        return IntMatrix(
-            rows, len(columns),
-            tuple(tuple(exact_int(col[i], "matrix entry") for col in columns) for i in range(rows)),
-        )
-
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:

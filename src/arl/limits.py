@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Optional
+from typing import Optional
 
 from .arcat import canonical_l_adic
 from .errors import NonStabilizing, NotLAdic
@@ -81,35 +81,16 @@ def tensor_zl(upsilon_obj) -> ZlModule:
 
 
 @dataclass(frozen=True)
-class CohomologyTowerInput:
-    """Cohomology tower data per degree, supplied as input (never computed
-    from geometry here): degree -> tower of coefficient reductions."""
-
-    degrees: tuple[tuple[int, Tower], ...]
-
-    @staticmethod
-    def from_mapping(data: Mapping[int, Tower]) -> "CohomologyTowerInput":
-        return CohomologyTowerInput(tuple(sorted(data.items())))
-
-    def tower(self, degree: int) -> Tower:
-        for d, t in self.degrees:
-            if d == degree:
-                return t
-        raise KeyError(degree)
-
-
-@dataclass(frozen=True)
 class ComparisonReport:
-    degree: int
     left: ZlModule
     right: ZlModule
     isomorphic: bool
     operators_match: bool
 
 
-def comparison_check(data: CohomologyTowerInput, degree: int,
-                     bound: Optional[int] = None) -> ComparisonReport:
-    """Compare the two module-valued readings of a cohomology tower.
+def comparison_check(tower: Tower, bound: Optional[int] = None) -> ComparisonReport:
+    """Compare the two module-valued readings of a cohomology tower (supplied
+    as input, never computed from geometry here).
 
     Left: the stable image over an infinite gap, tensored down to Z_l
     (computed through the image-quotient functor at a symbolic infinite
@@ -117,12 +98,10 @@ def comparison_check(data: CohomologyTowerInput, degree: int,
     theorem says they agree; the report records whether the canonical forms
     (and operator actions, when present) are equal.
     """
-    t = data.tower(degree)
     h = HyperNat.symbol("h")
-    left = tensor_zl(upsilon(t, h, bound=bound))
-    right = limit(canonical_l_adic(t, bound=bound).tower)
+    left = tensor_zl(upsilon(tower, h, bound=bound))
+    right = limit(canonical_l_adic(tower, bound=bound).tower)
     return ComparisonReport(
-        degree=degree,
         left=left,
         right=right,
         isomorphic=left.without_operators() == right.without_operators(),

@@ -17,7 +17,6 @@ from typing import Callable, Optional
 
 from .arcat import (
     ar_is_isomorphism,
-    canonical_l_adic,
     kernel_bound_check,
     stable_image_bound,
     stable_image_tower,
@@ -35,7 +34,7 @@ from .gen import (
     rng_for,
 )
 from .hypernat import HyperNat
-from .limits import ladic_iff_torsionfree, limit, tensor_zl, to_tower
+from .limits import comparison_check, ladic_iff_torsionfree, limit, to_tower
 from .towers import is_l_adic, is_zero_system
 from .upsilon import check_right_exact, faithfulness_check, phi_iso, psi, upsilon
 from .zlmod import ZlModule
@@ -133,7 +132,7 @@ def _case_upsilon(rng, params: GenParams, index: int):
     s = sb.certificate.bound
     u1 = upsilon(f, H, ml_bound=s)
     u2 = upsilon(f, H, ml_bound=s + 2)
-    k = min(u1.base.top, u2.base.top)
+    k = min(u1.normalization.tower.top, u2.normalization.tower.top)
     if u1.canonical_form(k) != u2.canonical_form(k):
         return "fail", {"l": l, "s": s}, "normal form depends on the stabilization shift"
     fseq, gseq = random_exact_triple(rng, l, params)
@@ -174,12 +173,11 @@ def _case_comparison(rng, params: GenParams, index: int):
     if limit(to_tower(m, params.levels)) != m:
         return "fail", {"l": l, "module": m.describe()}, "limit of reconstruction differs"
     f = random_ar_l_adic(rng, l, replace(params, operators=True))
-    left = tensor_zl(upsilon(f, H))
-    right = limit(canonical_l_adic(f).tower)
-    if left != right:
-        return ("fail", {"l": l, "left": left.describe(), "right": right.describe()},
+    rep = comparison_check(f)
+    if not rep.operators_match:
+        return ("fail", {"l": l, "left": rep.left.describe(), "right": rep.right.describe()},
                 "the two module readings disagree")
-    return "pass", {"l": l, "module": m.describe(), "value": left.describe()}, None
+    return "pass", {"l": l, "module": m.describe(), "value": rep.left.describe()}, None
 
 
 def torsion_grid(primes=(2, 3), max_exponent=3, max_factors=2, max_rank=2) -> list[tuple[ZlModule, ZlModule]]:

@@ -3,8 +3,9 @@
 For an AR-l-adic tower F and an infinite index h the functor takes the
 stable image over an infinite gap and quotients by l^h.  On normal forms
 this is the canonical l-adic replacement G of F placed at the symbolic
-star-level h-1: every finite quotient  (G at h-1)/l^{n+1}  is literally G_n,
-which is all the external information the object carries.  The reconstruction
+star-level h-1, so ``UpsilonObj`` holds only the normalization and h: every
+finite quotient  (G at h-1)/l^{n+1}  is literally G_n, which is all the
+external information the object carries.  The reconstruction
 functor (psi) reads off the tower of finite quotients, which is G again, and
 phi, the natural isomorphism between the round trip and the star embedding,
 is the normalization's pair of shift-class isomorphisms (levelwise the
@@ -33,7 +34,6 @@ from .groups import (
     is_exact_at,
     is_surjective,
     kills_multiples,
-    quotient_by_integer,
     reduce_matrix,
     section,
 )
@@ -47,48 +47,26 @@ from .towers import (
 
 
 @dataclass(frozen=True, eq=False)
-class StarLevel:
-    """A level of a tower at a (typically infinite) symbolic index.
-
-    For a finite index n the value is literally the tower's level n; for an
-    infinite index the object is symbolic and only its finite quotients are
-    materialized: (star level)/l^k = base_{k-1}.
-    """
-
-    base: Tower
-    index: HyperNat
-
-    def finite_quotient(self, power: int) -> FinAbGroup:
-        if power < 1:
-            raise ValueError("quotient power must be >= 1")
-        if not self.index.is_infinite:
-            return quotient_by_integer(self.base.level(self.index.offset),
-                                       self.base.l ** power)
-        return self.base.level(power - 1)
-
-
-@dataclass(frozen=True, eq=False)
 class UpsilonObj:
     """Normal form of the image-quotient at an infinite index h: the
-    canonical l-adic tower at star-level h-1, annihilated by l^h."""
+    canonical l-adic tower G at star-level h-1, annihilated by l^h."""
 
-    star: StarLevel
-    annihilator: HyperNat
     normalization: CanonicalLAdic
-
-    @property
-    def base(self) -> Tower:
-        return self.star.base
+    h: HyperNat
 
     def finite_quotient(self, power: int) -> FinAbGroup:
-        return self.star.finite_quotient(power)
+        """The quotient by l^power, which at an infinite index is G_{power-1}."""
+        if power < 1:
+            raise ValueError("quotient power must be >= 1")
+        return self.normalization.tower.level(power - 1)
 
     def canonical_form(self, upto: Optional[int] = None) -> tuple:
         """Comparable normal form: levelwise invariant factors (up to a given
         level) plus the certified tail data when present."""
-        hi = self.base.top if upto is None else min(upto, self.base.top)
-        levels = tuple(self.base.level(n).invariant_factors for n in range(hi + 1))
-        shape = classify_tail(self.base)
+        base = self.normalization.tower
+        hi = base.top if upto is None else min(upto, base.top)
+        levels = tuple(base.level(n).invariant_factors for n in range(hi + 1))
+        shape = classify_tail(base)
         tail = None
         if shape is not None and shape.module is not None:
             tail = (shape.start, shape.module.torsion_exponents, shape.module.free_rank)
@@ -109,14 +87,15 @@ def upsilon(f: Tower, h: HyperNat, bound: Optional[int] = None,
         raise FiniteIndex(f"index {h.describe()} is finite; an infinite index is required")
     c = canonical_l_adic(f, bound=bound, ml_bound=ml_bound,
                          with_morphisms=ml_bound is None)
-    return UpsilonObj(StarLevel(c.tower, h - 1), h, c)
+    return UpsilonObj(c, h)
 
 
 def psi(u: UpsilonObj) -> Tower:
     """The tower of finite quotients (U/l^{n+1})_n of an l^h-annihilated
-    object.  At an infinite index U/l^{n+1} is base level n
-    (:meth:`StarLevel.finite_quotient`), so this is the base tower itself."""
-    return u.base
+    object.  At an infinite index U/l^{n+1} is level n of the canonical
+    l-adic tower (:meth:`UpsilonObj.finite_quotient`), so this is that
+    tower itself."""
+    return u.normalization.tower
 
 
 def star_tower(f: Tower) -> Tower:

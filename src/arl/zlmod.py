@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .errors import PrimeMismatch
-from .groups import FinAbGroup, GroupHom, check_prime, valuation
+from .groups import FinAbGroup, GroupHom, check_prime, reduce_matrix, valuation
 from .intmat import IntMatrix, exact_int, modular_smith
 
 
@@ -74,12 +74,6 @@ class ZlModule:
     def operator_labels(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.operators)
 
-    def operator(self, label: str) -> IntMatrix:
-        for lab, mat in self.operators:
-            if lab == label:
-                return mat
-        raise KeyError(label)
-
     def with_operators(self, operators: Mapping[str, IntMatrix] | Sequence[tuple[str, IntMatrix]]) -> "ZlModule":
         items = operators.items() if isinstance(operators, Mapping) else operators
         return replace(self, operators=tuple(items))
@@ -131,7 +125,7 @@ class ZlModule:
             for label in labels:
                 m = [[0] * total for _ in range(total)]
                 for part, idx in ((self, idx_self), (other, idx_other)):
-                    sigma = part.operator(label)
+                    sigma = dict(part.operators)[label]
                     for i in range(part.rank):
                         for j in range(part.rank):
                             m[idx[i]][idx[j]] = sigma.entries[i][j]
@@ -179,11 +173,13 @@ QUOTIENT_MEMO_SIZE = 16
 def _quotient_group(module: ZlModule, power: int) -> FinAbGroup:
     factors = [module.l ** min(a, power) for a in module.torsion_exponents]
     factors += [module.l ** power] * module.free_rank
-    # sorted exponents >= 1 capped at power >= 1: a chain of powers of l >= 2
-    group = FinAbGroup._of(tuple(factors), module.l)
-    if module.operators:
-        group = group.with_operators([(lab, mat) for lab, mat in module.operators])
-    return group
+    # sorted exponents >= 1 capped at power >= 1: a chain of powers of l >= 2.
+    # The module's operators are sorted by label and checked module
+    # endomorphisms (ZlModule.__post_init__), so each preserves l^power M and
+    # induces a well-defined endomorphism of M/l^power; reduced modulo the
+    # factors, its matrix is the one that validation would store
+    return FinAbGroup._of(tuple(factors), module.l, tuple(
+        (lab, reduce_matrix(mat, factors)) for lab, mat in module.operators))
 
 
 @lru_cache(maxsize=QUOTIENT_MEMO_SIZE)
@@ -249,6 +245,6 @@ def module_cokernel(mat: IntMatrix, source: ZlModule, target: ZlModule,
     coker, proj, lift = zl_canonicalize(rel, target.l)
     labels = [lab for lab in source.operator_labels() if lab in target.operator_labels()]
     if labels:
-        ops = [(lab, proj @ target.operator(lab) @ lift) for lab in labels]
+        ops = [(lab, proj @ mat @ lift) for lab, mat in target.operators if lab in labels]
         coker = coker.with_operators(ops)
     return coker, proj, lift

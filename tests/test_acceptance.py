@@ -130,7 +130,7 @@ def test_acceptance_choice_independence():
         s = stable_image_bound(f).certificate.bound
         u1 = upsilon(f, H, ml_bound=s)
         u2 = upsilon(f, H, ml_bound=s + 2)
-        k = min(u1.base.top, u2.base.top)
+        k = min(psi(u1).top, psi(u2).top)
         assert u1.canonical_form(k) == u2.canonical_form(k), case
     report("choice-independence [100 towers]", start, 30)
 

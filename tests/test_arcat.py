@@ -470,3 +470,18 @@ class TestKernelBound:
         f, incl, proj = random_extension(rng_for(0, 1), n, g)
         with pytest.raises(PreconditionViolated):
             kernel_bound_check(n, f, g, incl, proj, 0, 0, 0)  # radius 0 is wrong
+
+    def test_radius_checked_on_every_level_it_uses(self):
+        # N_0 is trivial, so the claimed radius 0 holds at level 0, but N_1 is
+        # Z/2: a check whose levels reach 1 rests on a false premise
+        groups = [trivial_group(L), FinAbGroup((L,), prime_support=L)] + [trivial_group(L)] * 6
+        maps = tuple(zero_hom(groups[k], groups[k - 1]) for k in range(1, 8))
+        n = Tower(L, tuple(groups), maps, tail=TailRule(2))
+        g = zl_tower()
+        f, incl, proj = random_extension(rng_for(0, 2), n, g)
+        assert kernel_bound_check(n, f, g, incl, proj, 0, 0, 0)
+        for m, k in ((1, 0), (0, 1)):
+            with pytest.raises(PreconditionViolated, match="radius 0 fails at level 1"):
+                kernel_bound_check(n, f, g, incl, proj, 0, m, k)
+        # radius 2 holds everywhere: N_{k+2} -> N_k is zero for every k
+        assert kernel_bound_check(n, f, g, incl, proj, 2, 1, 1)

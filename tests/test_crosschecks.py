@@ -120,5 +120,5 @@ def test_operators_flow_through_normalization():
     c = canonical_l_adic(mixed)
     assert c.tower.level(2).operator_labels() == ("frob",)
     value = limit(c.tower)
-    assert value.operator("frob").entries == ((3,),)
+    assert dict(value.operators)["frob"].entries == ((3,),)
     assert tensor_zl(upsilon(mixed, HyperNat.symbol("h"))) == value

@@ -81,10 +81,10 @@ def test_snf_inverses(m):
 
 def test_solve_and_kernel():
     m = IntMatrix.from_rows([[2, 4], [0, 0]])
-    ys = IntMatrix.from_columns([(6, 0), (3, 0), (0, 1)])
+    ys = IntMatrix.from_rows([(6, 0), (3, 0), (0, 1)]).transpose()
     solvable, odd, off = modular_solve(m, 8, ys)
     assert solvable is not None and off is None and odd is None
-    assert tuple(x % 8 for x in (m @ IntMatrix.from_columns([solvable])).column(0)) == (6, 0)
+    assert tuple(x % 8 for x in (m @ IntMatrix.from_rows([solvable]).transpose()).column(0)) == (6, 0)
     k = modular_kernel(m, 8)
     assert all(x % 8 == 0 for col in (m @ k).columns() for x in col)
 
@@ -97,7 +97,7 @@ def test_modulus_zero_presents_over_z():
     assert (u @ ui).is_identity() and (ui @ u).is_identity()
     # solving and kernels need a finite modulus
     with pytest.raises(ValueError, match="modulus 0"):
-        modular_solve(m, 0, IntMatrix.from_columns([(2, 0)]))
+        modular_solve(m, 0, IntMatrix.from_rows([(2, 0)]).transpose())
     with pytest.raises(ValueError, match="modulus 0"):
         modular_kernel(m, 0)
 
@@ -105,7 +105,7 @@ def test_modulus_zero_presents_over_z():
 def test_lattice_membership():
     # a full-rank lattice contains its index times Z^2: here 6 Z^2
     basis = IntMatrix.from_rows([[2, 0], [0, 3]])
-    inside, outside = modular_solve(basis, 6, IntMatrix.from_columns([(4, 3), (1, 0)]))
+    inside, outside = modular_solve(basis, 6, IntMatrix.from_rows([(4, 3), (1, 0)]).transpose())
     assert inside is not None and outside is None
     # the same lattice from redundant generators
     same = IntMatrix.from_rows([[2, 0, 2], [3, 3, 0]])
@@ -127,7 +127,7 @@ def test_hnf_canonical_for_equal_lattices():
                           for i in range(2)])
         shuffled = cols + extra
         rng.shuffle(shuffled)
-        m = IntMatrix.from_columns(shuffled, rows=2)
+        m = IntMatrix.from_rows(shuffled, cols=2).transpose()
         assert hermite_normal_form(m) == h0
 
 
@@ -163,12 +163,12 @@ def assert_hnf_shape(h: IntMatrix):
 def test_hnf_modular_carries_the_howell_column():
     # span((2, 1)) + 4Z^2 holds 2*(2, 1) - (4, 0) = (0, 2); without the column
     # carried below row 0 the second diagonal entry would read 4
-    assert hermite_normal_form(IntMatrix.from_columns([(2, 1)]), 4).entries == ((2, 0), (1, 2))
+    assert hermite_normal_form(IntMatrix.from_rows([(2, 1)]).transpose(), 4).entries == ((2, 0), (1, 2))
 
 
 def test_hnf_modular_zero_row_gives_diagonal_e():
     # row 1 is zero modulo 9 in every generator, so its diagonal entry is 9
-    h = hermite_normal_form(IntMatrix.from_columns([(3, 9), (6, 18)]), 9)
+    h = hermite_normal_form(IntMatrix.from_rows([(3, 9), (6, 18)]).transpose(), 9)
     assert h.entries == ((3, 0), (0, 9))
     assert hermite_normal_form(IntMatrix.zeros(2, 0), 6).entries == ((6, 0), (0, 6))
 
@@ -176,7 +176,7 @@ def test_hnf_modular_zero_row_gives_diagonal_e():
 def test_hnf_modular_mixed_modulus():
     # row 0 holds 4 and 6 modulo 12: neither divides the other, so the pivot
     # takes a Bezout step
-    m = IntMatrix.from_columns([(4, 1, 0), (6, 0, 1), (0, 3, 2)])
+    m = IntMatrix.from_rows([(4, 1, 0), (6, 0, 1), (0, 3, 2)]).transpose()
     h = hermite_normal_form(m, 12)
     assert h.entries == ((2, 0, 0), (2, 3, 0), (1, 0, 2))
     assert h == hermite_normal_form(m.hstack(IntMatrix.diagonal([12] * 3)))
@@ -190,7 +190,7 @@ def lattices_containing_e(draw):
     k = draw(st.integers(1, 3))
     cols = draw(st.lists(st.lists(st.integers(-2 * e, 2 * e), min_size=k, max_size=k),
                          max_size=4))
-    return IntMatrix.from_columns(cols, rows=k), e
+    return IntMatrix.from_rows(cols, cols=k).transpose(), e
 
 
 @settings(max_examples=150, deadline=None)
@@ -259,14 +259,14 @@ def test_modulus_one_is_the_whole_lattice():
     m = IntMatrix.from_rows([[2, 4, 1], [0, 3, 5]])
     _, d, _ = smith_normal_form(modular_kernel(m, 1))
     assert [d.entries[i][i] for i in range(m.cols)] == [1] * m.cols
-    assert modular_solve(m, 1, IntMatrix.from_columns([(6, 1), (3, 7)])) == [(0, 0, 0)] * 2
+    assert modular_solve(m, 1, IntMatrix.from_rows([(6, 1), (3, 7)]).transpose()) == [(0, 0, 0)] * 2
 
 
 @pytest.mark.parametrize("build", [
     lambda: IntMatrix.diagonal([2.5]),
     lambda: IntMatrix.diagonal(["2"]),
-    lambda: IntMatrix.from_columns([[1.9]]),
-    lambda: IntMatrix.from_columns([[None]]),
+    lambda: IntMatrix.from_rows([[1.9]]).transpose(),
+    lambda: IntMatrix.from_rows([[None]]).transpose(),
     lambda: IntMatrix(1.0, 1, ((1,),)),
     lambda: IntMatrix(1, True, ((1,),)),
     lambda: IntMatrix.from_rows([[1, 2.0]]),
@@ -278,7 +278,7 @@ def test_non_integral_input_rejected_not_truncated(build):
 
 def test_integral_input_accepted():
     assert IntMatrix.diagonal([2, 3]).entries == ((2, 0), (0, 3))
-    assert IntMatrix.from_columns([[1], [2]]).entries == ((1, 2),)
+    assert IntMatrix.from_rows([[1], [2]]).transpose().entries == ((1, 2),)
     assert IntMatrix.from_rows([[1, -2]]).entries == ((1, -2),)
 
 

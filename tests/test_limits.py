@@ -5,7 +5,6 @@ from arl.groups import FinAbGroup, GroupHom
 from arl.hypernat import HyperNat
 from arl.intmat import IntMatrix
 from arl.limits import (
-    CohomologyTowerInput,
     comparison_check,
     ladic_iff_torsionfree,
     limit,
@@ -124,8 +123,7 @@ class TestTensorAndRank:
 class TestComparison:
     def test_unit_frobenius(self):
         m = ZlModule(L, (), 1, operators=(("frob", IntMatrix.from_rows([[3]])),))
-        data = CohomologyTowerInput.from_mapping({0: to_tower(m, 8)})
-        rep = comparison_check(data, 0)
+        rep = comparison_check(to_tower(m, 8))
         assert rep.isomorphic and rep.operators_match
         assert rep.left == m
 
@@ -138,20 +136,13 @@ class TestComparison:
         maps = [identity_hom(g), identity_hom(g)] + \
             [zero_hom(groups[n], groups[n - 1]) for n in range(3, 8)]
         noise = Tower(L, tuple(groups), tuple(maps), tail=TailRule(3))
-        data = CohomologyTowerInput.from_mapping({1: direct_sum(t, noise)})
-        rep = comparison_check(data, 1)
+        rep = comparison_check(direct_sum(t, noise))
         assert rep.isomorphic and rep.operators_match
         assert rep.left == ZlModule(L, (2,), 1)
 
     def test_trivial_degree(self):
-        data = CohomologyTowerInput.from_mapping({2: to_tower(ZlModule(L, ()), 6)})
-        rep = comparison_check(data, 2)
+        rep = comparison_check(to_tower(ZlModule(L, ()), 6))
         assert rep.isomorphic and rep.operators_match and rep.left.is_trivial()
-
-    def test_missing_degree(self):
-        data = CohomologyTowerInput.from_mapping({0: to_tower(ZlModule(L, ()), 6)})
-        with pytest.raises(KeyError):
-            comparison_check(data, 3)
 
 
 class TestTorsionCriterion:

@@ -158,7 +158,8 @@ def hom_pairs(draw):
         src = group()
         if not endo:
             return random_hom(rng, src, group())
-        f = random_hom(rng, src.without_operators(), src.without_operators())
+        bare = FinAbGroup(src.invariant_factors, prime_support=l)
+        f = random_hom(rng, bare, bare)
         g = src.with_operators(src.operators + (("e", f.matrix),))
         return GroupHom(g, g, f.matrix)
 
@@ -171,7 +172,8 @@ def test_direct_sum_hom_matches_sum_formula(pair):
     f, g = pair
     s1, _, _, pa1, pb1 = direct_sum_with_maps(f.source, g.source)
     s0, ia0, ib0, _, _ = direct_sum_with_maps(f.target, g.target)
-    expected = ia0.compose(f).compose(pa1) + ib0.compose(g).compose(pb1)
+    expected = GroupHom(s1, s0, ia0.compose(f).compose(pa1).matrix
+                        + ib0.compose(g).compose(pb1).matrix)
     assert direct_sum_hom(f, g) == expected  # the memo as earlier examples left it
     groups.direct_sum_hom.cache_clear()
     built = direct_sum_hom(f, g)

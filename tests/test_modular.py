@@ -22,7 +22,7 @@ DATA = Path(__file__).parent / "data"
 
 
 def columns(vectors, rows):
-    return IntMatrix.from_columns(vectors, rows=rows)
+    return IntMatrix.from_rows(vectors, cols=rows).transpose()
 
 
 def span_mod(gens, e, n):

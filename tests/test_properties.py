@@ -270,10 +270,10 @@ class TestUpsilonInvariants:
             u_sum = upsilon(direct_sum(f, g), H)
             u_f = upsilon(f, H)
             u_g = upsilon(g, H)
-            combined = direct_sum(u_f.base, u_g.base)
-            k = min(u_sum.base.top, combined.top)
+            combined = direct_sum(psi(u_f), psi(u_g))
+            k = min(psi(u_sum).top, combined.top)
             for n in range(k + 1):
-                assert u_sum.base.level(n).invariant_factors == \
+                assert psi(u_sum).level(n).invariant_factors == \
                     combined.level(n).invariant_factors
 
     def test_psi_upsilon_identity_on_l_adic(self):

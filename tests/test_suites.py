@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
+from arl import suites
 from arl.gen import GenParams
 from arl.suites import (
     SUITES,
@@ -104,3 +107,19 @@ def test_run_case_captures_crashes(monkeypatch):
     res = run_case("crashy", seed=0, index=0, params=GenParams())
     assert res.outcome == "fail"
     assert res.certificate == {"error": "RuntimeError"}
+
+
+def test_comparison_suite_reads_the_library_comparison(monkeypatch):
+    # the suite keeps no reading of its own: a comparison that reports a
+    # disagreement fails every case, with the readings it was given
+    real = suites.comparison_check
+
+    def disagreeing(tower):
+        return replace(real(tower), operators_match=False)
+
+    monkeypatch.setattr(suites, "comparison_check", disagreeing)
+    report = run_suite("comparison", 0, 3)
+    assert report.counts()["fail"] == 3
+    for res in report.results:
+        assert res.witness.startswith("the two module readings disagree [minimized at")
+        assert set(res.certificate) == {"l", "left", "right"}

@@ -714,8 +714,8 @@ def small_towers(draw):
         maps = []
         for _ in range(levels - 1):
             a, b = draw(st.integers(0, 8)), draw(st.integers(0, 8))
-            u = e.compose(e) + GroupHom(g, g, IntMatrix.diagonal([a] * g.rank) @ e.matrix) \
-                + GroupHom(g, g, IntMatrix.diagonal([b] * g.rank))
+            u = GroupHom(g, g, e.compose(e).matrix + IntMatrix.diagonal([a] * g.rank) @ e.matrix
+                         + IntMatrix.diagonal([b] * g.rank))
             maps.append(u)
         return Tower(l, (g,) * levels, tuple(maps))
     groups = [group(n) for n in range(levels)]

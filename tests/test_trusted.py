@@ -145,8 +145,11 @@ def test_shift_class_builders_equal_their_validated_construction(full_checks):
 def test_validations_fall_to_the_generators(monkeypatch):
     """Over 25 cases of each functor suite at seed 0 the only tower homs that
     are validated are the generator's test data (module_hom_tower_map 75,
-    random_extension 14 + 14), and group validations stay at least 700 below
-    the 1,579 that re-validating the quotients and presentations cost."""
+    random_extension 14 + 14), and group validations stay at most 400 (384:
+    the generator's random groups, trivial groups and a few operator
+    transports), against the 1,579 that re-validating the quotients and
+    presentations cost and the 772 that re-validating the module quotients
+    with operators cost."""
     counts = collections.Counter()
 
     def counted(cls):
@@ -166,7 +169,7 @@ def test_validations_fall_to_the_generators(monkeypatch):
     for suite in ("upsilon", "phi", "faithful", "comparison"):
         assert run_suite(suite, 0, 25).all_pass()
     assert counts["TowerHom"] == counts["TowerHom in arl.gen"] == 103
-    assert counts["FinAbGroup"] <= 1579 - 700
+    assert counts["FinAbGroup"] <= 400
 
 
 @pytest.mark.parametrize("suite, cases", [("torsionfree", 300), ("comparison", 10),
@@ -226,12 +229,11 @@ def _revalidated(h: GroupHom) -> GroupHom:
 def test_trusted_homs_equal_their_validated_construction(chain, n):
     f, f2, g = chain
     a, b = f.source, f.target
-    derived = [g.compose(f), f + f2, f - f2, identity_hom(a), zero_hom(a, b),
+    derived = [g.compose(f), f - f2, identity_hom(a), zero_hom(a, b),
                quotient_with_maps(a, n)[1], direct_sum_hom(f, g)]
     for h in derived:
         assert _revalidated(h) == h
     assert g.compose(f) == GroupHom(a, g.target, g.matrix @ f.matrix)
-    assert f + f2 == GroupHom(a, b, f.matrix + f2.matrix)
     assert f - f2 == GroupHom(a, b, f.matrix - f2.matrix)
 
 
@@ -324,7 +326,8 @@ def test_direct_sum_maps_equal_their_validated_construction(pair):
     assert proj_g.compose(incl_g) == identity_hom(g)
     assert proj_h.compose(incl_h) == identity_hom(h)
     assert proj_h.compose(incl_g).is_zero() and proj_g.compose(incl_h).is_zero()
-    assert incl_g.compose(proj_g) + incl_h.compose(proj_h) == identity_hom(s)
+    assert GroupHom(s, s, incl_g.compose(proj_g).matrix + incl_h.compose(proj_h).matrix) \
+        == identity_hom(s)
 
 
 @settings(max_examples=100, deadline=None)
@@ -337,7 +340,11 @@ def test_quotients_equal_their_validated_construction(chain, n, k):
     # n_target | n_source: the induced map exists and is trusted
     induced = hom_on_quotients(g, n * k, n)
     assert _revalidated(induced) == induced
-    m = ZlModule(2, (1, 3), 1).with_operators([("c", IntMatrix.diagonal([3, 3, 3]))])
+    # "t" needs reducing below the module's exponents, and its entry 4 below
+    # the diagonal is well defined only because Z/2 -> Z/8 lands in 4Z/8
+    m = ZlModule(2, (1, 3), 1).with_operators([
+        ("t", IntMatrix.from_rows([[1, 0, 1], [4, 1, 3], [0, 0, 5]])),
+        ("c", IntMatrix.diagonal([3, 3, 3]))])
     for power in range(1, 5):
         group = m.quotient_group(power)
         assert _revalidated_group(group) == group

@@ -106,7 +106,7 @@ def test_corestrict_matches_brute_force(setting, data):
         sub, incl = hom_kernel(h)
     else:
         cols = data.draw(st.lists(st.sampled_from(elements(t)), max_size=2))
-        sub, incl = subgroup_from_lattice(t, IntMatrix.from_columns(cols, rows=t.rank),
+        sub, incl = subgroup_from_lattice(t, IntMatrix.from_rows(cols, cols=t.rank).transpose(),
                                           transport_labels=t.operator_labels())
     # a map that factors by construction, or one drawn at random
     if data.draw(st.booleans()) and kind == "image":

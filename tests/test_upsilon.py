@@ -24,7 +24,6 @@ from arl.towers import (
     sum_embeddings,
 )
 from arl.upsilon import (
-    StarLevel,
     ar_canonical_rep,
     check_right_exact,
     faithfulness_check,
@@ -60,8 +59,8 @@ class TestUpsilon:
     def test_l_adic_normal_form(self):
         t = zl_tower()
         u = upsilon(t, H)
-        assert u.base is t
-        assert u.star.index == H - 1
+        assert psi(u) is t
+        assert u.h == H
         assert u.finite_quotient(3).invariant_factors == (8,)
 
     def test_zero_summand_stripped(self):
@@ -69,7 +68,7 @@ class TestUpsilon:
         s = direct_sum(t, zero_tail_tower())
         u1 = upsilon(s, H)
         u2 = upsilon(t, H)
-        k = min(u1.base.top, u2.base.top)
+        k = min(psi(u1).top, psi(u2).top)
         assert u1.canonical_form(k) == u2.canonical_form(k)
 
     def test_trivial_tower(self):
@@ -86,20 +85,28 @@ class TestUpsilon:
         u1 = upsilon(t, H)
         u2 = upsilon(t, H + HyperNat.symbol("d1"))
         assert u1.canonical_form() == u2.canonical_form()
-        assert u1.annihilator != u2.annihilator
+        assert u1.h != u2.h
 
 
 class TestStarLevel:
-    def test_finite_index_is_literal_level(self):
-        t = zl_tower()
-        s = StarLevel(t, HyperNat.finite(3))
-        # level 3 is Z/16: l^4 kills it, l^2 cuts it down
-        assert s.finite_quotient(4) == t.level(3)
-        assert s.finite_quotient(2).invariant_factors == (4,)
+    """The object at star-level h-1: its quotient by l^k is level k-1 of the
+    canonical l-adic tower."""
 
     def test_infinite_index_quotients(self):
-        s = StarLevel(zl_tower(), H - 1)
-        assert s.finite_quotient(2).invariant_factors == (4,)
+        u = upsilon(zl_tower(), H)
+        assert u.finite_quotient(2).invariant_factors == (4,)
+
+    @pytest.mark.parametrize("power", [0, -1])
+    def test_quotient_power_below_one_rejected(self, power):
+        with pytest.raises(ValueError, match="power must be >= 1"):
+            upsilon(zl_tower(), H).finite_quotient(power)
+
+    @pytest.mark.parametrize("tower", [zl_tower, lambda: direct_sum(zl_tower(), zero_tail_tower())])
+    def test_quotients_are_the_reconstructed_levels(self, tower):
+        u = upsilon(tower(), H)
+        base = psi(u)
+        for k in range(1, base.top + 2):
+            assert u.finite_quotient(k) == base.level(k - 1)
 
 
 class TestPsi:
