@@ -621,33 +621,45 @@ def is_matrix_of(f: GroupHom, mat: IntMatrix) -> bool:
 DIRECT_SUM_MEMO_SIZE = 16
 
 
+def _chain_merge(g: FinAbGroup, h: FinAbGroup,
+                 ) -> Optional[tuple[tuple[int, ...], list[int], list[int]]]:
+    """(merged, pos_g, pos_h): the factors of g and h merged by a stable sort,
+    with the position in merged of each generator of g and of h; None when
+    the merged factors are not a divisibility chain."""
+    tagged = [(d, 0, i) for i, d in enumerate(g.invariant_factors)] + \
+             [(d, 1, i) for i, d in enumerate(h.invariant_factors)]
+    tagged.sort()
+    merged = tuple(d for d, _, _ in tagged)
+    if any(merged[i + 1] % merged[i] for i in range(len(merged) - 1)):
+        return None
+    pos = ([0] * g.rank, [0] * h.rank)
+    for p, (_, side, i) in enumerate(tagged):
+        pos[side][i] = p
+    return merged, pos[0], pos[1]
+
+
 @lru_cache(maxsize=DIRECT_SUM_MEMO_SIZE)
 def direct_sum_with_maps(g: FinAbGroup, h: FinAbGroup,
                          ) -> tuple[FinAbGroup, GroupHom, GroupHom, GroupHom, GroupHom]:
     """(S, incl_g, incl_h, proj_g, proj_h) for S = g + h.
 
-    For l-local groups the factors merge by a stable sort and all four maps
-    are 0/1 selection matrices; mixed-prime groups go through a presentation.
+    When the factors merge as a chain (always for l-local groups) S has the
+    merged factors and all four maps are 0/1 selection matrices; otherwise
+    S comes from a presentation.
     """
     if g.prime_support is not None and h.prime_support is not None \
             and g.prime_support != h.prime_support:
         raise PrimeMismatch(f"direct sum of {g.prime_support}- and {h.prime_support}-local groups")
     prime = g.prime_support if g.prime_support is not None else h.prime_support
-    tagged = [(d, 0, i) for i, d in enumerate(g.invariant_factors)] + \
-             [(d, 1, i) for i, d in enumerate(h.invariant_factors)]
-    order = sorted(range(len(tagged)), key=lambda t: (tagged[t][0], tagged[t][1], tagged[t][2]))
-    merged = [tagged[t][0] for t in order]
-    chain_ok = all(merged[i + 1] % merged[i] == 0 for i in range(len(merged) - 1))
-    if chain_ok:
+    chain = _chain_merge(g, h)
+    if chain is not None:
+        merged, pos_g, pos_h = chain
         # the merged factors are a chain of the summands' own factors, which
         # are powers of the prime when both summands carry it
-        s = FinAbGroup._of(tuple(merged), prime) if g.prime_support == h.prime_support \
-            else FinAbGroup(tuple(merged), prime_support=prime)
-        rows_g, rows_h = [], []
-        for pos, t in enumerate(order):
-            _, side, idx = tagged[t]
-            (rows_g if side == 0 else rows_h).append((pos, idx))
-        mg, mh = _selection(s.rank, g.rank, rows_g), _selection(s.rank, h.rank, rows_h)
+        s = FinAbGroup._of(merged, prime) if g.prime_support == h.prime_support \
+            else FinAbGroup(merged, prime_support=prime)
+        mg = _selection(s.rank, g.rank, [(p, i) for i, p in enumerate(pos_g)])
+        mh = _selection(s.rank, h.rank, [(p, i) for i, p in enumerate(pos_h)])
         pg, ph = mg.transpose(), mh.transpose()
     else:
         factors = g.invariant_factors + h.invariant_factors
@@ -675,7 +687,20 @@ def direct_sum_hom(f: GroupHom, g: GroupHom) -> GroupHom:
     """The map f + g : f.source + g.source -> f.target + g.target."""
     s, _, _, pf, pg = direct_sum_with_maps(f.source, g.source)
     t, incl_f, incl_g, _, _ = direct_sum_with_maps(f.target, g.target)
-    mat = incl_f.matrix @ f.matrix @ pf.matrix + incl_g.matrix @ g.matrix @ pg.matrix
+    cols, rows = _chain_merge(f.source, g.source), _chain_merge(f.target, g.target)
+    if cols is None or rows is None:
+        mat = reduce_matrix(incl_f.matrix @ f.matrix @ pf.matrix
+                            + incl_g.matrix @ g.matrix @ pg.matrix, t.invariant_factors)
+    else:
+        # incl.f.proj moves f's entry (i, j) to (row position of i, column
+        # position of j) and leaves zeros elsewhere; that row's factor in t is
+        # f's target factor i, modulo which the entry is already reduced
+        m = [[0] * s.rank for _ in range(t.rank)]
+        for h, row_pos, col_pos in ((f, rows[1], cols[1]), (g, rows[2], cols[2])):
+            for i, row in zip(row_pos, h.matrix.entries):
+                for j, x in zip(col_pos, row):
+                    m[i][j] = x
+        mat = IntMatrix._of(t.rank, s.rank, tuple(map(tuple, m)))
     # a sum of composites of valid homs; an operator of both s and t is one of
     # every nontrivial summand group, so f and g commute with it
-    return GroupHom._of(s, t, reduce_matrix(mat, t.invariant_factors))
+    return GroupHom._of(s, t, mat)

@@ -60,7 +60,6 @@ from .groups import (
     quotient_with_maps,
     reduce_matrix,
     section,
-    trivial_group,
     vanishes_on_kernel,
     zero_hom,
 )
@@ -191,7 +190,8 @@ class TailRule:
 
     def level(self, tower: "Tower", n: int) -> FinAbGroup:
         if self.module is None:
-            return trivial_group(tower.l)
+            # the trivial group is a valid l-local group for the tower's prime
+            return FinAbGroup._of((), tower.l)
         return self.module.quotient_group(n + 1 + self.offset)
 
     def transition(self, tower: "Tower", n: int) -> GroupHom:
@@ -224,6 +224,17 @@ class Tower:
                 raise ValueError(f"transition {n} does not connect level {n} to level {n - 1}")
         if self.tail is not None:
             self.tail.check(self)
+
+    @classmethod
+    def _of(cls, l: int, groups: tuple[FinAbGroup, ...], maps: tuple[GroupHom, ...],
+            tail: Optional[TailRule], starred: bool = False) -> "Tower":
+        """Trusted constructor: skips ``__post_init__``, the tail check
+        included.  Only for l-local groups joined by their transitions and a
+        tail already checked against them, as ``_derived`` builds them."""
+        tower = object.__new__(cls)
+        tower.__dict__.update(l=l, groups=groups, maps=maps, tail=tail, starred=starred,
+                              _cache={})
+        return tower
 
     # -- level access --------------------------------------------------------
 
@@ -499,7 +510,13 @@ def _derived(l: int, level: Callable[[int], FinAbGroup], transition: Callable[[i
     read through its parents, carrying ``tail``: the parents' verified tail
     moved by the construction.  The prefix is read further where the tail
     must meet it, and a prefix that departs from the tail leaves the tower
-    truncated."""
+    truncated.
+
+    Built with the trusted ``Tower._of``: each caller proves in a comment
+    that transition(n)'s target is transition(n - 1)'s source, that the
+    levels carry the prime l, and that ``tail`` has the prime l, a start of
+    at least 0 and an offset that ``TailRule.check`` accepts.  The departure
+    check below is the rest of that check, made once."""
     if tail is not None:
         m = tail.module
         # a module tail starts inside the prefix, a zero tail at most one level above it
@@ -513,7 +530,8 @@ def _derived(l: int, level: Callable[[int], FinAbGroup], transition: Callable[[i
     if tail is not None and _departure(groups.__getitem__, lambda n: maps[n - 1], tail,
                                        range(tail.start, hi + 1), range(tail.start + 1, hi + 1)):
         tail = None
-    return Tower(l, groups, maps, tail, starred)
+    # hi >= tail.start - (m is None) above, so the tail fits levels 0..hi
+    return Tower._of(l, groups, maps, tail, starred)
 
 
 def shift(f: Tower, r: int) -> Tower:
@@ -534,6 +552,11 @@ def shift(f: Tower, r: int) -> Tower:
     elif p is not None:
         tail = TailRule(max(0, p.start - r), p.module, p.offset + r)
     hi = f.top if f.can_extend() else f.top - r
+    # transition n is f's u_{n+r} : F_{n+r} -> F_{n+r-1}, so its target is
+    # transition n - 1's source F_{n+r-1}, and every level is one of f's,
+    # l-local for f.l.  The tail is f's verified one: its module has the
+    # prime f.l, every start is clamped to 0, and the offset moves only on a
+    # module with a free part, by r >= 1 from f's verified offset >= 0
     return _derived(f.l, lambda n: f.level(n + r), lambda n: f.transition(n + r), hi, tail,
                     f.starred)
 
@@ -563,6 +586,11 @@ def mod_power(f: Tower, k: int) -> Tower:
                                        + [k] * p.module.free_rank)))
         tail = TailRule(max(p.start, k - 1 if p.offset else 0), m)
     q = f.l ** k
+    # transition n is hom_on_quotients(u_n, q, q) : F_n/q -> F_{n-1}/q, each
+    # end quotient_with_maps(-, q)[0] of f's level, so its target is
+    # transition n - 1's source, and a quotient keeps its group's prime f.l.
+    # The tail starts at f's verified start or later, its module is built
+    # over f.l, and its offset is 0
     return _derived(f.l, lambda n: quotient_with_maps(f.level(n), q)[0],
                     lambda n: hom_on_quotients(f.transition(n), q, q), f.top, tail)
 
@@ -599,6 +627,12 @@ def direct_sum(f: Tower, g: Tower) -> Tower:
     # a truncated summand caps the prefix; two extendable ones fill the longer
     truncated_tops = [t.top for t in (f, g) if not t.can_extend()]
     hi = min(truncated_tops) if truncated_tops else max(f.top, g.top)
+    # transition n is direct_sum_hom(u^f_n, u^g_n), whose target is
+    # direct_sum_with_maps(F_{n-1}, G_{n-1})[0], transition n - 1's source,
+    # and a sum of two f.l-local groups is f.l-local.  The tail starts at the
+    # later of the verified starts; a summand's verified tail keeps its
+    # prime and offset, and the module sum of two tails over f.l is over f.l
+    # with their common offset, which is 0 unless both have a free part
     return _derived(f.l, lambda n: direct_sum_with_maps(f.level(n), g.level(n))[0],
                     lambda n: direct_sum_hom(f.transition(n), g.transition(n)), hi, tail)
 

@@ -29,6 +29,7 @@ from arl.towers import (
     TowerHom,
     constant_tower,
     direct_sum,
+    identity_tower_hom,
     is_l_adic,
     is_zero_system,
     natural_map,
@@ -146,6 +147,15 @@ class TestARMorInvariant:
         f = ar_from_tower_hom(mult_l_endo(t))
         with pytest.raises(ValueError, match="source level 0 is not the source's level 3"):
             ARMor(t, t, 3, TowerHom(shift(t, 4), t, reshift(f, 4).rep.levels))
+
+    def test_the_unshifted_source_is_refused_at_a_positive_shift(self):
+        # the representative's source is the source object itself, which
+        # reads as shift(f, 0), not shift(f, 1): F_0 = Z/2 + Z/2, F_1 = Z/2 + Z/4
+        f = to_tower(ZlModule(2, (1,), 1), 4)
+        assert f.level(0) != f.level(1)
+        with pytest.raises(ValueError) as err:
+            ARMor(f, f, 1, identity_tower_hom(f))
+        assert str(err.value) == "representative source level 0 is not the source's level 1"
 
     @pytest.mark.parametrize("r", [0, 1])
     @pytest.mark.parametrize("kind", ["level", "transition"])

@@ -141,44 +141,97 @@ def test_shared_tower_answers_as_a_fresh_one(m, levels):
 
 @st.composite
 def hom_pairs(draw):
-    """Two random homs between l-local groups.  Every group carries the same
-    scalar operator "c"; with ``endo`` each hom is an endomorphism that is
-    also its group's operator "e", so the sums carry a non-scalar operator."""
+    """Two random homs to add.
+
+    Most are between l-local groups, whose factors merge as a chain, so the
+    sum is placed entry by entry.  Every such group carries the same scalar
+    operator "c"; with ``endo`` each hom is an endomorphism that is also its
+    group's operator "e", so the sums carry a non-scalar operator.  With
+    ``tie`` the second hom's groups repeat the first's factors, so every
+    factor ties in the merge; any group may have rank 0.  The rest are
+    between untagged groups of mixed primes, such as Z/2 + Z/3 or
+    Z/4 + Z/6, whose factors need not chain, so the sum may take the
+    presentation route."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if draw(st.integers(0, 3)) == 0:
+        def untagged():
+            factors, d = [], 1
+            for _ in range(draw(st.integers(0, 2))):
+                d *= draw(st.sampled_from([2, 3, 4, 6]))
+                factors.append(d)
+            return FinAbGroup(tuple(factors))
+
+        return tuple(random_hom(rng, untagged(), untagged()) for _ in range(2))
     l = draw(st.sampled_from([2, 3, 5]))
     c = draw(st.integers(0, 6))
     endo = draw(st.booleans())
-    rng = random.Random(draw(st.integers(0, 2**32)))
+    tie = draw(st.booleans())
 
-    def group():
-        exps = sorted(draw(st.lists(st.integers(1, 3), max_size=3)))
-        g = FinAbGroup(tuple(l ** a for a in exps), prime_support=l)
+    def group(factors=None):
+        if factors is None:
+            factors = tuple(l ** a for a in sorted(draw(st.lists(st.integers(1, 3), max_size=3))))
+        g = FinAbGroup(factors, prime_support=l)
         return g.with_operators([("c", IntMatrix.diagonal([c] * g.rank))])
 
-    def hom():
-        src = group()
+    def hom(like=None):
+        src = group(like and like.source.invariant_factors)
         if not endo:
-            return random_hom(rng, src, group())
+            return random_hom(rng, src, group(like and like.target.invariant_factors))
         bare = FinAbGroup(src.invariant_factors, prime_support=l)
         f = random_hom(rng, bare, bare)
         g = src.with_operators(src.operators + (("e", f.matrix),))
         return GroupHom(g, g, f.matrix)
 
-    return hom(), hom()
+    first = hom()
+    return first, hom(first if tie else None)
 
 
-@settings(max_examples=60, deadline=None)
+def _sum_formula(f: GroupHom, g: GroupHom) -> GroupHom:
+    """incl_f.f.proj_f + incl_g.g.proj_g, through the validating constructor."""
+    s1, _, _, pa1, pb1 = direct_sum_with_maps(f.source, g.source)
+    s0, ia0, ib0, _, _ = direct_sum_with_maps(f.target, g.target)
+    return GroupHom(s1, s0, ia0.compose(f).compose(pa1).matrix
+                    + ib0.compose(g).compose(pb1).matrix)
+
+
+@settings(max_examples=80, deadline=None)
 @given(hom_pairs())
 def test_direct_sum_hom_matches_sum_formula(pair):
     f, g = pair
-    s1, _, _, pa1, pb1 = direct_sum_with_maps(f.source, g.source)
-    s0, ia0, ib0, _, _ = direct_sum_with_maps(f.target, g.target)
-    expected = GroupHom(s1, s0, ia0.compose(f).compose(pa1).matrix
-                        + ib0.compose(g).compose(pb1).matrix)
+    expected = _sum_formula(f, g)
     assert direct_sum_hom(f, g) == expected  # the memo as earlier examples left it
     groups.direct_sum_hom.cache_clear()
     built = direct_sum_hom(f, g)
     assert built == expected
-    assert (built.source, built.target) == (s1, s0)
+    assert (built.source, built.target) == (expected.source, expected.target)
+
+
+def _group(*factors, prime=None):
+    return FinAbGroup(factors, prime_support=prime)
+
+
+@pytest.mark.parametrize("source, target, placed", [
+    # untagged factors that do not chain: the presentation route
+    ((cyclic(2), cyclic(3)), (cyclic(2), cyclic(3)), False),
+    ((cyclic(4), cyclic(6)), (_group(2, 4), _group(6)), False),
+    # equal factors on both sides: the stable merge puts f's generators first
+    ((_group(2, 4, prime=2), _group(2, 4, prime=2)),
+     (_group(4, prime=2), _group(2, 4, prime=2)), True),
+    ((_group(9, prime=3), _group(3, 9, prime=3)),
+     (_group(3, 9, prime=3), _group(9, prime=3)), True),
+    # rank-0 summands
+    ((_group(prime=2), _group(2, 8, prime=2)),
+     (_group(4, prime=2), _group(prime=2)), True),
+    ((_group(prime=5), _group(prime=5)), (_group(prime=5), _group(prime=5)), True),
+])
+def test_both_routes_of_direct_sum_hom_match_the_sum_formula(source, target, placed):
+    rng = random.Random(7)
+    for _ in range(5):
+        f, g = (random_hom(rng, a, b) for a, b in zip(source, target))
+        groups.direct_sum_hom.cache_clear()
+        assert direct_sum_hom(f, g) == _sum_formula(f, g)
+    chains = (groups._chain_merge(*source), groups._chain_merge(*target))
+    assert all(c is not None for c in chains) == placed
 
 
 def test_direct_sum_hom_rejects_mixed_primes():

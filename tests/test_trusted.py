@@ -1,10 +1,11 @@
 """The trusted constructors change no result.
 
 ``IntMatrix._of``, ``FinAbGroup._of`` (with or without operators),
-``GroupHom._of`` and ``TowerHom._of`` skip the checks of the public
-constructors for values that are valid by construction.  Swapping each of
-them for its validating public constructor re-checks every derived matrix,
-group, hom and tower hom, so a derivation that builds an invalid value fails
+``GroupHom._of``, ``Tower._of`` and ``TowerHom._of`` skip the checks of the
+public constructors for values that are valid by construction.  Swapping
+each of them for its validating public constructor re-checks every derived
+matrix, group, hom, tower and tower hom, so a derivation that builds an
+invalid value fails
 here instead of passing silently.  ``tests/full_checks.py`` runs the same
 swap over the functor suites' seed-1 goldens.
 """
@@ -49,12 +50,15 @@ from arl.intmat import IntMatrix
 from arl.limits import _torsion_window_tower
 from arl.suites import run_suite
 from arl.towers import (
+    TailRule,
     Tower,
     TowerHom,
     direct_sum,
     levelwise_cokernel,
     levelwise_kernel,
+    mod_power,
     natural_map,
+    shift,
     sum_embeddings,
 )
 from arl.upsilon import upsilon_mor
@@ -79,7 +83,7 @@ def full_checks(monkeypatch):
     operators)``."""
     def enable():
         clear_memos()
-        for cls in (IntMatrix, FinAbGroup, GroupHom, TowerHom):
+        for cls in (IntMatrix, FinAbGroup, GroupHom, Tower, TowerHom):
             monkeypatch.setattr(cls, "_of", classmethod(lambda c, *fields: c(*fields)))
     yield enable
     monkeypatch.undo()
@@ -106,6 +110,10 @@ def test_full_checks_reject_an_invalid_derived_value(full_checks):
         (("s", IntMatrix.from_rows([[1]])),)
     with pytest.raises(ValueError, match="operator 's'"):
         FinAbGroup._of((2, 4), 2, (("s", IntMatrix.from_rows([[0, 0], [1, 0]])),))
+    # a tower whose level 0 is not Z_2/2 under a tail that says it is
+    z4 = FinAbGroup((4,), prime_support=2)
+    with pytest.raises(ValueError, match="tail does not match level 0"):
+        Tower._of(2, (z4,), (), TailRule(0, ZlModule(2, (), 1)))
 
 
 H = HyperNat.symbol("h")
@@ -145,11 +153,12 @@ def test_shift_class_builders_equal_their_validated_construction(full_checks):
 def test_validations_fall_to_the_generators(monkeypatch):
     """Over 25 cases of each functor suite at seed 0 the only tower homs that
     are validated are the generator's test data (module_hom_tower_map 75,
-    random_extension 14 + 14), and group validations stay at most 400 (384:
-    the generator's random groups, trivial groups and a few operator
+    random_extension 14 + 14), and group validations stay at most 342 (the
+    generator's random groups, trivial groups and a few operator
     transports), against the 1,579 that re-validating the quotients and
-    presentations cost and the 772 that re-validating the module quotients
-    with operators cost."""
+    presentations cost, the 772 that re-validating the module quotients
+    with operators cost and the 384 that validating each zero-tail level
+    read past a prefix cost."""
     counts = collections.Counter()
 
     def counted(cls):
@@ -169,7 +178,7 @@ def test_validations_fall_to_the_generators(monkeypatch):
     for suite in ("upsilon", "phi", "faithful", "comparison"):
         assert run_suite(suite, 0, 25).all_pass()
     assert counts["TowerHom"] == counts["TowerHom in arl.gen"] == 103
-    assert counts["FinAbGroup"] <= 400
+    assert counts["FinAbGroup"] <= 342
 
 
 @pytest.mark.parametrize("suite, cases", [("torsionfree", 300), ("comparison", 10),
@@ -394,3 +403,25 @@ def test_derived_tower_homs_pass_the_validating_constructor(seed, l, operators):
     derived.append(stable_image_tower(direct_sum(f.target, noise), 1)[1])
     for h in derived:
         assert _checked(h).levels == h.levels
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from([2, 3]))
+def test_derived_towers_pass_the_validating_constructor(seed, l):
+    """shift, mod_power and direct_sum build their towers with the trusted
+    Tower._of; rebuilt through Tower(...), every transition's ends and the
+    carried tail are checked again."""
+    rng = random.Random(seed)
+    params = GenParams(levels=4, max_exponent=2)
+    module = random_zl_module(rng, l, params)
+    noise = random_zero_system(rng, l, params, certified_only=False)
+    noisy = random_ar_l_adic(rng, l, params)
+    towers = [limits.to_tower(module, params.levels), noise, noisy]
+    derived = []
+    for t in towers:
+        derived += [shift(t, r) for r in range(1, 4)]
+        derived += [mod_power(t, k) for k in range(4)]
+        derived += [direct_sum(t, u) for u in towers]
+    for t in derived:
+        rebuilt = Tower(t.l, t.groups, t.maps, t.tail, t.starred)
+        assert rebuilt.levelwise_equal(t) and rebuilt.tail == t.tail
