@@ -56,8 +56,6 @@ from .towers import (
     is_zero_system,
     kernel_is_zero_system,
     ladic_truncation,
-    levelwise_cokernel,
-    levelwise_kernel,
     mod_power,
     natural_map,
     shift,

@@ -38,7 +38,6 @@ from .towers import (
     cokernel_is_zero_system,
     compose_rules,
     identity_tower_hom,
-    induced_subtower,
     is_l_adic,
     is_zero_system,
     kernel_is_zero_system,
@@ -258,11 +257,19 @@ def stable_image_tower(f: Tower, s: Optional[int] = None,
     # from the tail start on the composites are onto (or the levels trivial),
     # so the stable image is the whole level
     start = hi + 1 if tail is None else tail.start
-    data = [subgroup_from_lattice(f.level(m), f.composite(m, s).matrix,
-                                  transport_labels=f.level(m).operator_labels())
-            if m < start else (f.level(m), identity_hom(f.level(m)))
-            for m in range(hi + 1)]
-    return induced_subtower(f, data, f.tail)
+    groups, incls = zip(*(subgroup_from_lattice(f.level(m), f.composite(m, s).matrix,
+                                                transport_labels=f.level(m).operator_labels())
+                          if m < start else (f.level(m), identity_hom(f.level(m)))
+                          for m in range(hi + 1)))
+    maps = []
+    for n in range(1, hi + 1):
+        u = corestrict(incls[n - 1], f.transition(n).compose(incls[n]))
+        if u is None:
+            raise PreconditionViolated(f"sub-tower not closed under transition at level {n}")
+        maps.append(u)
+    tower = Tower(f.l, groups, tuple(maps), tail=f.tail)
+    # each transition is the corestriction with incl_{n-1}.u_n = u^f_n.incl_n
+    return tower, TowerHom._of(tower, f, incls, None)
 
 
 @dataclass(frozen=True)
@@ -270,7 +277,7 @@ class CanonicalLAdic:
     """Output of the l-adic normalization, and the certificate of
     AR-l-adic-ness: the l-adic tower, the mutually inverse shift-class
     morphisms, and the parameters used.  The morphisms are None when the
-    caller asked for the tower alone."""
+    stabilization shift was given (``ml_bound``)."""
 
     tower: Tower
     iso: Optional[ARMor]        # original -> canonical
@@ -278,20 +285,19 @@ class CanonicalLAdic:
     shift: int                  # truncation shift r
     ml_bound: int               # stabilization shift s
     # the zero radius of iso.rep's levelwise kernel, read off its level maps'
-    # kernel lattices; None when the morphisms were not asked for
+    # kernel lattices; None when the morphisms are None
     kernel_cert: Optional[ZeroCertificate] = None
 
 
 def canonical_l_adic(f: Tower, bound: Optional[int] = None,
-                     ml_bound: Optional[int] = None,
-                     with_morphisms: bool = True) -> CanonicalLAdic:
+                     ml_bound: Optional[int] = None) -> CanonicalLAdic:
     """An l-adic tower isomorphic to f in the shift-class category.
 
     Levels of the result are im(F_{n+r+s} -> F_{n+r}) / l^{n+1}; r is the
     smallest verified truncation shift.  Already-l-adic towers come back
     unchanged with identity morphisms.  ml_bound overrides the stabilization
     shift s (any value at or above the Mittag-Leffler bound gives the same
-    canonical tower).
+    canonical tower); the tower then comes back without the morphisms.
     """
     bound = resolve_bound(f, bound)
     if ml_bound is None and is_l_adic(f):
@@ -316,7 +322,7 @@ def canonical_l_adic(f: Tower, bound: Optional[int] = None,
     if chosen is None:
         raise NotARladic(f"no truncation shift up to {bound} yields an l-adic tower")
     r, g = chosen
-    if not with_morphisms:
+    if ml_bound is not None:
         return CanonicalLAdic(g, None, None, r, s)
 
     # forward: F[r+s] ->> stable[r] ->> stable[r]/l^{n+1} = G
@@ -424,18 +430,22 @@ def _images_strictly_decreasing(f: Tower) -> bool:
     return False
 
 
-def kernel_bound_check(n_tower: Tower, f_tower: Tower, g_tower: Tower,
-                       incl: TowerHom, proj: TowerHom,
-                       r: int, m: int, n: int) -> bool:
-    """The kernel-bound inequality for an extension of an l-adic tower by a
-    zero system of radius r:
+def kernel_bound_check(incl: TowerHom, proj: TowerHom, r: int, m: int, n: int) -> bool:
+    """The kernel-bound inequality for an extension 0 -> N -> F -> G -> 0,
+    given by incl : N -> F and proj : F -> G, of an l-adic tower G by a zero
+    system N of radius r:
 
         im[ ker(F_{r+m+n} -> F_n) -> F_{m+n} ]  lies in  l^{n+1} F_{m+n}.
 
-    Preconditions are re-verified on the levels that the check touches:
-    levelwise exactness on n..r+m+n (as far as F is represented), the
-    l-adic quotient, and the vanishing radius N_{k+r} -> N_k for k = n..m+n.
+    N, F and G are the ends of the two morphisms, and proj must start where
+    incl ends.  Preconditions are re-verified on the levels that the check
+    touches: levelwise exactness on n..r+m+n (as far as F is represented),
+    the l-adic quotient, and the vanishing radius N_{k+r} -> N_k for
+    k = n..m+n.
     """
+    if proj.source is not incl.target:
+        raise PreconditionViolated("projection does not start at the inclusion's target")
+    n_tower, f_tower, g_tower = incl.source, incl.target, proj.target
     for lvl in range(n, min(r + m + n, f_tower.top) + 1):
         fl = incl.level(lvl)
         gl = proj.level(lvl)

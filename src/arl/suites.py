@@ -91,7 +91,7 @@ def _case_lemma_kernel(rng, params: GenParams, index: int):
     core_params = replace(params, max_rank=0)
     g_tower = random_l_adic(rng, l, core_params)
     n_tower = random_zero_system(rng, l, params, certified_only=False)
-    f_tower, incl, proj = random_extension(rng, n_tower, g_tower)
+    _, incl, proj = random_extension(rng, n_tower, g_tower)
     z = is_zero_system(n_tower)
     if not z:
         return "fail", {"l": l}, f"generated zero system not certified: {z.note}"
@@ -101,7 +101,7 @@ def _case_lemma_kernel(rng, params: GenParams, index: int):
         for n in range(0, 7):
             if r + m + n > 6:
                 continue
-            if not kernel_bound_check(n_tower, f_tower, g_tower, incl, proj, r, m, n):
+            if not kernel_bound_check(incl, proj, r, m, n):
                 return ("fail", {"l": l, "radius": r},
                         f"kernel bound fails at (r={r}, m={m}, n={n})")
             checked += 1

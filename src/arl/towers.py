@@ -28,7 +28,11 @@ represented levels.
 
 Levels beyond the prefix of a non-truncated tower can be materialized on
 demand; predicates combine exact prefix computation with tail reasoning and
-report three-valued verdicts with certificates or witnesses.
+report three-valued verdicts with certificates or witnesses.  Whether a
+tower, or a tower hom's levelwise kernel or cokernel, is a zero system is
+answered by one search over the tail (``_zero_radius``); the kernel and
+cokernel are read off the level maps' lattices and their inherited tail,
+and no kernel or cokernel tower is built.
 """
 
 from __future__ import annotations
@@ -39,27 +43,21 @@ from typing import Callable, Optional
 
 from .errors import (
     BadSetting,
-    PreconditionViolated,
     PrimeMismatch,
     TruncatedTower,
 )
 from .groups import (
     FinAbGroup,
     GroupHom,
-    corestrict,
     direct_sum_hom,
     direct_sum_with_maps,
-    hom_cokernel,
     hom_is_isomorphism,
-    hom_kernel,
     hom_on_quotients,
     identity_hom,
     induced_on_quotient,
     is_matrix_of,
     lies_in_image,
     quotient_with_maps,
-    reduce_matrix,
-    section,
     vanishes_on_kernel,
     zero_hom,
 )
@@ -430,17 +428,16 @@ class TowerHom:
 
     The public constructor checks the endpoints and every naturality square.
     Identities and zeros, the natural maps F[r] -> F, the embeddings of a
-    direct sum and the inclusions and projections of induced sub- and
-    quotient towers are natural by construction and use the trusted
-    :meth:`_of`, which still runs the tail check.  So are the representatives
-    the shift-class calculus builds (``arcat.reshift``, ``arcat.ar_compose``,
-    both morphisms of ``arcat.canonical_l_adic`` and
-    ``upsilon.ar_canonical_rep``): they rely on the invariant that
-    ``arcat.ARMor`` checks once, that a representative's source reads as its
-    source shifted by the shift amount.  Every other tower hom, the
-    generator's included, goes through the public constructor.  Only the
-    represented levels can be read: the tail records what is known beyond
-    them.
+    direct sum and the inclusion of a stable-image tower are natural by
+    construction and use the trusted :meth:`_of`, which still runs the tail
+    check.  So are the representatives the shift-class calculus builds
+    (``arcat.reshift``, ``arcat.ar_compose``, both morphisms of
+    ``arcat.canonical_l_adic`` and ``upsilon.ar_canonical_rep``): they rely
+    on the invariant that ``arcat.ARMor`` checks once, that a
+    representative's source reads as its source shifted by the shift amount.
+    Every other tower hom, the generator's included, goes through the public
+    constructor.  Only the represented levels can be read: the tail records
+    what is known beyond them.
     """
 
     source: Tower
@@ -652,102 +649,25 @@ def sum_embeddings(f: Tower, g: Tower) -> tuple[Tower, TowerHom, TowerHom, Tower
             TowerHom._of(summed, g, proj_g, None))
 
 
-# -- levelwise kernels and cokernels ------------------------------------------------
-
-def induced_subtower(parent: Tower, data: list[tuple[FinAbGroup, GroupHom]],
-                     tail: TailRule) -> tuple[Tower, TowerHom]:
-    """The sub-tower with levels and inclusions ``data`` inside ``parent``,
-    its transitions restricted from the parent's, carrying ``tail``.
-
-    Each inclusion of ``data`` maps into the parent's level of the same index
-    and must be injective, which is not checked: every caller passes one from
-    ``subgroup_from_lattice`` or ``hom_kernel``, or an identity.
-    """
-    groups = tuple(g for g, _ in data)
-    incls = tuple(i for _, i in data)
-    maps = []
-    for n in range(1, len(data)):
-        u = corestrict(incls[n - 1], parent.transition(n).compose(incls[n]))
-        if u is None:
-            raise PreconditionViolated(f"sub-tower not closed under transition at level {n}")
-        maps.append(u)
-    tower = Tower(parent.l, groups, tuple(maps), tail=tail)
-    # each transition is the corestriction with incl_{n-1}.u_n = u^parent_n.incl_n
-    return tower, TowerHom._of(tower, parent, incls, None)
-
-
-def levelwise_kernel(f: TowerHom) -> tuple[Tower, TowerHom]:
-    """(K, incl) with K_n = ker(f_n) and the induced transitions.  The
-    normalization and the isomorphism test certify the kernel with
-    :func:`kernel_is_zero_system` instead, which builds no tower; this is
-    the reference that certificate is tested against."""
-    data = [(fn.source, identity_hom(fn.source)) if fn.is_zero() else hom_kernel(fn)
-            for fn in f.levels]
-    zero_rule = f.tail is not None and f.tail.matrix is None
-    tail = _tail_from(f.source, f.tail.start, f.top) if zero_rule else None
-    return induced_subtower(f.source, data, tail)
-
-
-def _cokernel_tail(f: TowerHom) -> tuple[Optional[TailRule], Optional[tuple]]:
-    """The tail of f's levelwise cokernel, and (start, module, proj, lift)
-    when its levels are module/l^{n+1} from start on, presented by the module
-    cokernel of f's matrix rule at target offset 0 (else None)."""
-    rule = f.tail
-    if rule is not None and rule.matrix is None:
-        return _tail_from(f.target, rule.start, f.top), None
-    if rule is None or classify_tail(f.target).offset != 0:
-        return None, None
-    # level n of the cokernel is coker/l^{n+1} from the tails' starts on
-    coker_mod, proj_mat, lift_mat = module_cokernel(
-        rule.matrix, eventually_module(f.source), eventually_module(f.target))
-    start = max(rule.start, classify_tail(f.source).start, classify_tail(f.target).start)
-    return TailRule(start, coker_mod).fit(f.top), (start, coker_mod, proj_mat, lift_mat)
-
-
-def levelwise_cokernel(f: TowerHom) -> tuple[Tower, TowerHom]:
-    """(C, proj) with C_n = coker(f_n) and the induced transitions.  The
-    isomorphism test certifies the cokernel with
-    :func:`cokernel_is_zero_system` instead, which builds no tower; this is
-    the reference that certificate is tested against."""
-    tail, closed = _cokernel_tail(f)
-    coker_start, coker_mod, proj_mat, lift_mat = closed or (None,) * 4
-    data = []
-    for n in range(f.top + 1):
-        fn = f.level(n)
-        if coker_start is not None and n >= coker_start:
-            cq = coker_mod.quotient_group(n + 1)
-            data.append((cq, GroupHom(fn.target, cq, proj_mat), lift_mat))
-        elif fn.is_zero():
-            data.append((fn.target, identity_hom(fn.target), IntMatrix.identity(fn.target.rank)))
-        else:
-            coker, proj = hom_cokernel(fn)
-            data.append((coker, proj, section(proj)))
-    groups, projs, lifts = zip(*data)
-    # projs[n] kills exactly im(f_n) and f is natural, so u^target_n(im f_n) <=
-    # im f_{n-1} and projs[n-1].u^target_n = u_n.projs[n] for one hom u_n, which
-    # sends generator j to the image of its lift: these are the squares.  For
-    # an operator s of both ends, u_n.s.projs[n] = projs[n-1].u^target_n.s =
-    # s.u_n.projs[n], and projs[n] is onto, so u_n commutes with s.
-    maps = tuple(GroupHom._of(groups[n], groups[n - 1], reduce_matrix(
-        projs[n - 1].matrix @ f.target.transition(n).matrix @ lifts[n],
-        groups[n - 1].invariant_factors)) for n in range(1, len(data)))
-    tower = Tower(f.target.l, groups, maps, tail=tail)
-    return tower, TowerHom._of(f.target, tower, projs, None)
-
-
 # -- predicates -------------------------------------------------------------------
 
 def _zero_radius(vanishes: Callable[[int, int], bool], top: int, bound: int,
-                 zero_start: Optional[int]) -> Verdict:
+                 tail: Optional[TailRule]) -> Verdict:
     """The least r with every composite X_{n+r} -> X_n zero, of a tower X
-    with levels 0..top that is trivial from zero_start on (None: truncated);
-    vanishes(n, r) says whether one composite is zero.  Past a zero tail
-    start the composites are zero for free and the finitely many below are
-    tested; the radius zero_start always works, so that search never comes
-    back empty.  A truncated X is searched on its prefix up to bound."""
-    if zero_start is not None:
-        for r in range(0, max(bound, zero_start) + 1):
-            if all(vanishes(n, r) for n in range(max(0, zero_start - r))):
+    with levels 0..top and tail ``tail``; vanishes(n, r) says whether one
+    composite is zero.  Past a module tail's start every composite surjects
+    onto a nonzero group, so X is no zero system.  Past a zero tail's start
+    the composites are zero for free and the finitely many below are tested;
+    the radius tail.start always works, so that search never comes back
+    empty, and as composites out of trivial levels vanish its radius does not
+    depend on how far the start walks down.  A truncated X is searched on
+    its prefix up to bound."""
+    if tail is not None and tail.module is not None:
+        return Verdict.no(witness=("level", tail.start),
+                          note="tail levels are nonzero module quotients with surjective transitions")
+    if tail is not None:
+        for r in range(0, max(bound, tail.start) + 1):
+            if all(vanishes(n, r) for n in range(max(0, tail.start - r))):
                 return Verdict.yes(ZeroCertificate(r, scope="tail"))
     for r in range(0, min(bound, top) + 1):
         if all(vanishes(n, r) for n in range(top - r + 1)):
@@ -758,54 +678,50 @@ def _zero_radius(vanishes: Callable[[int, int], bool], top: int, bound: int,
 def is_zero_system(f: Tower, bound: Optional[int] = None) -> Verdict:
     """Whether some F[r] -> F vanishes; yes-certificates carry the radius."""
     bound = resolve_bound(f, bound)
-
-    def compute() -> Verdict:
-        tail = classify_tail(f)
-        if tail is not None and tail.module is not None:
-            # beyond the tail start every composite surjects onto a nonzero group
-            return Verdict.no(
-                witness=("level", tail.start),
-                note="tail levels are nonzero module quotients with surjective transitions",
-            )
-        return _zero_radius(lambda n, r: f.composite(n, r).is_zero(), f.top, bound,
-                            None if tail is None else tail.start)
-
-    return f.cached(("zero_system", bound), compute)
+    return f.cached(("zero_system", bound), lambda: _zero_radius(
+        lambda n, r: f.composite(n, r).is_zero(), f.top, bound, classify_tail(f)))
 
 
 def kernel_is_zero_system(h: TowerHom, bound: Optional[int] = None) -> Verdict:
-    """``is_zero_system(levelwise_kernel(h)[0], bound)``, read off the level
-    maps' kernel lattices: the kernel's composite K_{n+r} -> K_n is zero
-    exactly when the source's composite F_{n+r} -> F_n vanishes on
-    ker(h_{n+r}), so no kernel tower is built.  From a zero rule's start on
-    the kernel is the source; the radius of its zero tail does not depend on
-    how far the start walks down, as composites out of trivial levels
-    vanish.  Only the no of a module tail, which names the kernel's
-    walked-down start, builds the kernel."""
+    """Whether h's levelwise kernel K, K_n = ker(h_n) with the induced
+    transitions, is a zero system, read off the level maps' kernel lattices:
+    K_{n+r} -> K_n is zero exactly when the source's composite
+    F_{n+r} -> F_n vanishes on ker(h_{n+r}).  From a zero rule's start on K
+    is the source, whose tail it takes there; otherwise K is truncated.  No
+    kernel tower is built, and a no names the rule-anchored start of a
+    module tail."""
     bound = resolve_bound(h, bound)
-    f, rule, tail = h.source, h.tail, None
-    if rule is not None and rule.matrix is None:
-        tail = _tail_from(f, rule.start, h.top)
-        if tail is not None and tail.module is not None:
-            return is_zero_system(levelwise_kernel(h)[0], bound)
+    f, rule = h.source, h.tail
+    tail = _tail_from(f, rule.start, h.top) if rule is not None and rule.matrix is None else None
     return _zero_radius(lambda n, r: vanishes_on_kernel(f.composite(n, r), h.levels[n + r]),
-                        h.top, bound, None if tail is None else tail.start)
+                        h.top, bound, tail)
+
+
+def _cokernel_tail(f: TowerHom) -> Optional[TailRule]:
+    """The tail of f's levelwise cokernel: the target's from a zero rule's
+    start on, and from a matrix rule's on (at target offset 0) the module
+    cokernel of its matrix, whose quotients by l^{n+1} the cokernel's levels
+    are past the tails' starts; else None."""
+    rule = f.tail
+    if rule is not None and rule.matrix is None:
+        return _tail_from(f.target, rule.start, f.top)
+    if rule is None or classify_tail(f.target).offset != 0:
+        return None
+    coker_mod = module_cokernel(rule.matrix, eventually_module(f.source),
+                                eventually_module(f.target))[0]
+    start = max(rule.start, classify_tail(f.source).start, classify_tail(f.target).start)
+    return TailRule(start, coker_mod).fit(f.top)
 
 
 def cokernel_is_zero_system(h: TowerHom, bound: Optional[int] = None) -> Verdict:
-    """``is_zero_system(levelwise_cokernel(h)[0], bound)``, read off the level
-    maps' image lattices: the cokernel's composite C_{n+r} -> C_n is zero
-    exactly when im(G_{n+r} -> G_n) lies in im(h_n), so no cokernel tower is
-    built.  The cokernel's tail is the one :func:`levelwise_cokernel`
-    attaches; as for the kernel, the radius of a zero tail does not depend on
-    how far its start walks down, and only the no of a module tail, which
-    names the cokernel's walked-down start, builds the cokernel."""
+    """Whether h's levelwise cokernel C, C_n = coker(h_n) with the induced
+    transitions, is a zero system, read off the level maps' image lattices:
+    C_{n+r} -> C_n is zero exactly when im(G_{n+r} -> G_n) lies in im(h_n).
+    C's tail is :func:`_cokernel_tail`.  No cokernel tower is built, and a
+    no names the rule-anchored start of a module tail."""
     bound = resolve_bound(h, bound)
-    g, tail = h.target, _cokernel_tail(h)[0]
-    if tail is not None and tail.module is not None:
-        return is_zero_system(levelwise_cokernel(h)[0], bound)
-    return _zero_radius(lambda n, r: lies_in_image(g.composite(n, r), h.levels[n]),
-                        h.top, bound, None if tail is None else tail.start)
+    return _zero_radius(lambda n, r: lies_in_image(h.target.composite(n, r), h.levels[n]),
+                        h.top, bound, _cokernel_tail(h))
 
 
 def is_l_adic(f: Tower) -> Verdict:

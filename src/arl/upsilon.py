@@ -80,13 +80,13 @@ def upsilon(f: Tower, h: HyperNat, bound: Optional[int] = None,
     """The image-quotient object of an AR-l-adic tower at infinite index h.
 
     ml_bound overrides the stabilization shift used for the internal image
-    (for cross-checking that the normal form does not depend on it); only the
-    default path carries the mutually inverse shift-class morphisms.
+    (for cross-checking that the normal form does not depend on it); only
+    without it does the normalization carry the mutually inverse shift-class
+    morphisms.
     """
     if not h.is_infinite:
         raise FiniteIndex(f"index {h.describe()} is finite; an infinite index is required")
-    c = canonical_l_adic(f, bound=bound, ml_bound=ml_bound,
-                         with_morphisms=ml_bound is None)
+    c = canonical_l_adic(f, bound=bound, ml_bound=ml_bound)
     return UpsilonObj(c, h)
 
 

@@ -1,18 +1,18 @@
-"""The functor suites' seed-1 reports and the torsion grid with every
-trusted constructor checked.
+"""The functor and kernel-bound suites' seed-1 reports and the torsion grid
+with every trusted constructor checked.
 
 Routes ``IntMatrix._of``, ``FinAbGroup._of``, ``GroupHom._of``, ``Tower._of``
 and ``TowerHom._of`` through their validating public constructors, as the
 ``full_checks`` fixture of ``tests/test_trusted.py`` does, then runs
-``arl verify`` for the upsilon, phi, faithful and comparison suites at seed 1
-with 100 cases each.  Each report, without its timing line, must match
+``arl verify`` for the upsilon, phi, faithful, comparison and lemma-kernel
+suites at seed 1 with 100 cases each.  Each report, without its timing line, must match
 ``tests/data/golden/verify-<suite>-seed1.txt`` byte for byte: a trusted
 derivation that builds an invalid value raises, and one that builds a
 different value changes the report.  It also runs the 1,800-case
 ``torsionfree`` grid at seed 0, which must exit 0 with every case passing
 and whose first 20 case lines must match ``verify-torsionfree.txt``.
 
-Not a pytest module (it runs about 2,200 cases); run it from the root of a
+Not a pytest module (it runs about 2,300 cases); run it from the root of a
 checkout:
 
     PYTHONPATH=src python tests/full_checks.py
@@ -30,7 +30,7 @@ from arl.intmat import IntMatrix
 from arl.towers import Tower, TowerHom
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
-SUITES = ("upsilon", "phi", "faithful", "comparison")
+SUITES = ("upsilon", "phi", "faithful", "comparison", "lemma-kernel")
 
 
 def route_trusted_through_validation():

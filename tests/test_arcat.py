@@ -354,6 +354,28 @@ class TestCanonical:
         with pytest.raises(NotARladic):
             canonical_l_adic(b)
 
+    def test_truncation_shift_up_to_the_top_of_a_truncated_prefix(self):
+        # Z/2 <- (Z/2)^2 onto the first summand: (Z/2)^2 / 2 -> Z/2 is no
+        # isomorphism, so shift 0 fails; shift 1, the top of the truncated
+        # stable-image tower, leaves the one level (Z/2)^2, which is l-adic
+        z2 = FinAbGroup((L,), prime_support=L)
+        pair = FinAbGroup((L, L), prime_support=L)
+        t = Tower(L, (z2, pair), (GroupHom(pair, z2, IntMatrix.from_rows([[1, 0]])),))
+        c = canonical_l_adic(t, ml_bound=0)
+        assert (c.shift, c.ml_bound, c.iso) == (1, 0, None)
+        assert c.tower.describe_levels() == ["Z/2 + Z/2"]
+        # the bound caps the truncation shifts tried
+        with pytest.raises(NotARladic, match="no truncation shift up to 0 yields"):
+            canonical_l_adic(t, bound=0, ml_bound=0)
+
+    def test_backward_morphism_on_a_single_level(self):
+        # Zl/2^{n+3} over levels 0..2 has factorization radius 2, so the
+        # backward morphism G[2] -> F has level 0 alone
+        f = shift(zl_tower(3), 2)
+        c = canonical_l_adic(f)
+        assert c.inverse.shift_amount == 2 and c.inverse.rep.top == 0
+        assert ar_is_isomorphism(c.iso)
+
 
 class TestFactorization:
     def test_l_adic_radius_zero(self):
@@ -458,9 +480,9 @@ class TestKernelBound:
     def test_trivial_kernel_case(self):
         g = zl_tower()
         n = to_tower(ZlModule(L, ()), 8)
-        f, incl, proj = random_extension(rng_for(0, 0), n, g)
-        assert kernel_bound_check(n, f, g, incl, proj, 0, 0, 0)
-        assert kernel_bound_check(n, f, g, incl, proj, 0, 2, 1)
+        _, incl, proj = random_extension(rng_for(0, 0), n, g)
+        assert kernel_bound_check(incl, proj, 0, 0, 0)
+        assert kernel_bound_check(incl, proj, 0, 2, 1)
 
     def test_generic_instances(self):
         params = GenParams(levels=8, max_rank=0)
@@ -468,18 +490,29 @@ class TestKernelBound:
             rng = rng_for(77, case)
             g = to_tower(ZlModule(2, (1, 2)), 8)
             n = zero_tail_tower(3)
-            f, incl, proj = random_extension(rng, n, g)
+            _, incl, proj = random_extension(rng, n, g)
             r = is_zero_system(n).certificate.radius
             for m in range(3):
                 for k in range(3):
-                    assert kernel_bound_check(n, f, g, incl, proj, r, m, k)
+                    assert kernel_bound_check(incl, proj, r, m, k)
 
     def test_precondition_violation(self):
         g = zl_tower()
         n = zero_tail_tower(3)
-        f, incl, proj = random_extension(rng_for(0, 1), n, g)
+        _, incl, proj = random_extension(rng_for(0, 1), n, g)
         with pytest.raises(PreconditionViolated):
-            kernel_bound_check(n, f, g, incl, proj, 0, 0, 0)  # radius 0 is wrong
+            kernel_bound_check(incl, proj, 0, 0, 0)  # radius 0 is wrong
+
+    def test_projection_must_start_at_the_inclusion_target(self):
+        # N, F and G are read off the morphisms, so they must chain
+        g = zl_tower()
+        n = zero_tail_tower(3)
+        f, incl, proj = random_extension(rng_for(0, 1), n, g)
+        elsewhere = TowerHom(Tower(L, f.groups, f.maps, tail=f.tail), g, proj.levels)
+        assert kernel_bound_check(incl, proj, 3, 0, 0)
+        with pytest.raises(PreconditionViolated,
+                           match="projection does not start at the inclusion's target"):
+            kernel_bound_check(incl, elsewhere, 3, 0, 0)
 
     def test_radius_checked_on_every_level_it_uses(self):
         # N_0 is trivial, so the claimed radius 0 holds at level 0, but N_1 is
@@ -488,10 +521,10 @@ class TestKernelBound:
         maps = tuple(zero_hom(groups[k], groups[k - 1]) for k in range(1, 8))
         n = Tower(L, tuple(groups), maps, tail=TailRule(2))
         g = zl_tower()
-        f, incl, proj = random_extension(rng_for(0, 2), n, g)
-        assert kernel_bound_check(n, f, g, incl, proj, 0, 0, 0)
+        _, incl, proj = random_extension(rng_for(0, 2), n, g)
+        assert kernel_bound_check(incl, proj, 0, 0, 0)
         for m, k in ((1, 0), (0, 1)):
             with pytest.raises(PreconditionViolated, match="radius 0 fails at level 1"):
-                kernel_bound_check(n, f, g, incl, proj, 0, m, k)
+                kernel_bound_check(incl, proj, 0, m, k)
         # radius 2 holds everywhere: N_{k+2} -> N_k is zero for every k
-        assert kernel_bound_check(n, f, g, incl, proj, 2, 1, 1)
+        assert kernel_bound_check(incl, proj, 2, 1, 1)

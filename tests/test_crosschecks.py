@@ -9,6 +9,7 @@ shift search.  They exist to keep the fast paths honest.
 from arl.arcat import (
     ar_equal,
     canonical_l_adic,
+    kernel_bound_check,
     stable_image_tower,
 )
 from arl.gen import (
@@ -46,7 +47,8 @@ def test_kernel_bound_check_matches_enumeration():
         g_tower = random_l_adic(rng, l, GenParams(levels=8, max_rank=0,
                                                   max_exponent=2, max_torsion_factors=1))
         n_tower = random_zero_system(rng, l, params)
-        f_tower, incl, proj = random_extension(rng, n_tower, g_tower)
+        _, incl, proj = random_extension(rng, n_tower, g_tower)
+        f_tower = incl.target
         r = is_zero_system(n_tower).certificate.radius
         for m in range(2):
             for n in range(2):
@@ -69,6 +71,8 @@ def test_kernel_bound_check_matches_enumeration():
                         continue
                     assert apply_matrix(drop, x) in multiples, (case, m, n, x)
                     cases += 1
+                # every kernel element lands in the multiples, so the check agrees
+                assert kernel_bound_check(incl, proj, r, m, n), (case, m, n)
     assert cases > 50
 
 

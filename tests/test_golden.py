@@ -30,6 +30,7 @@ step); regenerate a golden file only for an intended change of output.
 
 import json
 import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -66,14 +67,18 @@ def test_cli_report_matches_golden(capsys, monkeypatch, command, tower):
 
 
 def test_normalization_and_isomorphism_build_no_kernel_tower(capsys, monkeypatch):
-    # the kernel certificates are read off the level maps' kernel lattices:
-    # with the levelwise kernel's group kernels refused, the reports that
-    # normalize and test isomorphisms still match their goldens
+    # the kernel and cokernel certificates are read off the level maps'
+    # lattices: with every group kernel and cokernel refused, wherever the
+    # library binds them, the reports that normalize and test isomorphisms
+    # still match their goldens
     def refuse(f):
-        raise AssertionError("a kernel tower was built")
+        raise AssertionError("a group kernel or cokernel was built")
 
-    import arl.towers
-    monkeypatch.setattr(arl.towers, "hom_kernel", refuse)
+    for name, module in list(sys.modules.items()):
+        if name == "arl" or name.startswith("arl."):
+            for attr in ("hom_kernel", "hom_cokernel"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
     monkeypatch.chdir(ROOT)
     for suite in ("phi", "faithful", "upsilon", "comparison"):
         assert main(["verify", "--suite", suite, "--seed", "0", "--cases", "20"]) == 0

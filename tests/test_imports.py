@@ -78,11 +78,15 @@ ABOVE_GROUPS = ("towers", "arcat", "upsilon", "limits", "gen", "suites", "cli", 
 SOLVERS = {"solve_mod", "preimage_lattice", "sublattice_basis"}
 
 
-def solver_uses(tree: ast.Module) -> set[str]:
-    """The solver names a module imports or reaches as an attribute."""
+def reached(tree: ast.Module, wanted: set[str]) -> set[str]:
+    """The names of ``wanted`` that a module imports or reaches as an attribute."""
     names = set(imported_names(tree))
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    return names & SOLVERS
+    return names & wanted
+
+
+def solver_uses(tree: ast.Module) -> set[str]:
+    return reached(tree, SOLVERS)
 
 
 @pytest.mark.parametrize("name", ABOVE_GROUPS)
@@ -95,3 +99,14 @@ def test_a_solver_above_groups_is_caught():
     tree = ast.parse("from .groups import corestrict, solve_mod\n"
                      "from . import groups\nx = groups.preimage_lattice\n")
     assert solver_uses(tree) == {"solve_mod", "preimage_lattice"}
+
+
+# towers decides whether a tower hom's levelwise kernel and cokernel are zero
+# systems from the level maps' lattices, and builds neither tower
+GROUP_KERNELS = {"hom_kernel", "hom_cokernel"}
+
+
+def test_towers_builds_no_group_kernel_or_cokernel():
+    tree = ast.parse((SRC / "towers.py").read_text(encoding="utf-8"))
+    assert not reached(tree, GROUP_KERNELS), \
+        f"towers.py reaches {sorted(reached(tree, GROUP_KERNELS))}"

@@ -45,7 +45,7 @@ def span_mod(gens, e, n):
 # -- regression: integer Smith forms of these ran for seconds to minutes ------
 
 def test_solve_mod_induced_subtower_matrix_is_fast():
-    # the inclusion solved against by induced_subtower on a coupled tower; its
+    # the inclusion solved against by stable_image_tower on a coupled tower; its
     # integer Smith form passed 1.8 million bits within 8 s
     mat = [[2, 2, 0], [4, 7, 3], [6, 6, 7], [7, 2, 5], [448, 432, 483], [0, 511, 14]]
     factors = (8, 8, 8, 8, 512, 512)

@@ -41,14 +41,14 @@ from arl.towers import (
     Tower,
     TowerHom,
     classify_tail,
+    cokernel_is_zero_system,
     constant_tower,
     direct_sum,
     identity_tower_hom,
     is_l_adic,
     is_zero_system,
+    kernel_is_zero_system,
     ladic_truncation,
-    levelwise_cokernel,
-    levelwise_kernel,
     mod_power,
     natural_map,
     shift,
@@ -58,6 +58,7 @@ from arl.towers import (
 from arl.zlmod import ZlModule
 
 from oracles import group_elements, hom_apply
+from reference_towers import levelwise_cokernel, levelwise_kernel
 
 
 L = 2
@@ -211,6 +212,22 @@ class TestZeroSystem:
         t = constant_tower(L, g, 5)  # identity transitions, truncated
         v = is_zero_system(t)
         assert v.is_unknown
+
+    def test_module_tail_no_of_kernel_and_cokernel_builds_no_tower(self, monkeypatch):
+        # zero maps from level 0 on with a rule from level 2: the kernel (the
+        # source) and the cokernel (the target) have a module tail, named at
+        # the rule's start although the built towers' tails walk down to 0
+        module, finite = zl_tower(6), zero_tail_tower(3, 6)
+        into, out_of = (TowerHom(a, b, zero_tower_hom(a, b).levels, HomRule(2))
+                        for a, b in ((module, finite), (finite, module)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a tower was built")
+
+        monkeypatch.setattr(Tower, "__post_init__", refuse)
+        monkeypatch.setattr(Tower, "_of", classmethod(refuse))
+        for v in (kernel_is_zero_system(into), cokernel_is_zero_system(out_of)):
+            assert v.is_no and v.witness == ("level", 2)
 
 
 class TestLAdic:
