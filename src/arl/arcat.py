@@ -242,11 +242,13 @@ def stable_image_bound(f: Tower, bound: Optional[int] = None) -> Verdict:
     return f.cached(("ml_bound", bound), compute)
 
 
-def stable_image_tower(f: Tower, s: Optional[int] = None,
-                       bound: Optional[int] = None) -> tuple[Tower, TowerHom]:
-    """The subsystem of stable images: level n is im(F_{n+s} -> F_n)."""
+def stable_image_tower(f: Tower, s: Optional[int] = None) -> tuple[Tower, TowerHom]:
+    """The subsystem of stable images: level n is im(F_{n+s} -> F_n).
+
+    Without s the stabilization shift is the Mittag-Leffler bound that
+    :func:`stable_image_bound` finds within the default search bound."""
     if s is None:
-        sb = stable_image_bound(f, bound)
+        sb = stable_image_bound(f)
         if not sb:
             raise NotARladic(f"no Mittag-Leffler bound: {sb.note}")
         s = sb.certificate.bound

@@ -80,13 +80,12 @@ def _cmd_normalize(ns, argv) -> int:
     tf = load_tower_file(ns.file)
     tower = tf.tower(ns.tower)
     print(_echo(argv))
-    try:
-        c = canonical_l_adic(tower)
-    except NotARladic:
-        # the certifier names the refusal: a witness, or why its search stopped
-        cert = certify_ar_l_adic(tower)
+    cert = certify_ar_l_adic(tower)
+    if not cert:
+        # a refusal carries a witness, or why the search stopped
         print(f"not-ar-l-adic: {cert.status} ({cert.note or cert.witness})")
         return EXIT_NOT_AR_L_ADIC
+    c = cert.certificate
     print(f"tower: {ns.tower}")
     print(f"prime: {tower.l}")
     print(f"shift: r={c.shift}")

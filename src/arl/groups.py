@@ -185,10 +185,10 @@ def trivial_group(prime: Optional[int] = None) -> FinAbGroup:
     return FinAbGroup((), prime_support=prime)
 
 
-def cyclic(n: int, prime: Optional[int] = None) -> FinAbGroup:
+def cyclic(n: int) -> FinAbGroup:
     if n == 1:
-        return trivial_group(prime)
-    return FinAbGroup((n,), prime_support=prime)
+        return trivial_group()
+    return FinAbGroup((n,))
 
 
 def reduce_matrix(mat: IntMatrix, target_factors: Sequence[int]) -> IntMatrix:
@@ -338,7 +338,7 @@ def presentation_with_maps(relations: IntMatrix, modulus: int, prime: Optional[i
     return group, u.take_rows(keep), ui.take_columns(keep)
 
 
-def canonicalize(relations: IntMatrix, prime: Optional[int] = None) -> FinAbGroup:
+def canonicalize(relations: IntMatrix) -> FinAbGroup:
     """Invariant-factor form of Z^n / col-span(relations), unit factors dropped.
 
     The factors are those of the Smith form over Z (modulus 0), where a
@@ -347,7 +347,7 @@ def canonicalize(relations: IntMatrix, prime: Optional[int] = None) -> FinAbGrou
     factors, _, _ = modular_smith(relations, 0)
     if 0 in factors:
         raise InfiniteGroup("presentation has positive free rank")
-    return FinAbGroup(tuple(d for d in factors if d != 1), prime_support=prime)
+    return FinAbGroup(tuple(d for d in factors if d != 1))
 
 
 def _scaled_rows(mat: IntMatrix, factors: Sequence[int]) -> tuple[IntMatrix, int]:

@@ -40,8 +40,8 @@ class HyperNat:
         return HyperNat(n, ())
 
     @staticmethod
-    def symbol(name: str, coeff: int = 1) -> "HyperNat":
-        return HyperNat(0, ((name, coeff),))
+    def symbol(name: str) -> "HyperNat":
+        return HyperNat(0, ((name, 1),))
 
     @property
     def is_infinite(self) -> bool:

@@ -92,14 +92,13 @@ class IntMatrix:
         return IntMatrix._of(rows, cols, ((0,) * cols,) * rows)
 
     @staticmethod
-    def diagonal(values: Sequence[int], rows: int | None = None, cols: int | None = None) -> "IntMatrix":
+    def diagonal(values: Sequence[int], rows: int | None = None) -> "IntMatrix":
         values = [exact_int(v, "matrix entry") for v in values]
-        n = len(values)
-        rows = n if rows is None else rows
-        cols = n if cols is None else cols
+        cols = len(values)
+        rows = cols if rows is None else rows
         return IntMatrix(
             rows, cols,
-            tuple(tuple(values[i] if i == j and i < n else 0 for j in range(cols)) for i in range(rows)),
+            tuple(tuple(values[i] if i == j else 0 for j in range(cols)) for i in range(rows)),
         )
 
     # -- basic queries -----------------------------------------------------

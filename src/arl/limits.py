@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 from .arcat import canonical_l_adic
 from .errors import NonStabilizing, NotLAdic
-from .groups import FinAbGroup, GroupHom, trivial_group, valuation, zero_hom
+from .groups import FinAbGroup, GroupHom, valuation
 from .hypernat import HyperNat
 from .intmat import IntMatrix
 from .towers import TailRule, Tower, direct_sum, eventually_module, is_l_adic
@@ -88,7 +87,7 @@ class ComparisonReport:
     operators_match: bool
 
 
-def comparison_check(tower: Tower, bound: Optional[int] = None) -> ComparisonReport:
+def comparison_check(tower: Tower) -> ComparisonReport:
     """Compare the two module-valued readings of a cohomology tower (supplied
     as input, never computed from geometry here).
 
@@ -99,8 +98,8 @@ def comparison_check(tower: Tower, bound: Optional[int] = None) -> ComparisonRep
     (and operator actions, when present) are equal.
     """
     h = HyperNat.symbol("h")
-    left = tensor_zl(upsilon(tower, h, bound=bound))
-    right = limit(canonical_l_adic(tower, bound=bound).tower)
+    left = tensor_zl(upsilon(tower, h))
+    right = limit(canonical_l_adic(tower).tower)
     return ComparisonReport(
         left=left,
         right=right,
@@ -114,10 +113,6 @@ def _torsion_window_tower(module: ZlModule, l: int, levels: int) -> Tower:
     """The tower of l^{n+1}-torsion subgroups of module with multiplication
     by l as transitions (the free part contributes nothing)."""
     exps = module.torsion_exponents
-    if not exps:
-        trivial = trivial_group(l)
-        return Tower(l, (trivial,) * levels, (zero_hom(trivial, trivial),) * (levels - 1),
-                     tail=TailRule(0))
     # the exponents are sorted and >= 1, so each level is a chain of powers of l
     groups = [FinAbGroup._of(tuple(l ** min(b, n + 1) for b in exps), l) for n in range(levels)]
     # multiplication by l is well defined from l^min(b, n+1) down to
@@ -128,7 +123,8 @@ def _torsion_window_tower(module: ZlModule, l: int, levels: int) -> Tower:
                 tuple(l % d if i == j else 0 for j in range(k))
                 for i, d in enumerate(groups[n - 1].invariant_factors))))
             for n in range(1, levels)]
-    return Tower(l, tuple(groups), tuple(maps))
+    # a torsion-free module has trivial windows, the zero tail from level 0
+    return Tower(l, tuple(groups), tuple(maps), tail=None if exps else TailRule(0))
 
 
 @dataclass(frozen=True)

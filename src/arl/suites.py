@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Callable, Optional
 
 from .arcat import (
@@ -180,34 +181,24 @@ def _case_comparison(rng, params: GenParams, index: int):
     return "pass", {"l": l, "module": m.describe(), "value": rep.left.describe()}, None
 
 
-def torsion_grid(primes=(2, 3), max_exponent=3, max_factors=2, max_rank=2) -> list[tuple[ZlModule, ZlModule]]:
-    """The exhaustive pair grid for the torsion criterion."""
+@cache
+def torsion_grid() -> tuple[tuple[ZlModule, ZlModule], ...]:
+    """The exhaustive pair grid for the torsion criterion, built once: for
+    l = 2 and 3, every ordered pair of the 30 modules Z_l^rho (+) Z/l^a
+    (+) Z/l^b with rho <= 2, at most two torsion summands and exponents
+    1..3."""
     pairs = []
-    for l in primes:
+    for l in (2, 3):
         multisets = [()]
-        for k in range(1, max_factors + 1):
-            multisets.extend(
-                tuple(sorted(c))
-                for c in itertools.combinations_with_replacement(range(1, max_exponent + 1), k)
-            )
-        modules = [ZlModule(l, exps, rho)
-                   for exps in multisets for rho in range(max_rank + 1)]
+        for k in (1, 2):
+            multisets.extend(itertools.combinations_with_replacement(range(1, 4), k))
+        modules = [ZlModule(l, exps, rho) for exps in multisets for rho in range(3)]
         pairs.extend((a, b) for a in modules for b in modules)
-    return pairs
-
-
-_TORSION_GRID: list[tuple[ZlModule, ZlModule]] | None = None
-
-
-def _torsion_grid_cached() -> list[tuple[ZlModule, ZlModule]]:
-    global _TORSION_GRID
-    if _TORSION_GRID is None:
-        _TORSION_GRID = torsion_grid()
-    return _TORSION_GRID
+    return tuple(pairs)
 
 
 def _case_torsionfree(rng, params: GenParams, index: int):
-    grid = _torsion_grid_cached()
+    grid = torsion_grid()
     mod_i, mod_next = grid[index % len(grid)]
     res = ladic_iff_torsionfree(mod_i, mod_next, levels=min(params.levels, 6))
     cert = {
@@ -244,7 +235,7 @@ def default_params(suite: str) -> GenParams:
 
 def suite_case_count(suite: str, requested: int) -> int:
     if suite == "torsionfree":
-        return min(requested, len(_torsion_grid_cached()))
+        return min(requested, len(torsion_grid()))
     return requested
 
 
@@ -280,13 +271,12 @@ def shrink_case(suite: str, seed: int, index: int, params: GenParams) -> CaseRes
     return CaseResult(index, result.outcome, result.certificate, witness.strip())
 
 
-def run_suite(suite: str, seed: int, cases: int,
-              params: Optional[GenParams] = None) -> SuiteReport:
+def run_suite(suite: str, seed: int, cases: int) -> SuiteReport:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
     if cases < 1:
         raise ValueError("cases must be >= 1")
-    params = params or default_params(suite)
+    params = default_params(suite)
     total = suite_case_count(suite, cases)
     results = []
     for index in range(total):
@@ -322,9 +312,10 @@ def parse_report(text: str) -> SuiteReport:
     return SuiteReport(suite, seed, cases, tuple(results))
 
 
-def replay_report(report: SuiteReport, params: Optional[GenParams] = None) -> SuiteReport:
-    """Re-run every recorded case and verify outcome and certificate match."""
-    params = params or default_params(report.suite)
+def replay_report(report: SuiteReport) -> SuiteReport:
+    """Re-run every recorded case, with the suite's default parameters, and
+    verify outcome and certificate match."""
+    params = default_params(report.suite)
     results = []
     for recorded in report.results:
         fresh = run_case(report.suite, report.seed, recorded.index, params)

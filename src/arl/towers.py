@@ -299,9 +299,8 @@ class Tower:
             self._cache[key] = compute()
         return self._cache[key]
 
-    def describe_levels(self, upto: Optional[int] = None) -> list[str]:
-        hi = self.top if upto is None else upto
-        return [self.level(n).describe() for n in range(hi + 1)]
+    def describe_levels(self) -> list[str]:
+        return [self.level(n).describe() for n in range(self.top + 1)]
 
 
 def default_bound() -> Optional[int]:
@@ -327,13 +326,10 @@ def resolve_bound(tower: "Tower | TowerHom", bound: Optional[int]) -> int:
     return tower.top if value is None else value
 
 
-def constant_tower(l: int, group: FinAbGroup, levels: int, transition: Optional[GroupHom] = None,
-                   tail: Optional[TailRule] = None) -> Tower:
-    """A tower with the same group at every represented level."""
-    u = transition if transition is not None else identity_hom(group)
-    if u.source != group or u.target != group:
-        raise ValueError("constant tower transition must be an endomorphism")
-    return Tower(l, (group,) * levels, (u,) * (levels - 1), tail)
+def constant_tower(l: int, group: FinAbGroup, levels: int) -> Tower:
+    """A truncated tower with the same group at every represented level and
+    identity transitions."""
+    return Tower(l, (group,) * levels, (identity_hom(group),) * (levels - 1))
 
 
 def classify_tail(tower: Tower) -> Optional[TailRule]:

@@ -75,18 +75,18 @@ class UpsilonObj:
         return (levels, tail)
 
 
-def upsilon(f: Tower, h: HyperNat, bound: Optional[int] = None,
-            ml_bound: Optional[int] = None) -> UpsilonObj:
+def upsilon(f: Tower, h: HyperNat, *, ml_bound: Optional[int] = None) -> UpsilonObj:
     """The image-quotient object of an AR-l-adic tower at infinite index h.
 
-    ml_bound overrides the stabilization shift used for the internal image
-    (for cross-checking that the normal form does not depend on it); only
-    without it does the normalization carry the mutually inverse shift-class
-    morphisms.
+    The normalization searches within the default bound (``ARL_DEFAULT_BOUND``,
+    else the tower's top level).  The keyword-only ml_bound overrides the
+    stabilization shift used for the internal image (for cross-checking that
+    the normal form does not depend on it); only without it does the
+    normalization carry the mutually inverse shift-class morphisms.
     """
     if not h.is_infinite:
         raise FiniteIndex(f"index {h.describe()} is finite; an infinite index is required")
-    c = canonical_l_adic(f, bound=bound, ml_bound=ml_bound)
+    c = canonical_l_adic(f, ml_bound=ml_bound)
     return UpsilonObj(c, h)
 
 
@@ -156,7 +156,7 @@ def ar_canonical_rep(f: ARMor) -> TowerHom:
     return TowerHom._of(f.source, f.target, tuple(levels), None)
 
 
-def upsilon_mor(f: ARMor, h: HyperNat, bound: Optional[int] = None) -> UpsilonHom:
+def upsilon_mor(f: ARMor, h: HyperNat) -> UpsilonHom:
     """The induced morphism of image-quotient objects.
 
     The morphism is conjugated onto the canonical l-adic replacements and
@@ -165,14 +165,14 @@ def upsilon_mor(f: ARMor, h: HyperNat, bound: Optional[int] = None) -> UpsilonHo
     """
     if not h.is_infinite:
         raise FiniteIndex(f"index {h.describe()} is finite")
-    us = upsilon(f.source, h, bound=bound)
-    ut = upsilon(f.target, h, bound=bound)
+    us = upsilon(f.source, h)
+    ut = upsilon(f.target, h)
     conj = ar_compose(ut.normalization.iso, ar_compose(f, us.normalization.inverse))
     rep0 = ar_canonical_rep(conj)
     return UpsilonHom(us, ut, rep0)
 
 
-def phi_iso(f: Tower, h: HyperNat, bound: Optional[int] = None) -> tuple[ARMor, ARMor]:
+def phi_iso(f: Tower, h: HyperNat) -> tuple[ARMor, ARMor]:
     """The natural isomorphism between psi(upsilon(F)) and the star of F.
 
     On normal forms psi(upsilon(F)) is the canonical l-adic tower G and the
@@ -181,31 +181,27 @@ def phi_iso(f: Tower, h: HyperNat, bound: Optional[int] = None) -> tuple[ARMor, 
     shift, the second the stable-image epimorphism.  The target of iso is F
     itself.  For an l-adic tower both are the identity.
     """
-    c = upsilon(f, h, bound=bound).normalization
+    c = upsilon(f, h).normalization
     return c.inverse, c.iso
 
 
-def check_right_exact(f: ARMor, g: ARMor, h: HyperNat,
-                      bound: Optional[int] = None,
-                      levels: Optional[int] = None) -> bool:
+def check_right_exact(f: ARMor, g: ARMor, h: HyperNat) -> bool:
     """Whether the induced sequence of image-quotient objects is exact on
     finite quotients.
 
     The input F -> G -> H -> 0 must be exact in the shift-class category
-    (checked: the composite vanishes there).  The test then verifies, on
-    every represented finite quotient, exactness at the middle and
-    surjectivity at the end of the induced sequence.
+    (checked within the default bound: the composite vanishes there).  The
+    test then verifies, on every finite quotient that both induced morphisms
+    represent, exactness at the middle and surjectivity at the end of the
+    induced sequence.
     """
     comp = ar_compose(g, f)
-    vanishes = ar_equal(comp, ar_zero(f.source, g.target), bound)
+    vanishes = ar_equal(comp, ar_zero(f.source, g.target))
     if not vanishes:
         raise PreconditionViolated("composite does not vanish in the shift-class category")
-    uf = upsilon_mor(f, h, bound=bound)
-    ug = upsilon_mor(g, h, bound=bound)
-    hi = min(uf.tower_hom.top, ug.tower_hom.top)
-    if levels is not None:
-        hi = min(hi, levels)
-    for n in range(hi + 1):
+    uf = upsilon_mor(f, h)
+    ug = upsilon_mor(g, h)
+    for n in range(min(uf.tower_hom.top, ug.tower_hom.top) + 1):
         a = uf.tower_hom.levels[n]
         b = ug.tower_hom.levels[n]
         if not is_exact_at(a, b):
@@ -215,17 +211,17 @@ def check_right_exact(f: ARMor, g: ARMor, h: HyperNat,
     return True
 
 
-def faithfulness_check(f: ARMor, h: HyperNat, bound: Optional[int] = None) -> bool:
+def faithfulness_check(f: ARMor, h: HyperNat) -> bool:
     """Faithfulness and isomorphism reflection on one instance.
 
     Checks: the induced morphism vanishes exactly when f is zero in the
     shift-class category, and if the induced morphism is an isomorphism then
     f is a shift-class isomorphism.
     """
-    u = upsilon_mor(f, h, bound=bound)
-    f_zero = ar_equal(f, ar_zero(f.source, f.target), bound)
+    u = upsilon_mor(f, h)
+    f_zero = ar_equal(f, ar_zero(f.source, f.target))
     if u.is_zero() != bool(f_zero):
         return False
-    if u.is_iso() and not ar_is_isomorphism(f, bound):
+    if u.is_iso() and not ar_is_isomorphism(f):
         return False
     return True

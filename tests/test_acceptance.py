@@ -152,7 +152,7 @@ def test_acceptance_right_exactness():
         rng = rng_for(1007, case)
         l = random_prime(rng, params)
         f, g = random_exact_triple(rng, l, params)
-        assert check_right_exact(f, g, H, levels=6), case
+        assert check_right_exact(f, g, H), case
     report("right-exactness [100 sequences]", start, 60)
 
 

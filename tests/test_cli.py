@@ -329,7 +329,7 @@ def test_internal_error_exit_70_not_usage(capsys, sample, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("internal fault")
 
-    monkeypatch.setattr("arl.cli.canonical_l_adic", broken)
+    monkeypatch.setattr("arl.cli.certify_ar_l_adic", broken)
     code, out, err = run(capsys, "normalize", "--file", sample, "--tower", "zl")
     assert code == 70
     assert "Traceback" in err and "internal fault" in err

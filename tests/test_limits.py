@@ -168,6 +168,11 @@ class TestTorsionCriterion:
 
     def test_exhaustive_small_grid(self):
         from arl.suites import torsion_grid
-        grid = torsion_grid(primes=(2,), max_exponent=2, max_factors=1, max_rank=1)
+        # the pairs of l = 2 with at most one torsion summand, exponent <= 2
+        # and free rank <= 1: 6 modules
+        grid = [pair for pair in torsion_grid()
+                if all(m.l == 2 and len(m.torsion_exponents) <= 1 and m.free_rank <= 1
+                       and max(m.torsion_exponents, default=0) <= 2 for m in pair)]
+        assert len(grid) == 36
         for mod_i, mod_next in grid:
             assert ladic_iff_torsionfree(mod_i, mod_next).verdict

@@ -236,7 +236,8 @@ def test_both_routes_of_direct_sum_hom_match_the_sum_formula(source, target, pla
 
 def test_direct_sum_hom_rejects_mixed_primes():
     with pytest.raises(PrimeMismatch):
-        direct_sum_hom(identity_hom(cyclic(2, 2)), identity_hom(cyclic(3, 3)))
+        direct_sum_hom(identity_hom(FinAbGroup((2,), prime_support=2)),
+                       identity_hom(FinAbGroup((3,), prime_support=3)))
 
 
 def test_quotient_memo_keeps_argument_checks():

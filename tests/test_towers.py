@@ -174,7 +174,7 @@ class TestNaturalMap:
 
     def test_zero_transitions_give_zero_map(self):
         g = FinAbGroup((L,), prime_support=L)
-        t = constant_tower(L, g, 5, transition=zero_hom(g, g))
+        t = Tower(L, (g,) * 5, (zero_hom(g, g),) * 4)
         nm = natural_map(t, 1)
         assert all(nm.level(n).is_zero() for n in range(nm.top + 1))
 
@@ -182,7 +182,7 @@ class TestNaturalMap:
 class TestZeroSystem:
     def test_constant_zero_maps(self):
         g = FinAbGroup((L,), prime_support=L)
-        t = constant_tower(L, g, 5, transition=zero_hom(g, g))
+        t = Tower(L, (g,) * 5, (zero_hom(g, g),) * 4)
         v = is_zero_system(t)
         assert v and v.certificate.radius == 1
 

@@ -80,6 +80,12 @@ class TestUpsilon:
         with pytest.raises(FiniteIndex):
             upsilon(zl_tower(), HyperNat.finite(5))
 
+    def test_stabilization_shift_is_keyword_only(self):
+        # a third positional argument is not taken as the stabilization shift
+        with pytest.raises(TypeError):
+            upsilon(zl_tower(), H, 2)
+        assert upsilon(zl_tower(), H, ml_bound=2).normalization.ml_bound == 2
+
     def test_marker_renaming_same_form(self):
         t = zl_tower()
         u1 = upsilon(t, H)
